@@ -32,6 +32,7 @@ from .group import (
     tail_estimate,
 )
 from .harmonic import (
+    GreenFunction,
     HarmonicModel,
     IntegralsFirstKind,
     PeriodMatrix,

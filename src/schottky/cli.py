@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import verify as verify_mod
@@ -22,7 +23,6 @@ from .distance import (
     BallRaster,
     DistanceOptions,
     ball_raster,
-    caratheodory_distance,
     find_disconnected_ball,
     mobius_distance,
 )
@@ -297,7 +297,7 @@ def _dispatch(args) -> int:
         opts = DistanceOptions(seed=args.seed)
         base, target = _parse_complex(args.base), _parse_complex(args.target)
         res = mobius_distance(model, ev, v, base, target, opts)
-        c = caratheodory_distance(model, ev, v, base, target, opts)
+        c = math.atanh(res.value)
         print(f"mobius distance c* = {_fmt(res.value)}")
         print(f"caratheodory distance = {_fmt(c)}")
         if res.warning:

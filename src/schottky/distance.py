@@ -33,7 +33,7 @@ from .errors import (
     DomainError,
     ResolutionError,
 )
-from .harmonic import HarmonicModel, IntegralsFirstKind, solve_harmonic_measures, integrals_first_kind
+from .harmonic import GreenFunction, HarmonicModel, IntegralsFirstKind, solve_harmonic_measures
 from .prime import PrimeEvaluator
 from .slitmaps import eta, eta_l
 
@@ -81,13 +81,11 @@ class DistanceResult:
 
 class _ExtremalSearch:
     """Shared machinery: charted zero sets with the base point fixed, and
-    fast |f(zeta)| evaluation (magnitude only, so no rotation needed)."""
+    |f(zeta)| = exp(-G(zeta, p_tilde) - sum_k G(zeta, p_k)) from the
+    domain's Green's function (magnitude only, so no rotation needed)."""
 
-    def __init__(self, model: HarmonicModel, ev: PrimeEvaluator,
-                 v: IntegralsFirstKind | None, p_tilde: complex):
+    def __init__(self, model: HarmonicModel, p_tilde: complex):
         self.model = model
-        self.ev = ev
-        self.v = v
         self.p = complex(p_tilde)
         d = model.domain
         self.domain = d
@@ -98,6 +96,7 @@ class _ExtremalSearch:
             self.targets = 1.0 - model.eval_u_all(self.p)[0]  # (g,)
             if np.any(self.targets <= 0) or np.any(self.targets >= 1):
                 raise DomainError("base point measures out of range")
+            self.green = GreenFunction(model)
 
     # -- chart ---------------------------------------------------------------
 
@@ -106,31 +105,30 @@ class _ExtremalSearch:
         solve fails (invalid chart point)."""
         d = self.domain
         g = self.g
-        feet = np.array(
-            [d.circle(k + 1).point(angles[k]) for k in range(g)], dtype=complex
-        )
-        dirs = np.array(
-            [(feet[k] - d.circle(k + 1).q) / d.circle(k + 1).r for k in range(g)],
-            dtype=complex,
-        )
-        exits = np.array([
-            _ray_exit(d, k + 1, feet[k], dirs[k]) for k in range(g)
-        ])
+        feet = np.array([c.point(a) for c, a in zip(d.inner_circles, angles)], dtype=complex)
+        dirs = (feet - d.centers) / d.radii
+        exits = np.array([_ray_exit(d, k + 1, feet[k], dirs[k]) for k in range(g)])
+        model = self.model
         if seed_depths is None:
-            s = np.array([
-                self._initial_depth(k, feet[k], dirs[k], exits[k]) for k in range(g)
-            ])
+            # diagonal seed, one bisection for all circles: the depth where
+            # each point alone accounts for its own circle's target measure
+            lo, hi = np.full(g, 1e-9), exits * (1 - 1e-9)
+            for _ in range(40):
+                mid = 0.5 * (lo + hi)
+                above = np.diagonal(model.eval_u_all(feet + mid * dirs)) > self.targets
+                lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+            s = 0.5 * (lo + hi)
         else:
             s = np.clip(seed_depths, 1e-9, exits * (1 - 1e-9))
-        model = self.model
         for _ in range(40):
             pts = feet + s * dirs
-            fval = model.eval_u_all(pts).sum(axis=0) - self.targets
+            u, grad = model.eval_u_grad(pts)
+            fval = u.sum(axis=0) - self.targets
             if np.max(np.abs(fval)) < 1e-11:
                 if not np.all(d.contains(pts, margin=-1e-12)):
                     return None
                 return pts, s
-            jac = np.real(model.grad_u_complex(pts) * dirs[:, None]).T
+            jac = np.real(grad * dirs[:, None]).T
             try:
                 step = np.linalg.solve(jac, -fval)
             except np.linalg.LinAlgError:
@@ -138,62 +136,6 @@ class _ExtremalSearch:
             # stay inside the chart box: nonnegative depth, short of the exit
             s = np.clip(s + step, 1e-12, exits * (1 - 1e-12))
         return None
-
-    def _initial_depth(self, k: int, foot: complex, direction: complex,
-                       exit_dist: float) -> float:
-        # diagonal seed: pick the depth where this point alone accounts for
-        # its own circle's target measure
-        target = float(self.targets[k])
-        lo, hi = 1e-9, exit_dist * (1 - 1e-9)
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if self.model.eval_u(k + 1, foot + mid * direction) > target:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    # -- magnitude evaluation --------------------------------------------------
-
-    def abs_eta_table(self, z: np.ndarray, tz: np.ndarray, p: complex) -> np.ndarray:
-        """|eta(z, p)| for an array of points with a precomputed theta table."""
-        ev = self.ev
-        if p == 0:
-            return np.abs(eta(ev, z, 0j))
-        phat = 1 / p.conjugate()
-        vals = ev.omega_ratio_with_table(z, tz, p, phat)
-        norm = ev.omega_ratio(1.0, p, phat)
-        return np.abs(vals) / abs(norm)
-
-    def exp_factor(self, z: np.ndarray) -> np.ndarray:
-        """|exp(-2 pi i sum_j v_j)| = exp(2 pi sum_j Im v_j) for nu = (1,..,1);
-        the imaginary parts are single-valued so this needs no branch care."""
-        if self.g == 0:
-            return np.ones(len(z))
-        imv = np.imag(self.v.eval_v_all(z)).sum(axis=1)
-        return np.exp(2 * np.pi * imv)
-
-    def value_many(self, z: np.ndarray, tz: np.ndarray, zeros, base_tables) -> np.ndarray:
-        """|f(z)| for the extremal map with the given free zeros;
-        ``base_tables`` = (exp factor, |eta(., p_tilde)|) precomputed."""
-        expf, eta_p = base_tables
-        acc = expf * eta_p
-        for p in zeros:
-            acc = acc * self.abs_eta_table(z, tz, complex(p))
-        return acc
-
-    def point_tables(self, zeta: complex):
-        """Per-point constants reused across many zero sets at the same
-        evaluation point."""
-        z = np.array([zeta], dtype=complex)
-        tz = self.ev.theta_table(z)
-        return z, tz, (self.exp_factor(z), self.abs_eta_table(z, tz, self.p))
-
-    def value_single(self, zeta: complex, zeros, tables=None) -> float:
-        if tables is None:
-            tables = self.point_tables(zeta)
-        z, tz, tb = tables
-        return float(self.value_many(z, tz, zeros, tb)[0])
 
     # -- per-point optimization -------------------------------------------------
 
@@ -219,7 +161,9 @@ class _ExtremalSearch:
         seeds = seeds[: max(opts.n_starts, len(extra_seeds))]
 
         depth_cache: dict[int, np.ndarray] = {}
-        tables = self.point_tables(zeta)
+        # by symmetry G(., zeta) serves every zero set: one fit per point
+        green = self.green.kernel(zeta)
+        base = float(green(self.p)[0, 0])
 
         def objective(phi: np.ndarray) -> float:
             sol = self.solve_depths(phi, depth_cache.get(0))
@@ -227,7 +171,7 @@ class _ExtremalSearch:
                 return 0.5  # repel: valid values are negative (we minimize -|f|)
             pts, s = sol
             depth_cache[0] = s
-            return -self.value_single(zeta, pts, tables)
+            return -math.exp(-(base + green(pts).sum()))
 
         maxiter = opts.nm_maxiter or 100 * g
         best_val, best_phi = -np.inf, None
@@ -263,8 +207,10 @@ def mobius_distance(
 ) -> DistanceResult:
     """Moebius distance c*(p_tilde, zeta): the maximum of |f(zeta)| over
     degree-(g+1) proper maps vanishing at the base point, together with the
-    maximizing zero set.  Closed form on the disk (g = 0)."""
-    search = _ExtremalSearch(model, ev, v, p_tilde)
+    maximizing zero set.  Closed form on the disk (g = 0).  |f| comes from
+    the domain's Green's function on the harmonic series basis of ``model``;
+    ``ev`` and ``v`` are kept for API stability and are not used."""
+    search = _ExtremalSearch(model, p_tilde)
     return search.optimize(zeta, opts or DistanceOptions())
 
 
@@ -417,7 +363,11 @@ def ball_raster(
     of charted extremal maps (a coarse family everywhere, a fine family on
     the band around the threshold), then pixels within ``refine_margin`` of
     the threshold are polished with the per-pixel optimizer seeded from the
-    family argmax.  Deterministic for a fixed option set.
+    family argmax.  Every |f| comes from the domain's Green's function on
+    the harmonic series basis of ``model``: a family sweep is one product of
+    the pixel basis with the fits of all the family's zeros.  ``ev`` and
+    ``v`` are kept for API stability and are not used.  Deterministic for a
+    fixed option set.
     """
     if not (0 < r < 1):
         raise DomainError("threshold must be in (0, 1) on the Moebius scale")
@@ -426,7 +376,7 @@ def ball_raster(
         nx = ny = resolution
     else:
         nx, ny = resolution
-    search = _ExtremalSearch(model, ev, v, p_tilde)
+    search = _ExtremalSearch(model, p_tilde)
     d = model.domain
 
     raster = BallRaster(tuple(map(float, bbox)), nx, ny, complex(p_tilde), float(r),
@@ -448,35 +398,19 @@ def ball_raster(
         fine = _build_family(search, opts.family_angles)
         family = coarse + fine
         for lo in range(0, len(idx), chunk):
-            sl = idx[lo : lo + chunk]
-            zchunk = zs[sl]
-            tz = ev.theta_table(zchunk)
-            tables = (search.exp_factor(zchunk),
-                      search.abs_eta_table(zchunk, tz, search.p))
-            acc = np.zeros(len(zchunk))
-            amax = np.zeros(len(zchunk), dtype=np.int32)
-            # coarse family everywhere
-            for mi, zeros in enumerate(coarse):
-                cand = search.value_many(zchunk, tz, zeros, tables)
-                better = cand > acc
-                acc[better] = cand[better]
-                amax[better] = mi
+            zchunk = zs[idx[lo : lo + chunk]]
+            # -log|f| = G(., p_tilde) + sum_k G(., p_k): the envelope is the
+            # smallest sum over the members
+            base = search.green(zchunk, search.p)[:, 0]
+            total, amax = _member_min(search, zchunk, coarse, base)
             # fine family only where the value could cross the threshold
-            band = np.abs(acc - r) < opts.band_margin
-            if band.any():
-                zb = zchunk[band]
-                tzb = tz[:, band]
-                tb = (tables[0][band], tables[1][band])
-                accb = acc[band]
-                amaxb = amax[band]
-                for mi, zeros in enumerate(fine):
-                    cand = search.value_many(zb, tzb, zeros, tb)
-                    better = cand > accb
-                    accb[better] = cand[better]
-                    amaxb[better] = len(coarse) + mi
-                acc[band] = accb
-                amax[band] = amaxb
-            vals[lo : lo + len(zchunk)] = acc
+            band = np.flatnonzero(np.abs(np.exp(-total) - r) < opts.band_margin)
+            if len(band):
+                fine_total, fine_amax = _member_min(search, zchunk[band], fine, base[band])
+                better = fine_total < total[band]
+                total[band[better]] = fine_total[better]
+                amax[band[better]] = len(coarse) + fine_amax[better]
+            vals[lo : lo + len(zchunk)] = np.exp(-total)
             argmax_member[lo : lo + len(zchunk)] = amax
 
     flat = raster.values.ravel()
@@ -528,6 +462,17 @@ def _build_family(search: _ExtremalSearch, n_angles: int):
         pts, depths = sol
         out.append(tuple(complex(z) for z in pts))
     return out
+
+
+def _member_min(search: _ExtremalSearch, z: np.ndarray, members, base: np.ndarray):
+    """base + the smallest sum_k G(z, p_k) over the members' zero sets, with
+    the index of the member attaining it; one fit for all the members' zeros."""
+    if not members:
+        return np.full(len(z), np.inf), np.zeros(len(z), dtype=np.int32)
+    zeros = np.asarray(members, dtype=complex)  # (members, g)
+    sums = search.green(z, zeros.ravel()).reshape(len(z), *zeros.shape).sum(axis=2)
+    best = np.argmin(sums, axis=1).astype(np.int32)
+    return base + sums[np.arange(len(z)), best], best
 
 
 def _refine_band(raster, search, opts, idx, argmax_member, family, zs):
@@ -671,7 +616,6 @@ def find_disconnected_ball(
         circles = circles + (Circle(complex(shrink_center), float(radius)),)
         domain = CircularDomain(circles)
         model = solve_harmonic_measures(domain, order=order)
-        v = integrals_first_kind(model)
         ev = PrimeEvaluator(domain, max_word_length=max_word_length)
 
         anchor = circles[0]
@@ -686,9 +630,9 @@ def find_disconnected_ball(
 
         for depth in p_depths:
             p_tilde = anchor.q + (anchor.r + depth) * away
-            base = mobius_distance(model, ev, v, p_tilde, zeta, opts)
+            base = mobius_distance(model, ev, None, p_tilde, zeta, opts)
             r_center = min(base.value + 0.5 * opts.refine_margin, 0.98)
-            raster = ball_raster(model, ev, v, p_tilde, r_center,
+            raster = ball_raster(model, ev, None, p_tilde, r_center,
                                  resolution=resolution, opts=opts)
             # scan inside the polished band around the raster threshold
             lo = max(base.value + 1e-5, r_center - 0.45 * opts.refine_margin)
@@ -711,7 +655,7 @@ def find_disconnected_ball(
             far_vals = np.where(far_mask, raster.values, np.inf)
             iy, ix = np.unravel_index(np.argmin(far_vals), far_vals.shape)
             xi = complex(raster.pixel_centers()[iy, ix])
-            r2 = mobius_distance(model, ev, v, p_tilde, xi, opts).value
+            r2 = mobius_distance(model, ev, None, p_tilde, xi, opts).value
 
             px, py = raster.pixel_size
             diag = math.hypot(px, py)

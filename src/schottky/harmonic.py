@@ -1,5 +1,6 @@
-"""Harmonic measures, their analytic completions, first-kind integrals and
-the period matrix, via a least-squares series method.
+"""Harmonic measures, their analytic completions, the Green's function,
+first-kind integrals and the period matrix, via a least-squares series
+method.
 
 Each harmonic measure u_j (value 1 on inner circle j, 0 on the other
 boundary circles) is fitted in the classical basis for circular domains:
@@ -19,12 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .domain import CircularDomain, validate_domain
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "HarmonicModel",
+    "GreenFunction",
     "IntegralsFirstKind",
     "PeriodMatrix",
     "solve_harmonic_measures",
@@ -105,6 +108,17 @@ class HarmonicModel:
             return np.zeros((len(z), 0), dtype=complex)
         hp = _analytic_basis_derivative(self.domain, self.order, z)
         return hp @ self._complex_coeffs.T
+
+    def eval_u_grad(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """``eval_u_all`` and ``grad_u_complex`` together, from one table of
+        basis powers; shapes (len(z), g) each."""
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
+        if self.g == 0:
+            return np.zeros((len(z), 0)), np.zeros((len(z), 0), dtype=complex)
+        basis = _basis_matrix(self.domain, self.order, z)
+        powers = _power_block(basis, self.g, self.order)
+        hp = _analytic_basis_derivative(self.domain, self.order, z, powers)
+        return basis @ self.coeffs.T, hp @ self._complex_coeffs.T
 
     def eval_normal_derivative(self, j: int, l: int, z):
         """Normal derivative of u_j on boundary circle l, in the direction
@@ -209,6 +223,63 @@ def solve_harmonic_measures(
     return model
 
 
+class GreenFunction:
+    """Green's function of the domain on the model's series basis:
+
+        G(z, p) = log(|1 - conj(p) z| |z - p*| / (|z - p| |1 - conj(p*) z|)) + h_p(z),
+
+    where p* is the reflection of the pole in its nearest inner circle and
+    h_p is the least-squares fit of minus the logarithmic part on the
+    model's collocation points.  The logarithmic part vanishes on the unit
+    circle and is constant on the pole's nearest inner circle, so the fitted
+    data stay smooth however close the pole is to either; on the unit disk
+    (g = 0) it is the whole Green's function.  G vanishes on the boundary and
+    is symmetric, and a proper map with zeros p_k has
+    log|f| = -sum_k G(., p_k).
+
+    The collocation matrix is factored once (economic QR); each pole then
+    costs one projection and one triangular solve.  Immutable after
+    construction.
+    """
+
+    def __init__(self, model: HarmonicModel):
+        d = model.domain
+        colloc = model.colloc or max(4 * model.order, 64)
+        self.model = model
+        self._points = np.concatenate([d.circle(l).samples(colloc) for l in range(d.g + 1)])
+        self._q, self._r = np.linalg.qr(_basis_matrix(d, model.order, self._points))
+
+    def kernel(self, poles):
+        """G(., p) for each pole, as one function of z that returns an array
+        of shape (len(z), len(poles)); the poles' fits are solved here, once."""
+        p = np.atleast_1d(np.asarray(poles, dtype=complex))
+        d, order = self.model.domain, self.model.order
+        if d.g:
+            offset = p[:, None] - d.centers
+            near = np.argmin(np.abs(offset) - d.radii, axis=1)
+            star = d.centers[near] + d.radii[near] ** 2 / np.conj(offset[np.arange(len(p)), near])
+
+        def singular(z: np.ndarray) -> np.ndarray:
+            z = z[:, None]
+            num, den = np.abs(1 - np.conj(p) * z), np.abs(z - p)
+            if d.g:
+                num, den = num * np.abs(z - star), den * np.abs(1 - np.conj(star) * z)
+            with np.errstate(divide="ignore"):
+                return np.log(num / den)
+
+        coeffs = solve_triangular(self._r, -(self._q.T @ singular(self._points)))
+
+        def green(z) -> np.ndarray:
+            z = np.atleast_1d(np.asarray(z, dtype=complex))
+            return singular(z) + _basis_matrix(d, order, z) @ coeffs
+
+        return green
+
+    def __call__(self, z, poles) -> np.ndarray:
+        """G(z_i, p_m), shape (len(z), len(poles))."""
+        return self.kernel(poles)(z)
+
+
 # -- basis ------------------------------------------------------------------
 #
 # Real basis columns, in order:
@@ -226,65 +297,58 @@ def _basis_size(g: int, order: int) -> int:
     return 1 + g + 2 * order * (g + 1)
 
 
+def _powers(d: CircularDomain, order: int, z: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` (n, g+1, order) with the basis powers: (r_l / (z - q_l))^k
+    for each inner circle l, then z^k for the outer circle, k = 1..order."""
+    g = d.g
+    out[:, :g] = (d.radii / (z[:, None] - d.centers))[:, :, None]
+    out[:, g] = z[:, None]
+    for lo in range(0, len(z), 128):  # row blocks small enough to stay in cache
+        np.cumprod(out[lo : lo + 128], axis=2, out=out[lo : lo + 128])
+
+
+def _power_block(basis: np.ndarray, g: int, order: int) -> np.ndarray:
+    """The power columns of a basis matrix as a complex (n, g+1, order) view;
+    in the real basis each Re, Im column pair is one complex number."""
+    return basis[:, 1 + g :].view(complex).reshape(len(basis), g + 1, order)
+
+
 def _basis_matrix(d: CircularDomain, order: int, z: np.ndarray) -> np.ndarray:
     g = d.g
-    n = len(z)
-    out = np.empty((n, _basis_size(g, order)), dtype=float)
+    out = np.empty((len(z), _basis_size(g, order)), dtype=float)
     out[:, 0] = 1.0
-    col = 1
-    for c in d.inner_circles:
-        out[:, col] = np.log(np.abs(z - c.q) / c.r)
-        col += 1
-    for c in d.inner_circles:
-        w = c.r / (z - c.q)
-        powers = np.cumprod(np.tile(w[:, None], (1, order)), axis=1)
-        out[:, col : col + 2 * order : 2] = powers.real
-        out[:, col + 1 : col + 2 * order : 2] = powers.imag
-        col += 2 * order
-    powers = np.cumprod(np.tile(z[:, None], (1, order)), axis=1)
-    out[:, col : col + 2 * order : 2] = powers.real
-    out[:, col + 1 : col + 2 * order : 2] = powers.imag
+    out[:, 1 : 1 + g] = np.log(np.abs(z[:, None] - d.centers) / d.radii)
+    _powers(d, order, z, _power_block(out, g, order))
     return out
 
 
 def _analytic_basis(d: CircularDomain, order: int, z: np.ndarray) -> np.ndarray:
     g = d.g
-    n = len(z)
-    out = np.empty((n, 1 + g + order * (g + 1)), dtype=complex)
+    out = np.empty((len(z), 1 + g + order * (g + 1)), dtype=complex)
     out[:, 0] = 1.0
-    col = 1
-    for c in d.inner_circles:
-        out[:, col] = np.log((z - c.q) / c.r)
-        col += 1
-    for c in d.inner_circles:
-        w = c.r / (z - c.q)
-        out[:, col : col + order] = np.cumprod(np.tile(w[:, None], (1, order)), axis=1)
-        col += order
-    out[:, col : col + order] = np.cumprod(np.tile(z[:, None], (1, order)), axis=1)
+    out[:, 1 : 1 + g] = np.log((z[:, None] - d.centers) / d.radii)
+    _powers(d, order, z, _power_block(out, g, order))
     return out
 
 
-def _analytic_basis_derivative(d: CircularDomain, order: int, z: np.ndarray) -> np.ndarray:
+def _analytic_basis_derivative(d: CircularDomain, order: int, z: np.ndarray,
+                               powers: np.ndarray | None = None) -> np.ndarray:
     g = d.g
-    n = len(z)
     ks = np.arange(1, order + 1)
-    out = np.empty((n, 1 + g + order * (g + 1)), dtype=complex)
+    shifted = z[:, None] - d.centers
+    out = np.empty((len(z), 1 + g + order * (g + 1)), dtype=complex)
     out[:, 0] = 0.0
-    col = 1
-    for c in d.inner_circles:
-        out[:, col] = 1.0 / (z - c.q)
-        col += 1
-    for c in d.inner_circles:
-        w = c.r / (z - c.q)
-        powers = np.cumprod(np.tile(w[:, None], (1, order)), axis=1)
-        out[:, col : col + order] = powers * (-ks[None, :]) / (z - c.q)[:, None]
-        col += order
-    powers = np.concatenate(
-        [np.ones((n, 1), dtype=complex),
-         np.cumprod(np.tile(z[:, None], (1, order - 1)), axis=1)],
-        axis=1,
-    )
-    out[:, col : col + order] = powers * ks[None, :]
+    out[:, 1 : 1 + g] = 1.0 / shifted
+    block = _power_block(out, g, order)
+    if powers is None:
+        _powers(d, order, z, block)
+    else:
+        block[:] = powers
+    block[:, :g] = block[:, :g] * -ks / shifted[:, :, None]
+    # d/dz z^k = k z^(k-1): the outer powers shifted by one
+    block[:, g, 1:] = block[:, g, :-1].copy()
+    block[:, g, 0] = 1.0
+    block[:, g] *= ks
     return out
 
 
@@ -292,18 +356,10 @@ def _complexify(d: CircularDomain, order: int, coeffs: np.ndarray) -> np.ndarray
     """Turn the fitted real coefficients into complex coefficients over the
     analytic basis: Re-column beta and Im-column beta' combine into the
     coefficient beta - i beta' of the analytic function."""
-    g = d.g
     if coeffs.size == 0:
         return np.zeros((0, 1), dtype=complex)
-    out = np.empty((g, 1 + g + order * (g + 1)), dtype=complex)
-    out[:, : 1 + g] = coeffs[:, : 1 + g]
-    pos = 1 + g
-    for blk in range(g + 1):
-        cols = coeffs[:, pos + 2 * np.arange(order)]
-        cols_im = coeffs[:, pos + 1 + 2 * np.arange(order)]
-        out[:, 1 + g + blk * order : 1 + g + (blk + 1) * order] = cols - 1j * cols_im
-        pos += 2 * order
-    return out
+    pairs = coeffs[:, 1 + d.g :].reshape(len(coeffs), (d.g + 1) * order, 2)
+    return np.concatenate([coeffs[:, : 1 + d.g], pairs[..., 0] - 1j * pairs[..., 1]], axis=1)
 
 
 # -- integrals of the first kind ---------------------------------------------

@@ -27,6 +27,7 @@ from .distance import (
 from .domain import Circle, CircularDomain
 from .group import enumerate_words
 from .harmonic import (
+    GreenFunction,
     har_relation_residual,
     integrals_first_kind,
     solve_harmonic_measures,
@@ -188,12 +189,16 @@ def random_admissible_config(dom, model, rng, max_extra=1):
     return make_zero_config(model, zeros, tuple(nu))
 
 
-def _boundary_behavior_checks(dom, model, v, ev, seed, count, label):
+def _boundary_behavior_checks(dom, model, v, ev, seed, count, label, green=None):
     """Criterion 4: random admissible configurations have unimodular
-    boundary values and the prescribed windings."""
+    boundary values and the prescribed windings.  With a Green's function,
+    also the cross-route identity |f| = exp(-sum_k G(., p_k)) between the
+    product-built maps and the harmonic series basis."""
     rng = np.random.default_rng(seed)
     out = []
+    pts = _interior_points(dom, 20, seed=seed)
     worst_dev = 0.0
+    worst_green = 0.0
     windings_ok = True
     built = 0
     attempts = 0
@@ -206,6 +211,9 @@ def _boundary_behavior_checks(dom, model, v, ev, seed, count, label):
             continue
         built += 1
         worst_dev = max(worst_dev, boundary_modulus_deviation(f, 256))
+        if green is not None:
+            via_green = np.exp(-green(pts, f.zeros).sum(axis=1))
+            worst_green = max(worst_green, float(np.max(np.abs(np.abs(f(pts)) - via_green))))
         degs = [boundary_degree(f, l) for l in range(dom.g + 1)]
         windings_ok = windings_ok and degs == list(config.nu)
     out.append(_check_true(f"{label}: built {count} random admissible maps",
@@ -213,6 +221,9 @@ def _boundary_behavior_checks(dom, model, v, ev, seed, count, label):
     out.append(_check(f"{label}: random admissible maps unimodular on the boundary",
                       worst_dev, 1e-5))
     out.append(_check_true(f"{label}: windings equal boundary degrees", windings_ok))
+    if green is not None:
+        out.append(_check(f"{label}: |f| of random admissible maps equals exp(-sum of Green's functions)",
+                          worst_green, 1e-7, detail=f"L={ev.max_word_length}"))
     return out
 
 
@@ -290,7 +301,7 @@ def suite_triply() -> list[CheckResult]:
     out.append(_check("triply: measure/first-kind-integral relation", worst, 1e-6))
 
     out.extend(_boundary_behavior_checks(dom, model, v, ev, seed=31, count=10,
-                                         label="triply"))
+                                         label="triply", green=GreenFunction(model)))
     out.extend(_boundary_data_checks_triply(dom, model, v, ev))
     out.extend(_semigroup_checks(dom, model, v, ev))
     return out

@@ -15,6 +15,7 @@ from schottky.distance import (
     wang_yin_eval,
 )
 from schottky.errors import AdmissibilityError, DomainError
+from schottky.propermaps import build_proper_map, make_zero_config
 
 FAST = DistanceOptions(n_starts=4)
 
@@ -136,18 +137,17 @@ def test_raster_nesting_and_intersection(annulus_tools):
     small = raster.relabel(0.35) > 0
     big = raster.relabel(0.55) > 0
     assert np.all(big[small])
-    # single-map balls contain the intersection ball: c* >= |Phi_P| pointwise
+    # single-map balls contain the intersection ball: c* >= |Phi_P| pointwise,
+    # with |Phi_P| from the prime-function product (an independent route)
     from schottky.distance import _ExtremalSearch
 
-    search = _ExtremalSearch(t.model, t.ev, t.v, 0.5)
+    search = _ExtremalSearch(t.model, 0.5)
     sol = search.solve_depths(np.array([2.0]))
     assert sol is not None
+    f = build_proper_map(t.ev, t.v, make_zero_config(t.model, [0.5, *sol[0]], (1, 1)))
     centers = raster.pixel_centers().ravel()
     inside = ~np.isnan(raster.values.ravel())
-    zs = centers[inside]
-    tz = t.ev.theta_table(zs)
-    tables = (search.exp_factor(zs), search.abs_eta_table(zs, tz, search.p))
-    single = search.value_many(zs, tz, sol[0], tables)
+    single = np.abs(f(centers[inside]))
     assert np.all(raster.values.ravel()[inside] >= single - 2e-3)
 
 

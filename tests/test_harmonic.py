@@ -4,7 +4,12 @@ import pytest
 from conftest import interior_points
 from schottky.domain import Circle, CircularDomain
 from schottky.errors import DomainError
+from schottky.propermaps import build_proper_map, complete_zeros, make_zero_config
+from schottky.distance import wang_yin_eval
 from schottky.harmonic import (
+    GreenFunction,
+    _analytic_basis,
+    _basis_matrix,
     har_relation_residual,
     integrals_first_kind,
     period_matrix,
@@ -203,3 +208,77 @@ def test_har_relation(annulus_tools, triply_tools):
     pts = interior_points(triply_tools.domain, 10, seed=21)
     pm2 = triply_tools.v.period_matrix()
     assert har_relation_residual(triply_tools.model, triply_tools.v, pm2, pts) < 1e-6
+
+
+# -- one basis, and the Green's function on it --------------------------------------
+
+
+def test_real_basis_is_interleaved_analytic_basis(triply_tools):
+    d = triply_tools.domain
+    z = interior_points(d, 40, seed=2, margin=0.0)
+    real = _basis_matrix(d, 24, z)
+    analytic = _analytic_basis(d, 24, z)
+    g = d.g
+    assert np.array_equal(real[:, 0], analytic[:, 0].real)
+    # power columns bit for bit; the log columns agree to rounding, since
+    # log|w| and Re log(w) round differently
+    assert np.array_equal(real[:, 1 + g :: 2], analytic[:, 1 + g :].real)
+    assert np.array_equal(real[:, 2 + g :: 2], analytic[:, 1 + g :].imag)
+    assert np.max(np.abs(real[:, 1 : 1 + g] - analytic[:, 1 : 1 + g].real)) < 1e-15
+
+
+def test_fused_values_and_gradients(triply_tools):
+    m = triply_tools.model
+    z = interior_points(m.domain, 15, seed=4)
+    u, grad = m.eval_u_grad(z)
+    assert np.array_equal(u, m.eval_u_all(z))
+    assert np.max(np.abs(grad - m.grad_u_complex(z))) < 1e-13
+    h = 1e-5
+    dx = (m.eval_u_all(z + h) - m.eval_u_all(z - h)) / (2 * h)
+    dy = (m.eval_u_all(z + 1j * h) - m.eval_u_all(z - 1j * h)) / (2 * h)
+    assert np.max(np.abs(grad - (dx - 1j * dy))) < 1e-6
+
+
+def test_green_function_symmetric(triply_tools):
+    green = GreenFunction(triply_tools.model)
+    z = interior_points(triply_tools.domain, 12, seed=6)
+    vals = green(z, z)
+    off = ~np.eye(len(z), dtype=bool)
+    assert np.all(vals[off] > 0)
+    assert np.max(np.abs(vals[off] - vals.T[off])) < 1e-10
+
+
+@pytest.mark.parametrize("depth", [0.2, 0.05, 0.02, 0.005, 0.002])
+def test_green_function_vanishes_on_boundary(triply_tools, depth):
+    d = triply_tools.domain
+    green = GreenFunction(triply_tools.model)
+    c = d.circle(1)
+    # poles on normals of circle 1 facing the other circle, the outer
+    # circle and in between; a fresh boundary sample, off the collocation grid
+    poles = c.q + (c.r + depth) * np.exp(1j * np.array([0.0, 1.0, np.pi / 2, 2.5, np.pi]))
+    bd = np.concatenate([
+        d.circle(l).q + d.circle(l).r * np.exp(1j * (np.linspace(0, 2 * np.pi, 1000, endpoint=False) + 1e-3))
+        for l in range(d.g + 1)
+    ])
+    assert np.max(np.abs(green(bd, poles))) < 1e-8
+
+
+def test_green_function_matches_prime_product(triply_tools):
+    t = triply_tools  # L = 6
+    fixed = [0.1 + 0.55j]
+    zeros = fixed + complete_zeros(t.model, fixed, (1, 1, 1), [-0.3 - 0.2j, 0.3 - 0.2j])
+    f = build_proper_map(t.ev, t.v, make_zero_config(t.model, zeros, (1, 1, 1)))
+    z = interior_points(t.domain, 30, seed=8, margin=0.02)
+    via_green = np.exp(-GreenFunction(t.model)(z, zeros).sum(axis=1))
+    assert np.max(np.abs(np.abs(f(z)) - via_green)) < 1e-8
+
+
+def test_green_function_closed_forms(disk_tools, annulus_tools):
+    z = np.array([0.3 + 0.1j, -0.5j, 0.6])
+    p = np.array([0.0, 0.4 + 0.2j])
+    disk = GreenFunction(disk_tools.model)(z, p)
+    expected = np.log(np.abs((1 - np.conj(p) * z[:, None]) / (z[:, None] - p)))
+    assert np.max(np.abs(disk - expected)) < 1e-14
+    annulus = GreenFunction(annulus_tools.model)(z, [0.5, -0.5])
+    wy = np.abs(wang_yin_eval(0.25, [0.5, -0.5], 1, z))
+    assert np.max(np.abs(np.exp(-annulus.sum(axis=1)) - wy)) < 1e-12
