@@ -291,12 +291,14 @@ def _dispatch(args) -> int:
         })
         return EXIT_OK
 
+    # the distances come from Green's functions on the harmonic model alone:
+    # no prime function or first-kind integrals (--length is accepted, unused)
     if cmd == "cball-dist":
         domain = _load_domain(args.domain)
-        model, v, ev = _toolchain(domain, args)
+        model = solve_harmonic_measures(domain, order=args.basis)
         opts = DistanceOptions(seed=args.seed)
         base, target = _parse_complex(args.base), _parse_complex(args.target)
-        res = mobius_distance(model, ev, v, base, target, opts)
+        res = mobius_distance(model, None, None, base, target, opts)
         c = math.atanh(res.value)
         print(f"mobius distance c* = {_fmt(res.value)}")
         print(f"caratheodory distance = {_fmt(c)}")
@@ -312,10 +314,10 @@ def _dispatch(args) -> int:
 
     if cmd == "cball-raster":
         domain = _load_domain(args.domain)
-        model, v, ev = _toolchain(domain, args)
+        model = solve_harmonic_measures(domain, order=args.basis)
         bbox = tuple(float(x) for x in args.bbox.split(","))
         opts = DistanceOptions(seed=args.seed, refine_cap=args.refine_cap)
-        raster = ball_raster(model, ev, v, _parse_complex(args.center), args.r,
+        raster = ball_raster(model, None, None, _parse_complex(args.center), args.r,
                              bbox=bbox, resolution=args.res, opts=opts)
         print(f"components: {raster.component_count()}")
         if args.output:

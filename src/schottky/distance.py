@@ -26,7 +26,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.optimize import minimize
 
-from .domain import CircularDomain
+from .domain import CircularDomain, _pointwise
 from .errors import (
     AdmissibilityError,
     ConvergenceError,
@@ -35,6 +35,7 @@ from .errors import (
 )
 from .harmonic import GreenFunction, HarmonicModel, IntegralsFirstKind, solve_harmonic_measures
 from .prime import PrimeEvaluator
+from .propermaps import _CHART_TOL, _level_depths, _solve_chart
 from .slitmaps import eta, eta_l
 
 __all__ = [
@@ -101,41 +102,21 @@ class _ExtremalSearch:
     # -- chart ---------------------------------------------------------------
 
     def solve_depths(self, angles: np.ndarray, seed_depths: np.ndarray | None = None):
-        """Zero positions for the chart angles, or None when the Newton
-        solve fails (invalid chart point)."""
+        """Zeros on the chart rays at the foot angles, for one chart (shape
+        (g,)) or a batch of them (shape (B, g)): returns (points, depths, ok),
+        with ok False where the chart solve failed (an invalid chart point).
+        Without seed depths the solve starts where each point alone accounts
+        for its own circle's target measure."""
         d = self.domain
-        g = self.g
-        feet = np.array([c.point(a) for c, a in zip(d.inner_circles, angles)], dtype=complex)
+        angles = np.asarray(angles, dtype=float)
+        feet = d.centers + d.radii * np.exp(1j * angles.reshape(-1, self.g))
         dirs = (feet - d.centers) / d.radii
-        exits = np.array([_ray_exit(d, k + 1, feet[k], dirs[k]) for k in range(g)])
-        model = self.model
         if seed_depths is None:
-            # diagonal seed, one bisection for all circles: the depth where
-            # each point alone accounts for its own circle's target measure
-            lo, hi = np.full(g, 1e-9), exits * (1 - 1e-9)
-            for _ in range(40):
-                mid = 0.5 * (lo + hi)
-                above = np.diagonal(model.eval_u_all(feet + mid * dirs)) > self.targets
-                lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
-            s = 0.5 * (lo + hi)
-        else:
-            s = np.clip(seed_depths, 1e-9, exits * (1 - 1e-9))
-        for _ in range(40):
-            pts = feet + s * dirs
-            u, grad = model.eval_u_grad(pts)
-            fval = u.sum(axis=0) - self.targets
-            if np.max(np.abs(fval)) < 1e-11:
-                if not np.all(d.contains(pts, margin=-1e-12)):
-                    return None
-                return pts, s
-            jac = np.real(grad * dirs[:, None]).T
-            try:
-                step = np.linalg.solve(jac, -fval)
-            except np.linalg.LinAlgError:
-                return None
-            # stay inside the chart box: nonnegative depth, short of the exit
-            s = np.clip(s + step, 1e-12, exits * (1 - 1e-12))
-        return None
+            seed_depths = _level_depths(self.model, range(1, self.g + 1), feet, dirs,
+                                        self.targets)
+        s, res = _solve_chart(self.model, feet, dirs, self.targets, seed_depths)
+        return ((feet + s * dirs).reshape(angles.shape), s.reshape(angles.shape),
+                (res < _CHART_TOL).reshape(angles.shape[:-1]))
 
     # -- per-point optimization -------------------------------------------------
 
@@ -166,10 +147,9 @@ class _ExtremalSearch:
         base = float(green(self.p)[0, 0])
 
         def objective(phi: np.ndarray) -> float:
-            sol = self.solve_depths(phi, depth_cache.get(0))
-            if sol is None:
+            pts, s, ok = self.solve_depths(phi, depth_cache.get(0))
+            if not ok:
                 return 0.5  # repel: valid values are negative (we minimize -|f|)
-            pts, s = sol
             depth_cache[0] = s
             return -math.exp(-(base + green(pts).sum()))
 
@@ -191,8 +171,8 @@ class _ExtremalSearch:
                     warning = None
         if best_phi is None or best_val <= 0:
             raise ConvergenceError("extremal search failed at every seed")
-        sol = self.solve_depths(best_phi)
-        zeros = tuple(complex(z) for z in sol[0]) if sol else ()
+        pts, _, ok = self.solve_depths(best_phi)
+        zeros = tuple(complex(z) for z in pts) if ok else ()
         return DistanceResult(float(best_val), zeros,
                               tuple(float(a) % (2 * np.pi) for a in best_phi), warning)
 
@@ -423,27 +403,6 @@ def ball_raster(
     return raster
 
 
-def _ray_exit(d: CircularDomain, own: int, foot: complex, direction: complex) -> float:
-    """Distance along the inward ray from a boundary foot to the first other
-    boundary circle (the chart box for the depth unknown)."""
-    best = np.inf
-    for l in range(d.g + 1):
-        if l == own:
-            continue
-        c = d.circle(l)
-        # |foot - q + s u|^2 = r^2 with |u| = 1
-        w = foot - c.q
-        b = (w.conjugate() * direction).real
-        disc = b * b - (abs(w) ** 2 - c.r**2)
-        if disc < 0:
-            continue
-        root = math.sqrt(disc)
-        for s in (-b - root, -b + root):
-            if s > 1e-12:
-                best = min(best, s)
-    return best
-
-
 def _build_family(search: _ExtremalSearch, n_angles: int):
     """Solve the chart for a deterministic grid of foot angles; returns the
     list of zero tuples (failed chart points are skipped)."""
@@ -451,17 +410,8 @@ def _build_family(search: _ExtremalSearch, n_angles: int):
     grids = np.meshgrid(*[np.arange(n_angles) * (2 * np.pi / n_angles)] * g,
                         indexing="ij")
     combos = np.stack([a.ravel() for a in grids], axis=1)
-    out = []
-    depths = None
-    for row in combos:
-        sol = search.solve_depths(row, depths)
-        if sol is None:
-            sol = search.solve_depths(row, None)
-        if sol is None:
-            continue
-        pts, depths = sol
-        out.append(tuple(complex(z) for z in pts))
-    return out
+    pts, _, ok = search.solve_depths(combos)
+    return [tuple(complex(z) for z in row) for row in pts[ok]]
 
 
 def _member_min(search: _ExtremalSearch, z: np.ndarray, members, base: np.ndarray):
@@ -713,8 +663,6 @@ def wang_yin_eval(r: float, zeros, d: int, z, terms: int = 10):
         raise AdmissibilityError(
             f"|prod zeros| = {prod_mod:.12g} != r^d = {r**d:.12g}"
         )
-    scalar = np.isscalar(z) or isinstance(z, complex)
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
 
     def raw(w):
         acc = w ** (-float(d)) + 0j
@@ -727,5 +675,4 @@ def wang_yin_eval(r: float, zeros, d: int, z, terms: int = 10):
                 )
         return acc
 
-    out = raw(z) / raw(np.array([1.0 + 0j]))[0]
-    return complex(out[0]) if scalar else out
+    return _pointwise(lambda z: raw(z) / raw(np.array([1.0 + 0j]))[0], z)

@@ -12,6 +12,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,25 @@ class Circle:
 UNIT_CIRCLE = Circle(0j, 1.0)
 
 
+def _frozen_array(values, dtype) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
+def _pointwise(fn, z, kind=complex):
+    """``fn`` applied to ``z`` as a 1-d complex array.  A scalar ``z`` gets
+    a scalar back: ``kind`` of the first entry of the result, or of each
+    array of a tuple result."""
+    scalar = np.isscalar(z) or isinstance(z, complex)
+    out = fn(np.atleast_1d(np.asarray(z, dtype=complex)))
+    if not scalar:
+        return out
+    if isinstance(out, tuple):
+        return tuple(kind(o[0]) for o in out)
+    return kind(out[0])
+
+
 @dataclass(frozen=True)
 class CircularDomain:
     """Unit disk minus ``g`` disjoint closed inner disks.
@@ -81,13 +101,16 @@ class CircularDomain:
             return self.inner_circles[l - 1]
         raise DomainError(f"no boundary circle with index {l} (g={self.g})")
 
-    @property
-    def centers(self) -> np.ndarray:
-        return np.array([c.q for c in self.inner_circles], dtype=complex)
+    # the chart solvers read these on every iteration: built once per
+    # (frozen) domain, read-only so no caller can change them for the others
 
-    @property
+    @cached_property
+    def centers(self) -> np.ndarray:
+        return _frozen_array([c.q for c in self.inner_circles], complex)
+
+    @cached_property
     def radii(self) -> np.ndarray:
-        return np.array([c.r for c in self.inner_circles], dtype=float)
+        return _frozen_array([c.r for c in self.inner_circles], float)
 
     def contains(self, z, margin: float = 0.0):
         """Whether ``z`` lies in the open domain, with an optional safety

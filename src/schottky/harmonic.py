@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .domain import CircularDomain, validate_domain
+from .domain import CircularDomain, _pointwise, validate_domain
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -77,28 +77,24 @@ class HarmonicModel:
 
     def eval_u(self, j: int, z):
         """Harmonic measure u_j; j = 0 returns 1 - sum of the others."""
-        z_scalar = np.isscalar(z) or isinstance(z, complex)
-        vals = self.eval_u_all(z)
-        if j == 0:
-            out = 1.0 - vals.sum(axis=-1)
-        else:
-            out = vals[..., j - 1]
-        return float(out[0]) if z_scalar else out
+        def u(z):
+            vals = self.eval_u_all(z)
+            return 1.0 - vals.sum(axis=-1) if j == 0 else vals[..., j - 1]
+
+        return _pointwise(u, z, float)
 
     def eval_grad_u(self, j: int, z):
         """Gradient (du/dx, du/dy); analytic from the basis derivatives."""
-        z_scalar = np.isscalar(z) or isinstance(z, complex)
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        hp = _analytic_basis_derivative(self.domain, self.order, z)
         if j == 0:
             c = -self._complex_coeffs.sum(axis=0)
         else:
             c = self._complex_coeffs[j - 1]
-        w = hp @ c  # complex derivative of the completion
-        gx, gy = w.real, -w.imag
-        if z_scalar:
-            return float(gx[0]), float(gy[0])
-        return gx, gy
+
+        def grad(z):
+            w = _analytic_basis_derivative(self.domain, self.order, z) @ c
+            return w.real, -w.imag  # w is the complex derivative of the completion
+
+        return _pointwise(grad, z, float)
 
     def grad_u_complex(self, z) -> np.ndarray:
         """Gradients of all measures at once, encoded as du/dx - i du/dy
@@ -125,14 +121,15 @@ class HarmonicModel:
         pointing into the domain (away from the circle for inner circles,
         toward the origin on the unit circle)."""
         c = self.domain.circle(l)
-        scalar = np.isscalar(z) or isinstance(z, complex)
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        n = (z - c.q) / np.abs(z - c.q)
-        if l == 0:
-            n = -n
-        gx, gy = self.eval_grad_u(j, z)
-        out = gx * n.real + gy * n.imag
-        return float(out[0]) if scalar else out
+
+        def derivative(z):
+            n = (z - c.q) / np.abs(z - c.q)
+            if l == 0:
+                n = -n
+            gx, gy = self.eval_grad_u(j, z)
+            return gx * n.real + gy * n.imag
+
+        return _pointwise(derivative, z, float)
 
     # -- analytic completion ------------------------------------------------
 
@@ -424,9 +421,7 @@ class IntegralsFirstKind:
         return gvals @ self.combination.T - self._offset[None, :]
 
     def eval_v(self, j: int, z):
-        scalar = np.isscalar(z) or isinstance(z, complex)
-        out = self.eval_v_all(z)[..., j - 1]
-        return complex(out[0]) if scalar else out
+        return _pointwise(lambda z: self.eval_v_all(z)[..., j - 1], z)
 
     def v_prime_all(self, z) -> np.ndarray:
         z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -435,9 +430,7 @@ class IntegralsFirstKind:
         return gprime @ self.combination.T
 
     def v_prime(self, j: int, z):
-        scalar = np.isscalar(z) or isinstance(z, complex)
-        out = self.v_prime_all(z)[..., j - 1]
-        return complex(out[0]) if scalar else out
+        return _pointwise(lambda z: self.v_prime_all(z)[..., j - 1], z)
 
     def circle_periods(self, samples: int = 512) -> np.ndarray:
         """Quadrature check of the defining normalization: entry (i, j) is

@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from .domain import CircularDomain, validate_domain
+from .domain import CircularDomain, _pointwise, validate_domain
 from .errors import DomainError, SingularEvaluationError
 from .group import (
     WordEnumeration,
@@ -121,10 +121,7 @@ class PrimeEvaluator:
     def omega(self, z, y: complex):
         """Truncated prime function; ``z`` may be a scalar or an array
         (``y`` is a scalar; use antisymmetry for the other layout)."""
-        scalar = np.isscalar(z) or isinstance(z, complex)
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = self._omega_impl(z, complex(y), self.theta_table(z))
-        return complex(out[0]) if scalar else out
+        return _pointwise(lambda z: self._omega_impl(z, complex(y), self.theta_table(z)), z)
 
     def omega_with_table(self, z: np.ndarray, theta_z: np.ndarray, y: complex) -> np.ndarray:
         """Same as :meth:`omega` with a precomputed ``theta_table(z)``."""
@@ -148,10 +145,8 @@ class PrimeEvaluator:
         denominators cancelled.  This is the workhorse behind the slit maps;
         the cancellation also removes the z fixed-point guard, which matters
         when z sits on a boundary circle."""
-        scalar = np.isscalar(z) or isinstance(z, complex)
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = self.omega_ratio_with_table(z, self.theta_table(z), y1, y2)
-        return complex(out[0]) if scalar else out
+        return _pointwise(
+            lambda z: self.omega_ratio_with_table(z, self.theta_table(z), y1, y2), z)
 
     def omega_ratio_with_table(
         self, z: np.ndarray, theta_z: np.ndarray, y1: complex, y2: complex

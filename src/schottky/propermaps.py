@@ -21,11 +21,12 @@ preimages of 1 on every boundary circle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import CircularDomain
+from .domain import UNIT_CIRCLE, CircularDomain, _pointwise
 from .errors import (
     AdmissibilityError,
     ConvergenceError,
@@ -141,39 +142,102 @@ def make_zero_config(model: HarmonicModel, zeros, nu) -> ZeroConfig:
 
 
 # -- Newton completion of zero sets ------------------------------------------
+#
+# Every construction moves g points along chart rays: from a boundary foot
+# along the inward normal there, with one depth unknown per ray.  One solver
+# serves them all; its box keeps every depth between the foot and the point
+# where the ray meets the next boundary circle.
+
+_CHART_TOL = 1e-11  # max-norm residual of a solved chart
 
 
-def _nearest_boundary_direction(d: CircularDomain, z: complex) -> complex:
-    """Unit direction pointing into the domain from the nearest boundary
-    circle; the 1-parameter chart lines of this module run along it."""
-    best = 1.0 - abs(z)
-    direction = -z / abs(z) if abs(z) > 0 else complex(1.0)
-    for c in d.inner_circles:
-        gap = abs(z - c.q) - c.r
-        if gap < best:
-            best = gap
-            direction = (z - c.q) / abs(z - c.q)
-    return direction
+def _ray_exit(d: CircularDomain, foot: complex, direction: complex) -> float:
+    """Distance along the inward ray from a boundary foot to the next boundary
+    circle it meets (the roots on the foot's own circle lie at depth <= 0)."""
+    best = math.inf
+    for c in (UNIT_CIRCLE, *d.inner_circles):
+        # |foot - q + s u|^2 = r^2 with |u| = 1
+        w = foot - c.q
+        b = (w.conjugate() * direction).real
+        disc = b * b - (abs(w) ** 2 - c.r**2)
+        if disc < 0:
+            continue
+        root = math.sqrt(disc)
+        for s in (-b - root, -b + root):
+            if s > 1e-12:
+                best = min(best, s)
+    return best
 
 
-def complete_zeros(
-    model: HarmonicModel,
-    fixed,
-    nu,
-    guess,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-) -> list[complex]:
-    """Move g free points along their chart lines until the combined zero
-    set satisfies the admissibility condition to ``tol``.
+def _chart_box(d: CircularDomain, feet: np.ndarray, dirs: np.ndarray):
+    """Bounds (lo, hi) of the depths of the rays: just off the foot, just
+    short of the exit.  A scalar loop on Python complex numbers: the solves
+    are mostly one chart, where numpy's per-call cost would dominate."""
+    exits = np.array([[_ray_exit(d, f, u) for f, u in zip(row_f, row_u)]
+                      for row_f, row_u in zip(feet.tolist(), dirs.tolist())])
+    return 1e-12, exits * (1 - 1e-12)
 
-    Each free point carries one real unknown: its displacement along the
-    line through its initial guess in the normal direction of the nearest
-    boundary circle.  That matches the g-equation/g-unknown square system
-    whose Jacobian is the matrix of normal derivatives of the measures,
-    nonsingular for any valid domain.  Newton with backtracking; raises
-    ConvergenceError (with the last residual) on stall and DomainError if
-    the solution leaves the domain.
+
+def _level_depths(model: HarmonicModel, circles, feet: np.ndarray, dirs: np.ndarray,
+                  levels) -> np.ndarray:
+    """Depths, shape (B, m), where the point on each ray alone brings the
+    measure of its circle down to the level: u_l(foot + s dir) = level with
+    l = circles[k] for column k (u_l falls from 1 going inward).  One
+    bisection for all the rays over their chart boxes."""
+    lo, hi = _chart_box(model.domain, feet, dirs)
+    cols = np.asarray(circles) - 1
+    k = np.arange(feet.shape[1])
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        u = model.eval_u_all((feet + mid * dirs).ravel()).reshape(*feet.shape, -1)
+        above = u[:, k, cols] > levels
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _solve_chart(model: HarmonicModel, feet: np.ndarray, dirs: np.ndarray, target,
+                 seed) -> tuple[np.ndarray, np.ndarray]:
+    """Depths s, shape (B, g), with sum_k u(feet + s dirs) = target for each
+    row of g rays, and the max-norm residual of each row at its last
+    evaluation.
+
+    Plain Newton from the seed depths with every iterate clipped to the
+    chart box, at most 40 evaluations.  A row counts as solved once its
+    residual is below ``_CHART_TOL``, and is then held fixed (a zeroed step,
+    so a batch gives the rows' one-at-a-time results).  A singular Jacobian
+    ends the solve with the residuals reached.
+    """
+    lo, hi = _chart_box(model.domain, feet, dirs)
+    b, g = feet.shape
+    s = np.clip(seed, lo, hi)
+    for _ in range(40):
+        u, grad = model.eval_u_grad((feet + s * dirs).ravel())
+        fval = u.reshape(b, g, g).sum(axis=1) - target
+        res = np.abs(fval).max(axis=1, initial=0.0)
+        done = res < _CHART_TOL
+        if done.all():
+            break
+        # d(sum_k u_j)/ds_k = Re(grad_k u_j * dir_k): row j, column k
+        jac = np.real(grad.reshape(b, g, g) * dirs[:, :, None]).transpose(0, 2, 1)
+        try:
+            step = np.linalg.solve(jac, -fval[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            break
+        s = np.clip(s + np.where(done[:, None], 0.0, step), lo, hi)
+    return s, res
+
+
+def complete_zeros(model: HarmonicModel, fixed, nu, guess) -> list[complex]:
+    """Move g free points along their chart rays until the combined zero
+    set satisfies the admissibility condition.
+
+    Each guess becomes a chart ray: its foot is the nearest boundary point,
+    its direction the inward normal there, and the solve starts at the
+    guess's depth along it.  That matches the g-equation/g-unknown square
+    system whose Jacobian is the matrix of normal derivatives of the
+    measures, nonsingular for any valid domain.  The solver's box keeps the
+    points inside the domain; raises ConvergenceError (with the last
+    residual) when the chart solve fails.
     """
     g = model.g
     guess = [complex(z) for z in guess]
@@ -184,43 +248,23 @@ def complete_zeros(
     if len(fixed) + len(guess) != sum(nu):
         raise AdmissibilityError("fixed + free zero count must match the degree")
     d = model.domain
-    feet = np.array(guess, dtype=complex)
-    dirs = np.array([_nearest_boundary_direction(d, z) for z in guess], dtype=complex)
+    feet, dirs, depths = [], [], []
+    for z in guess:
+        gaps = [1.0 - abs(z)] + [abs(z - c.q) - c.r for c in d.inner_circles]
+        l = int(np.argmin(gaps))
+        c = d.circle(l)
+        normal = (z - c.q) / abs(z - c.q)
+        feet.append(c.q + c.r * normal)
+        dirs.append(-normal if l == 0 else normal)
+        depths.append(gaps[l])
+    feet, dirs = np.array([feet]), np.array([dirs])
     target = np.asarray(nu[1:], dtype=float)
     if fixed:
         target = target - model.eval_u_all(np.asarray(fixed)).sum(axis=0)
-
-    s = np.zeros(g)
-
-    def residual(sv):
-        pts = feet + sv * dirs
-        return model.eval_u_all(pts).sum(axis=0) - target, pts
-
-    fval, pts = residual(s)
-    for _ in range(max_iter):
-        norm = np.max(np.abs(fval))
-        if norm < tol:
-            if not np.all(d.contains(pts, margin=0.0)):
-                raise DomainError("completed zeros left the domain")
-            return [complex(z) for z in pts]
-        jac = np.real(model.grad_u_complex(pts) * dirs[:, None]).T
-        try:
-            step = np.linalg.solve(jac, -fval)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError("singular Newton system", residual=norm) from exc
-        lam = 1.0
-        for _bt in range(30):
-            f_new, pts_new = residual(s + lam * step)
-            if np.max(np.abs(f_new)) < norm:
-                break
-            lam *= 0.5
-        else:
-            raise ConvergenceError("Newton line search stalled", residual=norm)
-        s = s + lam * step
-        fval, pts = f_new, pts_new
-    raise ConvergenceError(
-        f"no convergence in {max_iter} iterations", residual=float(np.max(np.abs(fval)))
-    )
+    s, res = _solve_chart(model, feet, dirs, target, np.array([depths]))
+    if res[0] >= _CHART_TOL:
+        raise ConvergenceError("chart solve did not converge", residual=float(res[0]))
+    return [complex(z) for z in (feet + s * dirs)[0]]
 
 
 # -- the maps -----------------------------------------------------------------
@@ -250,13 +294,14 @@ class ProperMap:
         return sum(self.nu)
 
     def __call__(self, z):
-        scalar = np.isscalar(z) or isinstance(z, complex)
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        w = self.rotation * self._base(z)
-        if self._post is not None:
-            a, phase = self._post
-            w = phase * (w - a) / (1.0 - a.conjugate() * w)
-        return complex(w[0]) if scalar else w
+        def value(z):
+            w = self.rotation * self._base(z)
+            if self._post is not None:
+                a, phase = self._post
+                w = phase * (w - a) / (1.0 - a.conjugate() * w)
+            return w
+
+        return _pointwise(value, z)
 
     def single_valuedness_residual(self, samples: int = 256) -> float:
         """Tracked continuation of the map around a loop just outside each
@@ -466,14 +511,15 @@ def boundary_degree(f, l: int, samples: int = 1024, domain: CircularDomain | Non
 
 def blaschke_eval(zeros, z):
     """Finite Blaschke product with the given zeros, normalized to 1 at 1."""
-    scalar = np.isscalar(z) or isinstance(z, complex)
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    acc = np.ones(len(z), dtype=complex)
-    for p in zeros:
-        p = complex(p)
-        acc *= (z - p) / (1.0 - p.conjugate() * z)
-        acc /= (1.0 - p) / (1.0 - p.conjugate())
-    return complex(acc[0]) if scalar else acc
+    def value(z):
+        acc = np.ones(len(z), dtype=complex)
+        for p in zeros:
+            p = complex(p)
+            acc *= (z - p) / (1.0 - p.conjugate() * z)
+            acc /= (1.0 - p) / (1.0 - p.conjugate())
+        return acc
+
+    return _pointwise(value, z)
 
 
 def lift_blaschke(
@@ -633,33 +679,23 @@ def from_boundary_data(
             if l == 0:
                 pts.append(w + (rate * t / alpha) * inward[(l, k)])
             else:
-                target = 1.0 - rate * t / max(nu[l] - 1, 1)
-                s = _level_depth(model, l, w, inward[(l, k)], target)
-                pts.append(w + s * inward[(l, k)])
+                level = 1.0 - rate * t / max(nu[l] - 1, 1)
+                ray = np.array([[inward[(l, k)]]])
+                s = _level_depths(model, [l], np.array([[w]]), ray, level)
+                pts.append(w + s[0, 0] * inward[(l, k)])
         return pts
 
-    feet = [groups[j][0] for j in range(1, g + 1)]
-    dirs = [inward[(j, 0)] for j in range(1, g + 1)]
+    feet = np.array([[groups[j][0] for j in range(1, g + 1)]], dtype=complex)
+    dirs = np.array([[inward[(j, 0)] for j in range(1, g + 1)]], dtype=complex)
     depths = np.zeros(g)
 
     def tether(t: float, depths0: np.ndarray) -> tuple[np.ndarray, list[complex]]:
-        driven = driven_zeros(t)
-        target = np.asarray(nu[1:], dtype=float)
-        if driven:
-            target = target - model.eval_u_all(np.asarray(driven)).sum(axis=0)
-        s = depths0.copy()
-        for _ in range(50):
-            pts = [feet[j] + s[j] * dirs[j] for j in range(g)]
-            fval = model.eval_u_all(np.asarray(pts)).sum(axis=0) - target if g else np.zeros(0)
-            if g == 0 or np.max(np.abs(fval)) < 1e-11:
-                return s, driven + pts
-            jac = np.real(model.grad_u_complex(np.asarray(pts)) * np.asarray(dirs)[:, None]).T
-            try:
-                step = np.linalg.solve(jac, -fval)
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError("singular tether system", residual=float(np.max(np.abs(fval)))) from exc
-            s = s + step
-        raise ConvergenceError("tether Newton did not converge", residual=float(np.max(np.abs(fval))))
+        driven = driven_zeros(t)  # never empty: the first unit-circle point is driven
+        target = np.asarray(nu[1:], dtype=float) - model.eval_u_all(np.asarray(driven)).sum(axis=0)
+        s, res = _solve_chart(model, feet, dirs, target, depths0[None])
+        if res[0] >= _CHART_TOL:
+            raise ConvergenceError("tether chart solve did not converge", residual=float(res[0]))
+        return s[0], driven + [complex(z) for z in (feet + s * dirs)[0]]
 
     # march t up to the horizon with adaptive substeps (warm-starting Newton)
     t_reached = 0.0
@@ -676,8 +712,7 @@ def from_boundary_data(
                     residual=exc.residual,
                 ) from exc
             continue
-        pts = zeros_at
-        if not np.all(d.contains(np.asarray(pts))):
+        if not np.all(d.contains(np.asarray(zeros_at))):
             raise ConvergenceError(
                 f"tethered zero left the domain at t = {t_next:.3g}"
             )
@@ -691,7 +726,7 @@ def from_boundary_data(
     best_res = np.inf
     t = horizon
     while True:
-        _, zeros_t = tether(t, depths)
+        depths, zeros_t = tether(t, depths)
         config = make_zero_config(model, zeros_t, nu)
         base_map = build_proper_map(ev, v, config, check_boundary=False)
         a = base_map(p)
@@ -714,34 +749,12 @@ def from_boundary_data(
         if res < target_residual or t / 2 < min_t:
             break
         t /= 2.0
-        depths, _ = tether(t, depths)
 
     if g and best is not None:
         best.diagnostics["derivative_ratios"] = _derivative_ratios(
             best, groups, inward, lam, free
         )
     return best
-
-
-def _level_depth(model, l, w, direction, target, s_max=None):
-    """Depth along the normal line at w where u_l equals ``target``
-    (1D Newton with bisection fallback; u_l decreases from 1 going inward)."""
-    c = model.domain.circle(l)
-    if s_max is None:
-        s_max = 0.9 * model.domain.boundary_distance(c.q) if l else 0.5
-        s_max = max(min(s_max, 0.5), 4 * (1.0 - target))
-    lo, hi = 0.0, s_max
-    # bracket: u_l(w) = 1 >= target
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        val = model.eval_u(l, w + mid * direction)
-        if val > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14:
-            break
-    return 0.5 * (lo + hi)
 
 
 def _derivative_ratios(f, groups, inward, lam, free):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import CircularDomain, reflect
+from .domain import CircularDomain, _pointwise, reflect
 from .errors import DomainError, TruncationQualityError
 from .group import WordEnumeration, realize_all
 from .prime import PrimeEvaluator
@@ -51,22 +51,24 @@ def eta(ev: PrimeEvaluator, z, p: complex):
 def _eta_center(ev: PrimeEvaluator, z):
     # limit p -> 0 of the normalized ratio: (omega(z,0)/omega(1,0)) times
     # lim_{y->inf} omega(1,y)/omega(z,y), the latter evaluated factor-wise.
-    scalar = np.isscalar(z) or isinstance(z, complex)
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
     if not ev.domain.contains(0j):
         raise DomainError("p = 0 is not in the domain")
-    base = ev.omega(z, 0j) / ev.omega(1.0, 0j)
-    if ev.half_set_size:
-        th_inf = ev._half_a / ev._half_c  # theta(infinity)
-        th_z = ev.theta_table(z)
-        th_one = ev._theta_point(1.0)
-        factors = (
-            (1.0 - th_inf[:, None])
-            * (z[None, :] - th_z)
-            / ((z[None, :] - th_inf[:, None]) * (1.0 - th_one[:, None]))
-        )
-        base = base * np.prod(factors, axis=0)
-    return complex(base[0]) if scalar else base
+
+    def value(z):
+        base = ev.omega(z, 0j) / ev.omega(1.0, 0j)
+        if ev.half_set_size:
+            th_inf = ev._half_a / ev._half_c  # theta(infinity)
+            th_z = ev.theta_table(z)
+            th_one = ev._theta_point(1.0)
+            factors = (
+                (1.0 - th_inf[:, None])
+                * (z[None, :] - th_z)
+                / ((z[None, :] - th_inf[:, None]) * (1.0 - th_one[:, None]))
+            )
+            base = base * np.prod(factors, axis=0)
+        return base
+
+    return _pointwise(value, z)
 
 
 def eta_l(ev: PrimeEvaluator, l: int, z, p: complex):
@@ -131,8 +133,6 @@ def eta_via_mobius_product(
     m(theta(z), p)/m(theta(1), p) over the whole truncated group ball
     (identity included).  Valid on domains where the prime-function product
     converges; agrees with the omega-ratio form to truncation accuracy."""
-    scalar = np.isscalar(z) or isinstance(z, complex)
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
     p = complex(p)
     if maps is None:
         maps = realize_all(d, enumeration)
@@ -140,12 +140,15 @@ def eta_via_mobius_product(
     b = np.array([m.b for m in maps])
     c = np.array([m.c for m in maps])
     dd = np.array([m.d for m in maps])
-    th_z = (a[:, None] * z[None, :] + b[:, None]) / (c[:, None] * z[None, :] + dd[:, None])
     th_1 = (a + b) / (c + dd)
-    mz = (th_z - p) / (1.0 - p.conjugate() * th_z)
     m1 = (th_1 - p) / (1.0 - p.conjugate() * th_1)
-    out = np.prod(mz / m1[:, None], axis=0)
-    return complex(out[0]) if scalar else out
+
+    def value(z):
+        th_z = (a[:, None] * z[None, :] + b[:, None]) / (c[:, None] * z[None, :] + dd[:, None])
+        mz = (th_z - p) / (1.0 - p.conjugate() * th_z)
+        return np.prod(mz / m1[:, None], axis=0)
+
+    return _pointwise(value, z)
 
 
 def eta_j_relation_residual(

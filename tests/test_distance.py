@@ -142,13 +142,29 @@ def test_raster_nesting_and_intersection(annulus_tools):
     from schottky.distance import _ExtremalSearch
 
     search = _ExtremalSearch(t.model, 0.5)
-    sol = search.solve_depths(np.array([2.0]))
-    assert sol is not None
-    f = build_proper_map(t.ev, t.v, make_zero_config(t.model, [0.5, *sol[0]], (1, 1)))
+    pts, _, ok = search.solve_depths(np.array([2.0]))
+    assert ok
+    f = build_proper_map(t.ev, t.v, make_zero_config(t.model, [0.5, *pts], (1, 1)))
     centers = raster.pixel_centers().ravel()
     inside = ~np.isnan(raster.values.ravel())
     single = np.abs(f(centers[inside]))
     assert np.all(raster.values.ravel()[inside] >= single - 2e-3)
+
+
+def test_family_equals_per_row_solves(triply_tools):
+    from schottky.distance import _ExtremalSearch, _build_family
+
+    search = _ExtremalSearch(triply_tools.model, 0.3j)
+    family = _build_family(search, 6)
+    grid = np.arange(6) * (2 * np.pi / 6)
+    rows = []
+    for a1 in grid:
+        for a2 in grid:
+            pts, _, ok = search.solve_depths(np.array([a1, a2]))
+            if ok:
+                rows.append(pts)
+    assert len(family) == len(rows) == 36
+    assert np.max(np.abs(np.array(family) - np.array(rows))) < 1e-12
 
 
 def test_raster_center_must_be_inside(annulus_tools):

@@ -148,3 +148,13 @@ def test_contains_and_boundary_distance():
     assert not d.contains(0.1)
     assert not d.contains(1.1)
     assert d.boundary_distance(0.5) == pytest.approx(0.25)
+
+
+def test_centers_and_radii_built_once_and_read_only():
+    d = CircularDomain((Circle(-0.5 + 0j, 0.1), Circle(0.5 + 0.1j, 0.2)))
+    assert d.centers is d.centers and d.radii is d.radii
+    assert np.array_equal(d.centers, [-0.5, 0.5 + 0.1j])
+    assert np.array_equal(d.radii, [0.1, 0.2])
+    with pytest.raises(ValueError):
+        d.centers[0] = 0.0
+    assert d == CircularDomain(d.inner_circles)  # equality still by the circles

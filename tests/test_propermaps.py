@@ -24,6 +24,7 @@ from schottky.propermaps import (
     make_zero_config,
     winding_number,
 )
+from schottky.propermaps import _CHART_TOL, _level_depths, _ray_exit, _solve_chart
 
 
 # -- admissibility -------------------------------------------------------------
@@ -76,6 +77,55 @@ def test_complete_zeros_error_paths(annulus_tools):
     with pytest.raises((ConvergenceError, DomainError)):
         # guess whose chart line cannot satisfy the condition
         complete_zeros(annulus_tools.model, [0.95], (2, 0), [0.9])
+
+
+# -- the chart solver -------------------------------------------------------------
+
+
+def _random_charts(domain, count, seed):
+    """Rays from random feet on the inner circles along the outward normals."""
+    rng = np.random.default_rng(seed)
+    dirs = np.exp(1j * rng.uniform(0.0, 2 * np.pi, (count, domain.g)))
+    return domain.centers + domain.radii * dirs, dirs
+
+
+def _exits(domain, feet, dirs):
+    return np.array([[_ray_exit(domain, f, u) for f, u in zip(rf, ru)]
+                     for rf, ru in zip(feet, dirs)])
+
+
+def test_chart_batch_equals_rows(triply_tools):
+    m = triply_tools.model
+    feet, dirs = _random_charts(m.domain, 12, seed=7)
+    target = 1.0 - m.eval_u_all(0.3j)[0]  # the extremal search's charts
+    seed = _level_depths(m, [1, 2], feet, dirs, target)
+    s, res = _solve_chart(m, feet, dirs, target, seed)
+    assert np.all(res < _CHART_TOL)
+    for k in range(len(feet)):
+        row, row_res = _solve_chart(m, feet[k : k + 1], dirs[k : k + 1], target, seed[k : k + 1])
+        assert row_res[0] < _CHART_TOL
+        assert np.max(np.abs(row[0] - s[k])) < 1e-12
+
+
+def test_chart_depths_stay_in_box(triply_tools, annulus_tools):
+    m = triply_tools.model
+    feet, dirs = _random_charts(m.domain, 40, seed=8)
+    rng = np.random.default_rng(9)
+    target = rng.uniform(-1.0, 2.0, (40, 2))  # many of these cannot be met
+    seed = rng.uniform(-1.0, 3.0, (40, 2))  # many of these lie outside the box
+    s, res = _solve_chart(m, feet, dirs, target, seed)
+    assert np.all(s > 0) and np.all(s < _exits(m.domain, feet, dirs))
+    assert np.any(res >= _CHART_TOL) and np.any(res < _CHART_TOL)
+    # complete_zeros' failing chart above: from the foot 1 toward the inner
+    # circle, asking for a negative measure
+    am = annulus_tools.model
+    target = -am.eval_u_all(0.95)[0]
+    feet, dirs = np.array([[1.0 + 0j]]), np.array([[-1.0 + 0j]])
+    s, res = _solve_chart(am, feet, dirs, target, np.array([[0.1]]))
+    exit_depth = _exits(am.domain, feet, dirs)[0, 0]
+    assert exit_depth == pytest.approx(0.75)
+    assert res[0] >= _CHART_TOL
+    assert 0 < s[0, 0] < exit_depth
 
 
 # -- construction ---------------------------------------------------------------
