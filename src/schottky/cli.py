@@ -309,6 +309,7 @@ def _dispatch(args) -> int:
             "caratheodory": c,
             "argmax": [[z.real, z.imag] for z in res.argmax],
             "warning": res.warning,
+            "evaluations": res.evaluations,
         })
         return EXIT_OK
 
@@ -320,6 +321,11 @@ def _dispatch(args) -> int:
         raster = ball_raster(model, None, None, _parse_complex(args.center), args.r,
                              bbox=bbox, resolution=args.res, opts=opts)
         print(f"components: {raster.component_count()}")
+        if raster.diagnostics:
+            stats = raster.diagnostics
+            print(f"polish: {stats['polished']} band pixels, {stats['ascent_iterations']} "
+                  f"ascent iterations, {stats['chart_solves']} batched chart solves, "
+                  f"{stats['capped']} stopped at the cap")
         if args.output:
             raster.to_csv(args.output)
             print(f"raster written to {args.output}")

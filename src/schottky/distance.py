@@ -5,15 +5,18 @@ The Moebius distance from a base point is the supremum of |f(zeta)| over
 holomorphic maps into the disk vanishing there; the supremum is attained by
 a proper map of degree g+1, so it is computed by maximizing over the
 g-dimensional manifold of admissible zero sets {base point} + P.  Each
-member of P lives on a chart line normal to one inner circle: the optimizer
+member of P lives on a chart line normal to one inner circle: the search
 moves the g foot angles, and the g depths are re-solved from the zero
-condition at every step.
+condition at every step.  With log|f| = -sum_k G(., p_k) from the domain's
+Green's function, the objective and its gradient along the chart are closed
+form, and one batched BFGS ascent climbs many (point, start) rows at once.
 
 Rasters of the distance over a pixel grid drive the connectivity analysis:
 a sweep over a deterministic family of charted zero sets gives a sharp
-lower envelope everywhere, and pixels near the threshold of interest are
-polished with the full per-pixel optimizer.  Flood-fill labels of the
-sublevel set then certify (or refute) disconnected balls.
+lower envelope everywhere, and the pixels near the threshold of interest
+are polished by one batched ascent, each from its family argmax.
+Flood-fill labels of the sublevel set then certify (or refute)
+disconnected balls.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
-from scipy.optimize import minimize
+from scipy.optimize import minimize  # noqa: F401  unused; perfbench's tracer wraps it by name
 
 from .domain import CircularDomain, _pointwise
 from .errors import (
@@ -57,7 +60,12 @@ _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=int)
 @dataclass(frozen=True)
 class DistanceOptions:
     """Knobs for the extremal search.  The seed fixes every multi-start
-    draw, so identical inputs give identical outputs."""
+    draw, so identical inputs give identical outputs.  One distance is an
+    ascent of ``n_starts`` rows capped at ``nm_maxiter`` trial steps each
+    (default 100 g); the band polish of a raster caps its rows at
+    ``refine_maxiter``.  A row stops once its last angle step (radians, max
+    norm) is below ``xatol`` and the change of |f| it made below ``fatol``.
+    """
 
     seed: int = 0
     n_starts: int = 8
@@ -78,6 +86,7 @@ class DistanceResult:
     argmax: tuple[complex, ...]
     angles: tuple[float, ...]
     warning: str | None = None
+    evaluations: int = 0
 
 
 class _ExtremalSearch:
@@ -118,63 +127,150 @@ class _ExtremalSearch:
         return ((feet + s * dirs).reshape(angles.shape), s.reshape(angles.shape),
                 (res < _CHART_TOL).reshape(angles.shape[:-1]))
 
-    # -- per-point optimization -------------------------------------------------
+    # -- batched ascent ------------------------------------------------------
 
-    def optimize(self, zeta: complex, opts: DistanceOptions,
-                 extra_seeds=()) -> DistanceResult:
+    def _objective(self, green, rows, pts, phi, s):
+        """F = sum_k G(zeta, p_k) and its gradient in the foot angles for the
+        solved charts (zeros pts, angles phi, depths s) of the given rows.
+        The depths follow the angles through the zero condition, so by the
+        implicit function theorem dF/dphi = a - J_phi^T J_s^-T b, with a, b
+        the derivatives of F along the turn of each zero about its circle
+        and along its ray, and J_phi, J_s those of the measures."""
+        e = np.exp(1j * phi)  # the ray directions, dp_k/ds_k
+        turn = 1j * (self.domain.radii + s) * e  # dp_k/dphi_k
+        _, du = self.model.eval_u_grad(pts.ravel())
+        du = du.reshape(*pts.shape, self.g)  # [b, k, j]: du_j/dz at p_k
+        val, dg = green(pts, rows)
+        j_s = np.real(du * e[:, :, None])  # [b, k, j] = dsum_u_j/ds_k, transposed
+        j_phi = np.real(du * turn[:, :, None])
+        x = np.linalg.solve(j_s, np.real(dg * e)[:, :, None])[:, :, 0]
+        grad = np.real(dg * turn) - np.einsum("bkj,bj->bk", j_phi, x)
+        return val.sum(axis=1), grad
+
+    def ascend(self, zetas, seed_angles, opts: DistanceOptions, maxiter: int,
+               seed_depths=None) -> _Ascent:
+        """Maximize |f(zeta)| over the chart, one row per (point, start):
+        minimize F = sum_k G(zeta, p_k) over the g foot angles.
+
+        Each row takes BFGS steps with the closed-form gradient, starting
+        (and restarting after an uphill direction) from a first step of
+        ``_FIRST_TURN`` radians, never more than ``_MAX_TURN`` radians per
+        angle, and halves its step when the trial chart fails or F does not
+        fall by the Armijo amount.  Every trial is one warm chart solve over
+        all active rows.  A row stops when its last angle step is below
+        ``opts.xatol`` and its value change below ``opts.fatol``, or after
+        ``maxiter`` trials.  Stopped rows are frozen, so a batch gives its
+        rows' one-at-a-time results."""
+        g = self.g
+        zetas = np.atleast_1d(np.asarray(zetas, dtype=complex))
+        n = len(zetas)
+        phi = np.asarray(seed_angles, dtype=float).reshape(n, g).copy()
+        green = self.green.paired(zetas)
+        base = green(np.full((n, 1), self.p))[0][:, 0]  # G(zeta, p_tilde)
+        zeros, s, active = self.solve_depths(phi, seed_depths)
+        fval, grad = np.full(n, np.inf), np.zeros((n, g))
+        rows = np.flatnonzero(active)
+        fval[rows], grad[rows] = self._objective(green, rows, zeros[rows], phi[rows], s[rows])
+        inv_hess = _first_turn(grad)
+        step_len = np.ones(n)
+        trials = np.zeros(n, dtype=int)
+        capped = np.zeros(n, dtype=bool)
+        iterations = 0
+        while True:
+            capped |= active & (trials >= maxiter)
+            active &= ~capped
+            rows = np.flatnonzero(active)
+            if not len(rows):
+                break
+            gr = grad[rows]
+            direction = -np.einsum("bij,bj->bi", inv_hess[rows], gr)
+            uphill = np.einsum("bi,bi->b", direction, gr) >= 0
+            inv_hess[rows[uphill]] = _first_turn(gr[uphill])  # a stale curvature model
+            direction[uphill] = -np.einsum("bij,bj->bi", inv_hess[rows[uphill]], gr[uphill])
+            step = step_len[rows, None] * direction
+            step *= (_MAX_TURN / np.maximum(np.abs(step).max(axis=1), _MAX_TURN))[:, None]
+            trial = phi[rows] + step
+            pts, s_t, ok = self.solve_depths(trial, s[rows])
+            trials[rows] += 1
+            iterations += 1
+            f_t, g_t = np.full(len(rows), np.inf), np.zeros((len(rows), g))
+            if ok.any():
+                f_t[ok], g_t[ok] = self._objective(green, rows[ok], pts[ok], trial[ok], s_t[ok])
+            change = np.abs(np.exp(-(base[rows] + f_t)) - np.exp(-(base[rows] + fval[rows])))
+            active[rows[(np.abs(step).max(axis=1) < opts.xatol) & (change < opts.fatol)]] = False
+            accept = f_t <= fval[rows] + 1e-4 * np.einsum("bi,bi->b", step, gr)
+            step_len[rows] = np.where(accept, 1.0, 0.5 * step_len[rows])
+            acc = rows[accept]
+            _bfgs_update(inv_hess, acc, step[accept], g_t[accept] - gr[accept])
+            phi[acc], s[acc], zeros[acc] = trial[accept], s_t[accept], pts[accept]
+            fval[acc], grad[acc] = f_t[accept], g_t[accept]
+        return _Ascent(np.exp(-(base + fval)), np.mod(phi, 2 * np.pi), zeros, trials + 1,
+                       capped, iterations)
+
+    def optimize(self, zeta: complex, opts: DistanceOptions) -> DistanceResult:
+        """The multi-start ascent at one point: the starts are the rows of
+        one batch, and the best row's last accepted chart is the argmax."""
         zeta = complex(zeta)
         g = self.g
         if g == 0:
             val = abs((zeta - self.p) / (1 - self.p.conjugate() * zeta))
             return DistanceResult(val, (), ())
         rng = np.random.default_rng(opts.seed)
-        seeds = [np.asarray(s, dtype=float) for s in extra_seeds]
-        seeds.append(np.array([
+        seeds = [np.array([
             math.atan2((zeta - c.q).imag, (zeta - c.q).real) + np.pi
             for c in self.domain.inner_circles
-        ]))
-        seeds.append(np.array([
+        ]), np.array([
             math.atan2((self.p - c.q).imag, (self.p - c.q).real)
             for c in self.domain.inner_circles
-        ]))
+        ])]
         while len(seeds) < opts.n_starts:
             seeds.append(rng.uniform(0.0, 2 * np.pi, size=g))
-        seeds = seeds[: max(opts.n_starts, len(extra_seeds))]
-
-        depth_cache: dict[int, np.ndarray] = {}
-        # by symmetry G(., zeta) serves every zero set: one fit per point
-        green = self.green.kernel(zeta)
-        base = float(green(self.p)[0, 0])
-
-        def objective(phi: np.ndarray) -> float:
-            pts, s, ok = self.solve_depths(phi, depth_cache.get(0))
-            if not ok:
-                return 0.5  # repel: valid values are negative (we minimize -|f|)
-            depth_cache[0] = s
-            return -math.exp(-(base + green(pts).sum()))
-
-        maxiter = opts.nm_maxiter or 100 * g
-        best_val, best_phi = -np.inf, None
-        warning = None
-        for x0 in seeds:
-            depth_cache.clear()
-            res = minimize(
-                objective, x0, method="Nelder-Mead",
-                options={"xatol": opts.xatol, "fatol": opts.fatol,
-                         "maxiter": maxiter, "maxfev": 4 * maxiter},
-            )
-            if -res.fun > best_val:
-                best_val, best_phi = -res.fun, res.x
-                if not res.success:
-                    warning = "optimizer stagnation: supremum may only be approached"
-                else:
-                    warning = None
-        if best_phi is None or best_val <= 0:
+        seeds = np.array(seeds[: opts.n_starts])
+        run = self.ascend(np.full(len(seeds), zeta), seeds, opts, opts.nm_maxiter or 100 * g)
+        best = int(np.argmax(run.values))
+        if not run.values[best] > 0:
             raise ConvergenceError("extremal search failed at every seed")
-        pts, _, ok = self.solve_depths(best_phi)
-        zeros = tuple(complex(z) for z in pts) if ok else ()
-        return DistanceResult(float(best_val), zeros,
-                              tuple(float(a) % (2 * np.pi) for a in best_phi), warning)
+        warning = ("optimizer stagnation: supremum may only be approached"
+                   if run.capped[best] else None)
+        return DistanceResult(float(run.values[best]), tuple(complex(z) for z in run.zeros[best]),
+                              tuple(float(a) for a in run.angles[best]), warning,
+                              int(run.evaluations.sum()))
+
+
+_MAX_TURN = 0.5  # radians: the longest step of one foot angle in one trial
+_FIRST_TURN = 0.1  # radians: a row's first step, before any curvature is known
+
+
+@dataclass(frozen=True)
+class _Ascent:
+    """Per row: |f(zeta)| (0 where the seed chart failed), the angles and
+    zeros of the last accepted chart, chart evaluations, and whether the row
+    stopped at the cap; per batch: loop iterations (each one chart solve,
+    after the seed solve)."""
+
+    values: np.ndarray
+    angles: np.ndarray
+    zeros: np.ndarray
+    evaluations: np.ndarray
+    capped: np.ndarray
+    iterations: int
+
+
+def _first_turn(grad: np.ndarray) -> np.ndarray:
+    """Inverse Hessians (B, g, g) that turn each row's first step into
+    ``_FIRST_TURN`` radians (max norm) downhill."""
+    scale = _FIRST_TURN / np.maximum(np.abs(grad).max(axis=1), 1e-300)
+    return scale[:, None, None] * np.eye(grad.shape[1])
+
+
+def _bfgs_update(inv_hess, rows, sk, yk) -> None:
+    """BFGS update of the rows' inverse Hessians in place, skipping the
+    pairs without positive curvature."""
+    sy = np.einsum("bi,bi->b", sk, yk)
+    rows, sk, yk, rho = rows[sy > 0], sk[sy > 0], yk[sy > 0], 1.0 / sy[sy > 0]
+    left = np.eye(sk.shape[1]) - rho[:, None, None] * sk[:, :, None] * yk[:, None, :]
+    inv_hess[rows] = (left @ inv_hess[rows] @ left.transpose(0, 2, 1)
+                      + rho[:, None, None] * sk[:, :, None] * sk[:, None, :])
 
 
 def mobius_distance(
@@ -223,7 +319,9 @@ class BallRaster:
 
     values[iy, ix] is c*(center, pixel); NaN outside the domain.  labels:
     -1 outside, 0 at or above the threshold, 1..k for the connected
-    components (4-neighborhood, first-encounter order)."""
+    components (4-neighborhood, first-encounter order).  diagnostics: the
+    polish counters of ``ball_raster`` (empty on the disk; not part of the
+    CSV format)."""
 
     bbox: tuple[float, float, float, float]
     nx: int
@@ -232,6 +330,7 @@ class BallRaster:
     threshold: float
     values: np.ndarray
     labels: np.ndarray = field(default=None)
+    diagnostics: dict = field(default_factory=dict)
 
     def pixel_centers(self) -> np.ndarray:
         x0, y0, x1, y1 = self.bbox
@@ -341,13 +440,17 @@ def ball_raster(
 
     The values are computed as the upper envelope of a deterministic family
     of charted extremal maps (a coarse family everywhere, a fine family on
-    the band around the threshold), then pixels within ``refine_margin`` of
-    the threshold are polished with the per-pixel optimizer seeded from the
-    family argmax.  Every |f| comes from the domain's Green's function on
-    the harmonic series basis of ``model``: a family sweep is one product of
-    the pixel basis with the fits of all the family's zeros.  ``ev`` and
-    ``v`` are kept for API stability and are not used.  Deterministic for a
-    fixed option set.
+    the band around the threshold), then the pixels within
+    ``refine_margin`` of the threshold (at most ``refine_cap``) are
+    polished by one batched ascent, each row seeded from its pixel's family
+    argmax and capped at ``refine_maxiter`` trial steps; a polished value
+    only replaces a lower one.  Every |f| comes from the domain's Green's
+    function on the harmonic series basis of ``model``: a family sweep is
+    one product of the pixel basis with the fits of all the family's zeros.
+    ``raster.diagnostics`` counts the polish: pixels polished, ascent
+    iterations, batched chart solves and rows stopped at the cap.  ``ev``
+    and ``v`` are kept for API stability and are not used.  Deterministic
+    for a fixed option set.
     """
     if not (0 < r < 1):
         raise DomainError("threshold must be in (0, 1) on the Moebius scale")
@@ -397,8 +500,9 @@ def ball_raster(
     flat[idx] = vals
     raster.values = flat.reshape(ny, nx)
 
-    if search.g and opts.refine_cap > 0:
-        _refine_band(raster, search, opts, idx, argmax_member, family, zs)
+    if search.g:  # the disk's values are exact: nothing to polish
+        raster.diagnostics = _refine_band(raster, search, opts, idx, argmax_member,
+                                          family, zs)
     raster.relabel()
     return raster
 
@@ -425,9 +529,9 @@ def _member_min(search: _ExtremalSearch, z: np.ndarray, members, base: np.ndarra
     return base + sums[np.arange(len(z)), best], best
 
 
-def _refine_band(raster, search, opts, idx, argmax_member, family, zs):
-    """Per-pixel Nelder-Mead polish near the threshold, seeded from the
-    family argmax (deterministic row-major order)."""
+def _refine_band(raster, search, opts, idx, argmax_member, family, zs) -> dict:
+    """Polish the pixels near the threshold with one batched ascent, each
+    seeded from its family argmax; returns the polish counters."""
     r = raster.threshold
     flat = raster.values.ravel()
     band = np.abs(flat[idx] - r) < opts.refine_margin
@@ -437,29 +541,27 @@ def _refine_band(raster, search, opts, idx, argmax_member, family, zs):
         key = np.abs(flat[order] - r)
         order = order[np.argsort(key, kind="stable")[: opts.refine_cap]]
         order = np.sort(order)
-    pos = {pix: k for k, pix in enumerate(idx)}
-    for pix in order:
-        zeta = zs[pix]
-        mi = argmax_member[pos[pix]]
-        seed_angles = _angles_of_zeros(family[mi], search.domain)
-        res = search.optimize(
-            zeta,
-            DistanceOptions(seed=opts.seed, n_starts=1, xatol=opts.xatol,
-                            fatol=opts.fatol, nm_maxiter=opts.refine_maxiter),
-            extra_seeds=[seed_angles],
-        )
-        if res.value > flat[pix]:
-            flat[pix] = res.value
+    stats = {"polished": int(len(order)), "ascent_iterations": 0, "chart_solves": 0,
+             "capped": 0}
+    if not len(order):
+        return stats
+    d = search.domain
+    # a charted zero sits on the normal ray of its circle: the foot angle is
+    # the argument of (zero - center), the depth its distance to the circle
+    offsets = np.asarray(family)[argmax_member[np.searchsorted(idx, order)]] - d.centers
+    for lo in range(0, len(order), _ASCENT_ROWS):
+        part = slice(lo, lo + _ASCENT_ROWS)
+        run = search.ascend(zs[order[part]], np.angle(offsets[part]), opts,
+                            opts.refine_maxiter, np.abs(offsets[part]) - d.radii)
+        flat[order[part]] = np.fmax(flat[order[part]], run.values)
+        stats["ascent_iterations"] += run.iterations
+        stats["chart_solves"] += run.iterations + 1
+        stats["capped"] += int(run.capped.sum())
     raster.values = flat.reshape(raster.ny, raster.nx)
+    return stats
 
 
-def _angles_of_zeros(zeros, d: CircularDomain) -> np.ndarray:
-    # a charted zero sits on the normal ray of its circle, so the foot angle
-    # is just the argument of (zero - center)
-    return np.array([
-        math.atan2((z - c.q).imag, (z - c.q).real)
-        for z, c in zip(zeros, d.inner_circles)
-    ])
+_ASCENT_ROWS = 512  # band pixels per ascent batch, to bound its memory
 
 
 # -- disconnected-ball witness ---------------------------------------------------
@@ -553,6 +655,11 @@ def find_disconnected_ball(
     certificate that the open r2-ball stays one pixel diagonal away from xi
     (so its closure cannot contain xi while the closed ball does).
 
+    The thresholds scanned lie in (c*(p_tilde, zeta), 1], within the band
+    the raster polishes; every attempt records its ``scan_window``, and an
+    attempt whose window is empty (c* within 0.05 refine margins of 1) is
+    marked ``"scan": "empty"`` and skipped without a raster.
+
     On failure returns a Witness with found=False carrying the attained
     proximity proxies of the sufficient condition, so the parameter sweep
     can be extended.
@@ -581,21 +688,25 @@ def find_disconnected_ball(
         for depth in p_depths:
             p_tilde = anchor.q + (anchor.r + depth) * away
             base = mobius_distance(model, ev, None, p_tilde, zeta, opts)
-            r_center = min(base.value + 0.5 * opts.refine_margin, 0.98)
-            raster = ball_raster(model, ev, None, p_tilde, r_center,
-                                 resolution=resolution, opts=opts)
-            # scan inside the polished band around the raster threshold
-            lo = max(base.value + 1e-5, r_center - 0.45 * opts.refine_margin)
-            hi = r_center + 0.45 * opts.refine_margin
-            scan = lo + (hi - lo) * np.linspace(0.0, 1.0, threshold_count)
-            hit = disconnection_thresholds(raster, p_tilde, zeta, scan)
+            # thresholds strictly above c*(p_tilde, zeta) and at most 1, inside
+            # the polished band around the raster threshold
+            lo = base.value + max(1e-5, 0.05 * opts.refine_margin)
+            hi = min(base.value + 0.95 * opts.refine_margin, 1.0)
             attempt = {
                 "shrink_radius": radius,
                 "p_depth": depth,
                 "c_star_zeta": base.value,
+                "scan_window": [lo, hi],
                 **beta,
             }
             attempts.append(attempt)
+            if lo >= hi:
+                attempt["scan"] = "empty"
+                continue
+            raster = ball_raster(model, ev, None, p_tilde, 0.5 * (lo + hi),
+                                 resolution=resolution, opts=opts)
+            scan = lo + (hi - lo) * np.linspace(0.0, 1.0, threshold_count)
+            hit = disconnection_thresholds(raster, p_tilde, zeta, scan)
             if hit is None:
                 continue
             r1, _ = hit

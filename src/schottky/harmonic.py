@@ -41,8 +41,9 @@ class HarmonicModel:
     """Least-squares representation of the harmonic measures u_1..u_g.
 
     u_0 is never fitted; it is defined as 1 - sum of the others, which makes
-    the partition of unity exact.  Construction is deterministic and single
-    threaded; the evaluators are pure and thread-safe afterwards.
+    the partition of unity exact.  ``solve_harmonic_measures`` builds it and
+    sets ``residual`` before returning it; from then on it is immutable and
+    its evaluators are pure and thread-safe.
     """
 
     def __init__(self, domain: CircularDomain, order: int, colloc: int,
@@ -246,35 +247,78 @@ class GreenFunction:
         self._points = np.concatenate([d.circle(l).samples(colloc) for l in range(d.g + 1)])
         self._q, self._r = np.linalg.qr(_basis_matrix(d, model.order, self._points))
 
+    def _fit(self, poles: np.ndarray):
+        """Images of the poles (None on the disk) and the coefficients of their
+        fits, shape (n_basis, len(poles)): one projection, one triangular solve."""
+        d = self.model.domain
+        star = None
+        if d.g:
+            offset = poles[:, None] - d.centers
+            near = np.argmin(np.abs(offset) - d.radii, axis=1)
+            star = d.centers[near] + d.radii[near] ** 2 / np.conj(
+                offset[np.arange(len(poles)), near])
+        rhs = -(self._q.T @ _log_part(self._points[:, None], poles, star))
+        return star, solve_triangular(self._r, rhs)
+
     def kernel(self, poles):
         """G(., p) for each pole, as one function of z that returns an array
         of shape (len(z), len(poles)); the poles' fits are solved here, once."""
         p = np.atleast_1d(np.asarray(poles, dtype=complex))
         d, order = self.model.domain, self.model.order
-        if d.g:
-            offset = p[:, None] - d.centers
-            near = np.argmin(np.abs(offset) - d.radii, axis=1)
-            star = d.centers[near] + d.radii[near] ** 2 / np.conj(offset[np.arange(len(p)), near])
-
-        def singular(z: np.ndarray) -> np.ndarray:
-            z = z[:, None]
-            num, den = np.abs(1 - np.conj(p) * z), np.abs(z - p)
-            if d.g:
-                num, den = num * np.abs(z - star), den * np.abs(1 - np.conj(star) * z)
-            with np.errstate(divide="ignore"):
-                return np.log(num / den)
-
-        coeffs = solve_triangular(self._r, -(self._q.T @ singular(self._points)))
+        star, coeffs = self._fit(p)
 
         def green(z) -> np.ndarray:
             z = np.atleast_1d(np.asarray(z, dtype=complex))
-            return singular(z) + _basis_matrix(d, order, z) @ coeffs
+            return _log_part(z[:, None], p, star) + _basis_matrix(d, order, z) @ coeffs
+
+        return green
+
+    def paired(self, poles):
+        """G(z, p_b) and its z-derivative dG/dx - i dG/dy, with row b of the
+        points paired with pole b alone.  Returns a function of (z, rows):
+        z has shape (len(rows), m), rows indexes the poles (default: all, in
+        order), and both results have the shape of z.  The poles' fits are
+        solved here, once; an evaluation costs one basis row per point,
+        where ``kernel`` would build the (points, poles) matrix."""
+        p = np.atleast_1d(np.asarray(poles, dtype=complex))
+        d, order = self.model.domain, self.model.order
+        star, coeffs = self._fit(p)
+        coeffs = coeffs.T  # (poles, n_basis)
+        ccoeffs = _complexify(d, order, coeffs)
+
+        def green(z, rows=None):
+            z = np.asarray(z, dtype=complex)
+            rows = np.arange(len(p)) if rows is None else rows
+            pb = p[rows, None]
+            sb = None if star is None else star[rows, None]
+            basis = _basis_matrix(d, order, z.ravel())
+            hp = _analytic_basis_derivative(d, order, z.ravel(),
+                                            _power_block(basis, d.g, order))
+            shape = (*z.shape, -1)
+            val = _log_part(z, pb, sb) + np.einsum("bmn,bn->bm", basis.reshape(shape),
+                                                   coeffs[rows])
+            # d/dz of log|1 - conj(p) z| - log|z - p| (+ the image's pair)
+            der = -np.conj(pb) / (1 - np.conj(pb) * z) - 1 / (z - pb)
+            if sb is not None:
+                der = der + 1 / (z - sb) + np.conj(sb) / (1 - np.conj(sb) * z)
+            der = der + np.einsum("bmn,bn->bm", hp.reshape(shape), ccoeffs[rows])
+            return val, der
 
         return green
 
     def __call__(self, z, poles) -> np.ndarray:
         """G(z_i, p_m), shape (len(z), len(poles))."""
         return self.kernel(poles)(z)
+
+
+def _log_part(z: np.ndarray, p: np.ndarray, star: np.ndarray | None) -> np.ndarray:
+    """log(|1 - conj(p) z| |z - p*| / (|z - p| |1 - conj(p*) z|)), broadcast
+    over z, the poles p and their images p* (no image terms when None)."""
+    num, den = np.abs(1 - np.conj(p) * z), np.abs(z - p)
+    if star is not None:
+        num, den = num * np.abs(z - star), den * np.abs(1 - np.conj(star) * z)
+    with np.errstate(divide="ignore"):
+        return np.log(num / den)
 
 
 # -- basis ------------------------------------------------------------------
@@ -385,7 +429,9 @@ class IntegralsFirstKind:
     while the real part can jump by exact integers across the log cuts --
     harmless everywhere the library uses it, because v_j only ever enters
     through exp(-2 pi i n v_j) with integer n, through its imaginary part,
-    or through path integrals of its derivative.
+    or through path integrals of its derivative.  The period matrix is
+    computed on first use and cached (the one state written after
+    construction; concurrent first calls compute the same value).
     """
 
     def __init__(self, model: HarmonicModel):

@@ -39,8 +39,10 @@ class PrimeEvaluator:
     """Caches a realized half set of the Schottky group and evaluates the
     truncated prime-function product.
 
-    Immutable after construction; all evaluation methods are pure, so one
-    evaluator can serve any number of threads.  For g = 0 the evaluator is
+    The product evaluations are pure, so one evaluator can serve any number
+    of threads.  The one state written after construction is the sign of
+    ``sqrt_dtheta(j, .)``: +1 until ``calibrate_sqrt_sign`` (or the first
+    ``functional_equation_residual`` for circle j) calibrates it.  For g = 0 the evaluator is
     trivial and omega(z, y) = z - y exactly.
 
     Parameters

@@ -414,6 +414,17 @@ def suite_witness() -> list[CheckResult]:
             )
         )
     detail = "; ".join(detail_parts)
+    attempts = witness.diagnostics.get("attempts", [])
+    out.append(_check_true(
+        "witness: every scan window lies above c*(p_tilde, zeta), or is empty and skipped",
+        bool(attempts) and all(
+            a["scan_window"][0] > a["c_star_zeta"]
+            and (a.get("scan") == "empty") == (a["scan_window"][0] >= a["scan_window"][1])
+            for a in attempts),
+        detail="; ".join("window=[%.6g, %.6g]%s" % (*a["scan_window"],
+                                                   " empty" if a.get("scan") else "")
+                         for a in attempts),
+    ))
     if witness.found:
         out.append(_check_true(
             "witness: disconnected ball found",

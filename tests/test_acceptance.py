@@ -76,6 +76,9 @@ def test_criterion_7_disconnected_ball_soft():
     by_name = {r.name: r for r in results}
     negative = by_name["witness: annulus negative control (no disconnection)"]
     assert negative.passed
+    window = by_name["witness: every scan window lies above c*(p_tilde, zeta), "
+                     "or is empty and skipped"]
+    assert window.passed
     positive = [r for r in results if "disconnected ball" in r.name][0]
     if positive.passed:
         assert by_name["witness: closure gap certificate"].passed

@@ -212,3 +212,81 @@ def test_wang_yin_unimodular_and_condition():
         wang_yin_eval(0.25, [0.5, 0.4], 1, 0.7)
     with pytest.raises(AdmissibilityError):
         wang_yin_eval(0.25, [], 0, 0.7)
+
+
+def test_witness_scans_only_thresholds_above_c_star(monkeypatch):
+    import schottky.distance as distance
+
+    scanned = []
+    scan = distance.disconnection_thresholds
+
+    def record(raster, p_tilde, zeta, thresholds, **kw):
+        scanned.append(np.array(thresholds))
+        return scan(raster, p_tilde, zeta, thresholds, **kw)
+
+    monkeypatch.setattr(distance, "disconnection_thresholds", record)
+    # c*(p_tilde, zeta) = 0.99797 leaves thresholds in (c*, 1] to scan
+    near = distance.find_disconnected_ball(
+        shrink_center=-0.1 + 0j, shrink_radii=(0.05,), p_depths=(0.3,), zeta_gap=0.1,
+        resolution=24).diagnostics["attempts"][0]
+    assert "scan" not in near and len(scanned) == 1
+    lo, hi = near["scan_window"]
+    assert near["c_star_zeta"] < lo < hi <= 1.0
+    assert np.all(scanned[0] > near["c_star_zeta"]) and np.all(scanned[0] <= 1.0)
+    # c* = 0.99973 (the default family): no window, no raster, no scan
+    far = distance.find_disconnected_ball(
+        shrink_radii=(0.05,), p_depths=(0.02,), resolution=24).diagnostics["attempts"][0]
+    lo, hi = far["scan_window"]
+    assert far["scan"] == "empty" and lo >= hi and lo > far["c_star_zeta"]
+    assert len(scanned) == 1
+
+
+# -- batched ascent ----------------------------------------------------------------
+
+
+def _chart_objective(search, green, angles):
+    pts, s, ok = search.solve_depths(angles[None, :])
+    assert ok.all()
+    return search._objective(green, np.array([0]), pts, angles[None, :], s)
+
+
+def test_ascent_gradient_matches_central_difference(triply_tools):
+    from schottky.distance import _ExtremalSearch
+
+    search = _ExtremalSearch(triply_tools.model, 0.3j)
+    green = search.green.paired(np.array([-0.2 - 0.4j]))
+    rng = np.random.default_rng(7)
+    h = 1e-4
+    for angles in rng.uniform(0, 2 * np.pi, size=(3, 2)):
+        _, grad = _chart_objective(search, green, angles)
+        diff = [(_chart_objective(search, green, angles + h * e)[0]
+                 - _chart_objective(search, green, angles - h * e)[0])[0] / (2 * h)
+                for e in np.eye(2)]
+        assert np.max(np.abs(grad[0] - diff)) < 1e-6 * np.max(np.abs(grad[0]))
+
+
+def test_ascent_batch_equals_rows(triply_tools):
+    from schottky.distance import _ExtremalSearch
+
+    search = _ExtremalSearch(triply_tools.model, 0.3j)
+    zetas = np.array([-0.2 - 0.4j, 0.1 + 0.6j, 0.7 + 0j, -0.3 + 0.2j, 0.05 - 0.05j])
+    seeds = np.random.default_rng(3).uniform(0, 2 * np.pi, size=(len(zetas), 2))
+    batch = search.ascend(zetas, seeds, FAST, 200)
+    for k in range(len(zetas)):
+        row = search.ascend(zetas[k : k + 1], seeds[k : k + 1], FAST, 200)
+        assert abs(row.values[0] - batch.values[k]) < 1e-12
+        assert np.max(np.abs(row.zeros[0] - batch.zeros[k])) < 1e-12
+        assert row.evaluations[0] == batch.evaluations[k]
+        assert row.capped[0] == batch.capped[k]
+
+
+def test_raster_band_pixels_reach_mobius_distance(triply_tools):
+    t = triply_tools
+    opts = DistanceOptions()
+    raster = ball_raster(t.model, t.ev, t.v, 0.3j, 0.6, resolution=20, opts=opts)
+    band = np.argwhere(np.abs(raster.values - 0.6) < opts.refine_margin)
+    assert len(band) == raster.diagnostics["polished"] > 0
+    centers = raster.pixel_centers()
+    for iy, ix in band:
+        exact = mobius_distance(t.model, t.ev, t.v, 0.3j, complex(centers[iy, ix])).value
+        assert abs(raster.values[iy, ix] - exact) < 1e-8

@@ -263,6 +263,23 @@ def test_green_function_vanishes_on_boundary(triply_tools, depth):
     assert np.max(np.abs(green(bd, poles))) < 1e-8
 
 
+def test_green_function_pairs_match_kernel_and_derivative(triply_tools):
+    green = GreenFunction(triply_tools.model)
+    poles = interior_points(triply_tools.domain, 4, seed=9)
+    z = interior_points(triply_tools.domain, 12, seed=10).reshape(4, 3)
+    paired = green.paired(poles)
+    vals, ders = paired(z)
+    for b in range(4):
+        assert np.max(np.abs(vals[b] - green(z[b], poles[b : b + 1])[:, 0])) < 1e-14
+    h = 1e-6
+    dx = (paired(z + h)[0] - paired(z - h)[0]) / (2 * h)
+    dy = (paired(z + 1j * h)[0] - paired(z - 1j * h)[0]) / (2 * h)
+    assert np.max(np.abs(ders - (dx - 1j * dy))) < 1e-7
+    rows = np.array([2, 0])
+    sub_vals, sub_ders = paired(z[rows], rows)
+    assert np.array_equal(sub_vals, vals[rows]) and np.array_equal(sub_ders, ders[rows])
+
+
 def test_green_function_matches_prime_product(triply_tools):
     t = triply_tools  # L = 6
     fixed = [0.1 + 0.55j]
