@@ -203,12 +203,15 @@ def _diameter(pts: np.ndarray) -> float:
 def adaptive_word_length(
     d: CircularDomain, tol: float = 1e-10, max_len: int = 8
 ) -> tuple[int, float]:
-    """Smallest word length whose tail estimate is below ``tol`` (capped at
-    ``max_len``).  Returns (length, achieved tail estimate)."""
+    """Smallest word length whose tail estimate is below ``tol``, capped at
+    ``max_len`` and at the largest length whose word ball fits ``word_cap()``.
+    Returns (length, achieved tail estimate)."""
     if d.g == 0:
         return 0, 0.0
     est = np.inf
     for L in range(1, max_len + 1):
+        if L > 1 and ball_size(d.g, L) > word_cap():
+            return L - 1, est
         est = tail_estimate(d, L)
         if est < tol:
             return L, est

@@ -11,6 +11,11 @@ classical product over a half set of the Schottky group:
 
 Each factor is invariant under theta -> theta^-1, which is exactly why the
 result does not depend on which half set is chosen.
+
+Ratios omega(z, y1)/omega(z, y2), and products of them over several pairs
+(the proper maps), are one fused pass over the words: ``RatioProduct``.
+Every product over the words follows one drift rule: plain within blocks of
+at most ``_LOG_SPACE_THRESHOLD`` words, log space across blocks.
 """
 
 from __future__ import annotations
@@ -29,10 +34,18 @@ from .group import (
     realize_all,
 )
 
-__all__ = ["PrimeEvaluator"]
+__all__ = ["PrimeEvaluator", "RatioProduct"]
 
-# Accumulate in log space beyond this many product factors to limit drift.
+# Products over the words multiply at most this many factors plainly (a
+# block) and combine the block products in log space, which keeps thousands
+# of near-unity factors from accumulating rounding drift at the cost of one
+# log per block.  It is also the word extent of a ``RatioProduct`` tile.
 _LOG_SPACE_THRESHOLD = 1000
+# Points per tile of a ``RatioProduct`` pass.  A full tile's temporaries are
+# 512 KB each, so a tile stays in a core's L2 cache whatever the batch; on a
+# 2-core Xeon with 2 MB of L2 per core, 32 ran a 64-point degree-4 map call
+# about 10% faster than 64 and 1024-point calls about 20% faster than 128.
+_POINT_TILE = 32
 
 
 class PrimeEvaluator:
@@ -52,7 +65,7 @@ class PrimeEvaluator:
     max_word_length:
         Truncation level L.  When omitted, the smallest L <= 8 whose tail
         estimate is below ``tail_tol`` is chosen; a warning is issued if
-        even L = 8 does not reach it.
+        no L up to 8 whose word ball fits the word cap reaches it.
     enumeration:
         Optional explicit word enumeration (used e.g. to test independence
         of the half-set choice).
@@ -108,15 +121,17 @@ class PrimeEvaluator:
     def theta_table(self, z: np.ndarray) -> np.ndarray:
         """Images of the points under every half-set map, shape
         (half_set_size, len(z)).  Exposed so grid sweeps can reuse it."""
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        num = self._half_a[:, None] * z[None, :] + self._half_b[:, None]
-        den = self._half_c[:, None] * z[None, :] + self._half_d[:, None]
+        return self._theta_tile(slice(None), np.atleast_1d(np.asarray(z, dtype=complex))).T
+
+    def _theta_tile(self, words: slice, z: np.ndarray) -> np.ndarray:
+        """Images of the points under a range of half-set words, shape
+        (len(z), words): one contiguous row per point."""
+        num = self._half_a[None, words] * z[:, None] + self._half_b[None, words]
+        den = self._half_c[None, words] * z[:, None] + self._half_d[None, words]
         return num / den
 
     def _theta_point(self, y: complex) -> np.ndarray:
-        num = self._half_a * y + self._half_b
-        den = self._half_c * y + self._half_d
-        return num / den
+        return self._theta_tile(slice(None), np.array([complex(y)]))[0]
 
     # -- prime function --------------------------------------------------
 
@@ -147,31 +162,14 @@ class PrimeEvaluator:
         denominators cancelled.  This is the workhorse behind the slit maps;
         the cancellation also removes the z fixed-point guard, which matters
         when z sits on a boundary circle."""
-        return _pointwise(
-            lambda z: self.omega_ratio_with_table(z, self.theta_table(z), y1, y2), z)
+        return _pointwise(lambda z: self.omega_ratio_with_table(z, None, y1, y2), z)
 
     def omega_ratio_with_table(
-        self, z: np.ndarray, theta_z: np.ndarray, y1: complex, y2: complex
+        self, z: np.ndarray, theta_z: np.ndarray | None, y1: complex, y2: complex
     ) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        y1, y2 = complex(y1), complex(y2)
-        if self.half_set_size == 0:
-            return (z - y1) / (z - y2)
-        t1 = self._theta_point(y1)
-        t2 = self._theta_point(y2)
-        d1 = y1 - t1
-        d2 = y2 - t2
-        if min(np.min(np.abs(d1)), np.min(np.abs(d2))) < self.singular_tol:
-            raise SingularEvaluationError(
-                "zero location within tolerance of a Moebius fixed point"
-            )
-        factors = (
-            (z[None, :] - t1[:, None])
-            * (y1 - theta_z)
-            * d2[:, None]
-            / ((z[None, :] - t2[:, None]) * (y2 - theta_z) * d1[:, None])
-        )
-        return (z - y1) / (z - y2) * _product(factors)
+        """Same as :meth:`omega_ratio` with a precomputed ``theta_table(z)``
+        (or None to form it tile by tile): the one-pair ``RatioProduct``."""
+        return RatioProduct(self, [y1], [y2])(np.asarray(z, dtype=complex), theta_z)
 
     # -- defining properties as residuals ---------------------------------
 
@@ -245,11 +243,95 @@ class PrimeEvaluator:
         raise DomainError("could not find a reference pair in the domain")
 
 
+class RatioProduct:
+    """prod_k omega(z, y1_k) / omega(z, y2_k) for fixed pairs (y1_k, y2_k),
+    in one pass over the half-set words.
+
+    The factors of all pairs at one (word theta, point z) are fused into one,
+
+        c_theta * prod_k (z - theta(y1_k)) (y1_k - theta(z))
+                       / [(z - theta(y2_k)) (y2_k - theta(z))],
+
+    one complex division per (word, point) whatever the number of pairs;
+    the (z - theta(z)) denominators cancel.  Everything free of z is
+    computed here once: theta(y1_k), theta(y2_k), the fixed-point guard and
+    the per-word column c_theta = prod_k (y2_k - theta(y2_k)) /
+    (y1_k - theta(y1_k)).  The column stays per word, since its product over
+    all words overflows.  A call runs over tiles of at most
+    ``_LOG_SPACE_THRESHOLD`` words by ``_POINT_TILE`` points, forming
+    theta(z) per tile, and reduces by the rule of ``_product``: plain within
+    a tile, log space across the word tiles.  Each point's value depends
+    only on that point, not on the batch it came in.
+    """
+
+    def __init__(self, ev: PrimeEvaluator, y1, y2):
+        self.ev = ev
+        self.y1 = np.atleast_1d(np.asarray(y1, dtype=complex))
+        self.y2 = np.atleast_1d(np.asarray(y2, dtype=complex))
+        if self.y1.shape != self.y2.shape or self.y1.ndim != 1:
+            raise DomainError("RatioProduct needs two equally long lists of points")
+        if ev.half_set_size == 0:
+            return
+        self._t1 = ev._theta_tile(slice(None), self.y1)  # (pairs, words)
+        self._t2 = ev._theta_tile(slice(None), self.y2)
+        d1 = self.y1[:, None] - self._t1
+        d2 = self.y2[:, None] - self._t2
+        if min(np.abs(d1).min(initial=np.inf), np.abs(d2).min(initial=np.inf)) < ev.singular_tol:
+            raise SingularEvaluationError(
+                "zero location within tolerance of a Moebius fixed point"
+            )
+        self._col = np.prod(d2 / d1, axis=0)
+
+    def __call__(self, z: np.ndarray, theta_z: np.ndarray | None = None) -> np.ndarray:
+        """Values at the 1-d points ``z``; ``theta_z`` optionally supplies
+        ``theta_table(z)``."""
+        y1, y2 = self.y1, self.y2
+        out = np.prod((z[None, :] - y1[:, None]) / (z[None, :] - y2[:, None]), axis=0)
+        if self.ev.half_set_size == 0 or len(y1) == 0:
+            return out
+        t1, t2, col = self._t1, self._t2, self._col
+        words = self.ev.half_set_size
+        step = _LOG_SPACE_THRESHOLD
+        for p0 in range(0, len(z), _POINT_TILE):
+            pts = slice(p0, p0 + _POINT_TILE)
+            zt = z[pts, None]
+            blocks = []
+            for w0 in range(0, words, step):
+                rows = slice(w0, w0 + step)
+                # tiles are (points, words), so each point is reduced on its
+                # own contiguous row, the same way in any batch
+                if theta_z is None:
+                    th = self.ev._theta_tile(rows, z[pts])
+                else:
+                    th = np.ascontiguousarray(theta_z[rows, pts].T)
+                num = col[None, rows] * (zt - t1[0, None, rows]) * (y1[0] - th)
+                den = (zt - t2[0, None, rows]) * (y2[0] - th)
+                for k in range(1, len(y1)):
+                    num *= zt - t1[k, None, rows]
+                    num *= y1[k] - th
+                    den *= zt - t2[k, None, rows]
+                    den *= y2[k] - th
+                num /= den
+                blocks.append(np.prod(num, axis=1))
+            out[pts] *= _combine(blocks)
+        return out
+
+
 def _product(factors: np.ndarray) -> np.ndarray:
-    if factors.shape[0] > _LOG_SPACE_THRESHOLD:
-        # exp(sum(log ...)) reproduces the product regardless of the branch
-        # each principal log picks, and keeps thousands of near-unity factors
-        # from accumulating rounding drift.
-        with np.errstate(divide="ignore"):
-            return np.exp(np.sum(np.log(factors), axis=0))
-    return np.prod(factors, axis=0)
+    """Product over the words of factors shaped (words, points), by the drift
+    rule: plain within blocks of at most ``_LOG_SPACE_THRESHOLD`` words, log
+    space across blocks.  Each point's block is reduced as one contiguous
+    row, so its value does not depend on the other points of the batch."""
+    step = _LOG_SPACE_THRESHOLD
+    return _combine([np.prod(np.ascontiguousarray(factors[i:i + step].T), axis=1)
+                     for i in range(0, max(len(factors), 1), step)])
+
+
+def _combine(blocks: list[np.ndarray]) -> np.ndarray:
+    """Product of block products: a single block as it is, several as
+    exp(sum(log ...)), which reproduces the product regardless of the branch
+    each principal log picks."""
+    if len(blocks) == 1:
+        return blocks[0]
+    with np.errstate(divide="ignore"):
+        return np.exp(np.sum(np.log(blocks), axis=0))

@@ -35,7 +35,7 @@ from .errors import (
     TruncationQualityError,
 )
 from .harmonic import HarmonicModel, IntegralsFirstKind
-from .prime import PrimeEvaluator
+from .prime import PrimeEvaluator, RatioProduct, _product
 from .slitmaps import eta, eta_l, slit_radius
 
 __all__ = [
@@ -346,27 +346,19 @@ def build_proper_map(
     zeros = config.zeros
     nvec = np.asarray(nu[1:], dtype=float)
 
-    norm_cache = []
-    for p in zeros:
-        p = complex(p)
-        if p == 0:
-            norm_cache.append(None)
-        else:
-            phat = 1 / p.conjugate()
-            norm_cache.append((p, phat, ev.omega_ratio(1.0, p, phat)))
+    # the eta factors of the zeros off the origin as one fused ratio
+    # product, normalized at z = 1; a zero at the origin keeps its own eta
+    moved = [complex(p) for p in zeros if p != 0]
+    centered = len(zeros) - len(moved)
+    ratios = RatioProduct(ev, moved, [1 / p.conjugate() for p in moved])
+    norm = ratios(np.array([1.0 + 0j]))[0]
 
     def base(z: np.ndarray) -> np.ndarray:
-        tz = ev.theta_table(z)
+        acc = ratios(z) / norm
         if d.g:
-            acc = np.exp(-2j * np.pi * (v.eval_v_all(z) @ nvec))
-        else:
-            acc = np.ones(len(z), dtype=complex)
-        for p, entry in zip(zeros, norm_cache):
-            if entry is None:
-                acc = acc * eta(ev, z, 0j)
-            else:
-                pp, phat, norm = entry
-                acc = acc * ev.omega_ratio_with_table(z, tz, pp, phat) / norm
+            acc = acc * np.exp(-2j * np.pi * (v.eval_v_all(z) @ nvec))
+        if centered:
+            acc = acc * eta(ev, z, 0j) ** centered
         return acc
 
     rotation = 1.0 / base(np.array([1.0 + 0j]))[0]
@@ -568,7 +560,7 @@ def lift_blaschke(
             c[:, None] * z[None, :] + dd[:, None]
         )
         vals = blaschke_eval(zeros, th_z.ravel()).reshape(th_z.shape)
-        prod = np.prod(vals / b_at_th1[:, None], axis=0)
+        prod = _product(vals / b_at_th1[:, None])
         if d.g:
             prod = prod * np.exp(-2j * np.pi * (v.eval_v_all(z) @ nvec))
         return prod

@@ -20,7 +20,7 @@ import numpy as np
 from .domain import CircularDomain, _pointwise, reflect
 from .errors import DomainError, TruncationQualityError
 from .group import WordEnumeration, realize_all
-from .prime import PrimeEvaluator
+from .prime import PrimeEvaluator, _product
 
 __all__ = [
     "eta",
@@ -65,7 +65,7 @@ def _eta_center(ev: PrimeEvaluator, z):
                 * (z[None, :] - th_z)
                 / ((z[None, :] - th_inf[:, None]) * (1.0 - th_one[:, None]))
             )
-            base = base * np.prod(factors, axis=0)
+            base = base * _product(factors)
         return base
 
     return _pointwise(value, z)
@@ -146,7 +146,7 @@ def eta_via_mobius_product(
     def value(z):
         th_z = (a[:, None] * z[None, :] + b[:, None]) / (c[:, None] * z[None, :] + dd[:, None])
         mz = (th_z - p) / (1.0 - p.conjugate() * th_z)
-        return np.prod(mz / m1[:, None], axis=0)
+        return _product(mz / m1[:, None])
 
     return _pointwise(value, z)
 

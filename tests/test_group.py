@@ -142,3 +142,20 @@ def test_adaptive_word_length():
     L, est = adaptive_word_length(ANNULUS, tol=1e-8)
     assert L == 7 and est < 1e-8
     assert adaptive_word_length(CircularDomain()) == (0, 0.0)
+
+
+def test_adaptive_word_length_stops_at_the_word_cap(monkeypatch):
+    # the 4-connected domain needs L >= 8 for a 1e-10 tail; under a 200-word
+    # cap the search stops at L = 3 (187 words; L = 4 has 937) and reports
+    # that length's tail, so the evaluator warns instead of raising
+    from schottky.prime import PrimeEvaluator
+
+    dom = CircularDomain((Circle(-0.5 + 0j, 0.12), Circle(0.45 + 0.1j, 0.1),
+                          Circle(-0.05 - 0.55j, 0.1)))
+    monkeypatch.setenv("SCHOTTKY_MAX_WORDS", "200")
+    L, est = adaptive_word_length(dom)
+    assert L == 3
+    assert est == tail_estimate(dom, 3) and est > 1e-10
+    with pytest.warns(UserWarning, match="tail estimate"):
+        ev = PrimeEvaluator(dom)
+    assert ev.max_word_length == 3

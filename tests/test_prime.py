@@ -5,7 +5,7 @@ from conftest import interior_points
 from schottky.domain import Circle, CircularDomain
 from schottky.errors import SingularEvaluationError
 from schottky.group import WordEnumeration, enumerate_words
-from schottky.prime import PrimeEvaluator
+from schottky.prime import PrimeEvaluator, RatioProduct, _product
 
 
 def annulus_omega_oracle(z, y, r=0.25, terms=8):
@@ -139,3 +139,40 @@ def test_log_space_product_path():
     finally:
         prime_mod._LOG_SPACE_THRESHOLD = old
     assert logged == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("length", [999, 1000, 1001, 2500])
+def test_blocked_product_equals_log_space_product(length):
+    # plain within blocks of 1000 factors, log space across blocks: the
+    # same product as exp(sum(log ...)) over every single factor
+    rng = np.random.default_rng(length)
+    factors = np.exp(1e-2 * (rng.standard_normal((length, 5))
+                             + 1j * rng.standard_normal((length, 5))))
+    factors[:, 4] *= -1  # every principal log on the branch cut side
+    logged = np.exp(np.sum(np.log(factors), axis=0))
+    assert np.max(np.abs(_product(factors) / logged - 1)) < 1e-12
+
+
+def test_ratio_product_matches_per_factor_formula(triply_tools, monkeypatch):
+    # the fused, tiled pass against the ratios written out factor by factor
+    # over the whole table and multiplied in log space; 100 words per tile
+    # gives eight word tiles, and 100 points give four point tiles
+    import schottky.prime as prime_mod
+
+    monkeypatch.setattr(prime_mod, "_LOG_SPACE_THRESHOLD", 100)
+    ev = triply_tools.ev
+    z = interior_points(ev.domain, 100, seed=31)
+    y1 = np.array([0.1 + 0.55j, -0.3 - 0.2j, 0.3 - 0.2j])
+    y2 = 1 / y1.conj()
+    th_z = ev.theta_table(z)
+    prefactor, logs = np.ones(len(z), dtype=complex), np.zeros(len(z), dtype=complex)
+    for a, b in zip(y1, y2):
+        ta, tb = ev.theta_table(a)[:, 0], ev.theta_table(b)[:, 0]
+        factors = ((z - ta[:, None]) * (a - th_z) * (b - tb)[:, None]
+                   / ((z - tb[:, None]) * (b - th_z) * (a - ta)[:, None]))
+        prefactor *= (z - a) / (z - b)
+        logs += np.log(factors).sum(axis=0)
+    expected = prefactor * np.exp(logs)
+    ratios = RatioProduct(ev, y1, y2)
+    assert np.max(np.abs(ratios(z) / expected - 1)) < 1e-12
+    assert np.max(np.abs(ratios(z, th_z) - ratios(z))) < 1e-15

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import interior_points
+from conftest import Tools, interior_points
 from schottky.distance import wang_yin_eval
+from schottky.domain import Circle, CircularDomain
 from schottky.errors import (
     AdmissibilityError,
     ConvergenceError,
     DomainError,
     ResolutionError,
+    SingularEvaluationError,
 )
+from schottky.prime import RatioProduct
 from schottky.propermaps import (
     blaschke_eval,
     boundary_degree,
@@ -23,8 +26,17 @@ from schottky.propermaps import (
     lift_blaschke,
     make_zero_config,
     winding_number,
+    ZeroConfig,
 )
 from schottky.propermaps import _CHART_TOL, _level_depths, _ray_exit, _solve_chart
+from schottky.slitmaps import eta
+
+
+@pytest.fixture(scope="module")
+def g3_tools():
+    # a 4-connected domain at L = 5: 2343 half-set words, three word tiles
+    return Tools(CircularDomain((Circle(-0.5 + 0j, 0.12), Circle(0.45 + 0.1j, 0.1),
+                                 Circle(-0.05 - 0.55j, 0.1))), length=5)
 
 
 # -- admissibility -------------------------------------------------------------
@@ -155,6 +167,73 @@ def test_map_vanishes_at_zeros_and_fixes_one(annulus_tools):
     assert abs(f(0.5)) < 1e-9
     assert abs(f(-0.5)) < 1e-9
     assert f(1.0) == pytest.approx(1.0, abs=1e-10)
+
+
+def _per_zero_route(tools, zeros, nu):
+    """The map as the per-zero product: rotation * exp(-2 pi i sum n_j v_j)
+    * prod_k eta(., p_k), each eta its own pass over the words."""
+    def value(z):
+        acc = np.exp(-2j * np.pi * (tools.v.eval_v_all(z) @ np.asarray(nu[1:], dtype=float)))
+        for p in zeros:
+            acc = acc * eta(tools.ev, z, p)
+        return acc
+    return lambda z: value(z) / value(np.array([1.0 + 0j]))[0]
+
+
+def _g3_map(tools):
+    dom = tools.domain
+    guess = [c.q + (c.r + 0.3 * dom.boundary_distance(c.q + c.r)) * np.exp(1j * a)
+             for c, a in zip(dom.inner_circles, (0.5, 2.0, 1.0))]
+    fixed, nu = [0j, 0.1 + 0.5j], (2, 1, 1, 1)
+    zeros = fixed + complete_zeros(tools.model, fixed, nu, guess)
+    return build_proper_map(tools.ev, tools.v, make_zero_config(tools.model, zeros, nu))
+
+
+@pytest.mark.parametrize("case", ["annulus", "triply", "g3"])
+def test_fused_product_matches_per_zero_route(case, annulus_tools, triply_tools, g3_tools):
+    if case == "annulus":
+        tools = annulus_tools
+        f = build_proper_map(tools.ev, tools.v,
+                             make_zero_config(tools.model, [0.5, -0.5], (1, 1)))
+    elif case == "triply":  # 728 words: one word tile
+        tools = triply_tools
+        fixed = [0.1 + 0.55j]
+        zeros = fixed + complete_zeros(tools.model, fixed, (1, 1, 1), [-0.3 - 0.2j, 0.3 - 0.2j])
+        f = build_proper_map(tools.ev, tools.v, make_zero_config(tools.model, zeros, (1, 1, 1)))
+    else:  # 2343 words: three word tiles, and a zero at the origin
+        tools = g3_tools
+        f = _g3_map(tools)
+        assert 0j in f.zeros
+    pts = interior_points(tools.domain, 50, seed=21)
+    ref = _per_zero_route(tools, f.zeros, f.nu)(pts)
+    assert np.max(np.abs(f(pts) / ref - 1)) < 1e-12
+
+
+def test_fused_product_does_not_depend_on_batch(g3_tools):
+    # the fused product of the map's zeros off the origin, over three word
+    # tiles and many point tiles, in batches of 1000, 64, 7 and 1
+    f = _g3_map(g3_tools)
+    moved = [p for p in f.zeros if p != 0]
+    ratios = RatioProduct(g3_tools.ev, moved, [1 / p.conjugate() for p in moved])
+    pts = interior_points(g3_tools.domain, 1000, seed=22, margin=0.02)
+    full = ratios(pts)
+    for size in (64, 7):
+        parts = np.concatenate([ratios(pts[i:i + size]) for i in range(0, 1000, size)])
+        assert np.max(np.abs(parts - full)) < 1e-15
+    for i in range(0, 1000, 37):
+        assert abs(ratios(pts[i:i + 1])[0] - full[i]) < 1e-15
+    # the map as a whole adds the first-kind integrals, whose BLAS products
+    # round differently by batch size
+    whole = f(pts)
+    assert max(abs(f(complex(pts[i])) - whole[i]) for i in range(0, 1000, 37)) < 1e-13
+
+
+def test_build_guards_zeros_at_fixed_points(annulus_tools):
+    # 0 is a fixed point of every word of the annulus group: a zero next to
+    # it is refused when the map is built, before any evaluation
+    config = ZeroConfig((1e-12 + 0j, 0.5 + 0j), (1, 1), (0.0,))
+    with pytest.raises(SingularEvaluationError):
+        build_proper_map(annulus_tools.ev, annulus_tools.v, config, check_boundary=False)
 
 
 def test_build_rejects_inadmissible(annulus_tools):
