@@ -323,6 +323,8 @@ def _dispatch(args) -> int:
         print(f"components: {raster.component_count()}")
         if raster.diagnostics:
             stats = raster.diagnostics
+            print(f"family: {stats['family_charts'][0]} charts, {stats['family_charts'][1]} "
+                  f"solved, {stats['seed_evaluations']} batched seed evaluations")
             print(f"polish: {stats['polished']} band pixels, {stats['ascent_iterations']} "
                   f"ascent iterations, {stats['chart_solves']} batched chart solves, "
                   f"{stats['capped']} stopped at the cap")

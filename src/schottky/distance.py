@@ -38,7 +38,7 @@ from .errors import (
 )
 from .harmonic import GreenFunction, HarmonicModel, IntegralsFirstKind, solve_harmonic_measures
 from .prime import PrimeEvaluator
-from .propermaps import _CHART_TOL, _level_depths, _solve_chart
+from .propermaps import _CHART_TOL, _chart_box, _level_depths, _solve_chart
 from .slitmaps import eta, eta_l
 
 __all__ = [
@@ -92,7 +92,9 @@ class DistanceResult:
 class _ExtremalSearch:
     """Shared machinery: charted zero sets with the base point fixed, and
     |f(zeta)| = exp(-G(zeta, p_tilde) - sum_k G(zeta, p_k)) from the
-    domain's Green's function (magnitude only, so no rotation needed)."""
+    domain's Green's function (magnitude only, so no rotation needed).
+    ``seed_evaluations`` counts the batched evaluations of the cold chart
+    seeds it has made."""
 
     def __init__(self, model: HarmonicModel, p_tilde: complex):
         self.model = model
@@ -100,6 +102,7 @@ class _ExtremalSearch:
         d = model.domain
         self.domain = d
         self.g = d.g
+        self.seed_evaluations = 0
         if not d.contains(self.p):
             raise DomainError("base point is not in the domain")
         if d.g:
@@ -120,10 +123,12 @@ class _ExtremalSearch:
         angles = np.asarray(angles, dtype=float)
         feet = d.centers + d.radii * np.exp(1j * angles.reshape(-1, self.g))
         dirs = (feet - d.centers) / d.radii
+        box = _chart_box(d, feet, dirs)
         if seed_depths is None:
-            seed_depths = _level_depths(self.model, range(1, self.g + 1), feet, dirs,
-                                        self.targets)
-        s, res = _solve_chart(self.model, feet, dirs, self.targets, seed_depths)
+            seed_depths, evaluations = _level_depths(self.model, range(1, self.g + 1), feet,
+                                                     dirs, self.targets, box)
+            self.seed_evaluations += evaluations
+        s, res = _solve_chart(self.model, feet, dirs, self.targets, seed_depths, box)
         return ((feet + s * dirs).reshape(angles.shape), s.reshape(angles.shape),
                 (res < _CHART_TOL).reshape(angles.shape[:-1]))
 
@@ -440,17 +445,18 @@ def ball_raster(
 
     The values are computed as the upper envelope of a deterministic family
     of charted extremal maps (a coarse family everywhere, a fine family on
-    the band around the threshold), then the pixels within
-    ``refine_margin`` of the threshold (at most ``refine_cap``) are
-    polished by one batched ascent, each row seeded from its pixel's family
-    argmax and capped at ``refine_maxiter`` trial steps; a polished value
-    only replaces a lower one.  Every |f| comes from the domain's Green's
+    the band around the threshold; both solved in one batch), then the
+    pixels within ``refine_margin`` of the threshold (at most
+    ``refine_cap``) are polished by one batched ascent, each row seeded
+    from its pixel's family argmax and capped at ``refine_maxiter`` trial
+    steps; a polished value only replaces a lower one.  Every |f| comes from the domain's Green's
     function on the harmonic series basis of ``model``: a family sweep is
     one product of the pixel basis with the fits of all the family's zeros.
-    ``raster.diagnostics`` counts the polish: pixels polished, ascent
-    iterations, batched chart solves and rows stopped at the cap.  ``ev``
-    and ``v`` are kept for API stability and are not used.  Deterministic
-    for a fixed option set.
+    ``raster.diagnostics`` counts the families' charts (solved, ok) and
+    the batched evaluations of their seeds, and the polish: pixels
+    polished, ascent iterations, batched chart solves and rows stopped at
+    the cap.  ``ev`` and ``v`` are kept for API stability and are not used.
+    Deterministic for a fixed option set.
     """
     if not (0 < r < 1):
         raise DomainError("threshold must be in (0, 1) on the Moebius scale")
@@ -477,8 +483,7 @@ def ball_raster(
         pz = zs[idx]
         vals = np.abs((pz - search.p) / (1 - np.conj(search.p) * pz))
     else:
-        coarse = _build_family(search, opts.coarse_angles)
-        fine = _build_family(search, opts.family_angles)
+        coarse, fine = _build_family(search, opts.coarse_angles, opts.family_angles)
         family = coarse + fine
         for lo in range(0, len(idx), chunk):
             zchunk = zs[idx[lo : lo + chunk]]
@@ -501,21 +506,26 @@ def ball_raster(
     raster.values = flat.reshape(ny, nx)
 
     if search.g:  # the disk's values are exact: nothing to polish
-        raster.diagnostics = _refine_band(raster, search, opts, idx, argmax_member,
-                                          family, zs)
+        charts = opts.coarse_angles**search.g + opts.family_angles**search.g
+        raster.diagnostics = {"family_charts": [charts, len(family)],
+                              "seed_evaluations": search.seed_evaluations,
+                              **_refine_band(raster, search, opts, idx, argmax_member,
+                                             family, zs)}
     raster.relabel()
     return raster
 
 
-def _build_family(search: _ExtremalSearch, n_angles: int):
-    """Solve the chart for a deterministic grid of foot angles; returns the
-    list of zero tuples (failed chart points are skipped)."""
+def _build_family(search: _ExtremalSearch, *n_angles: int) -> list[list]:
+    """Solve the chart for deterministic grids of foot angles, n_angles^g
+    charts each, all in one batch; returns one list of zero tuples per grid
+    (failed chart points are skipped)."""
     g = search.g
-    grids = np.meshgrid(*[np.arange(n_angles) * (2 * np.pi / n_angles)] * g,
-                        indexing="ij")
-    combos = np.stack([a.ravel() for a in grids], axis=1)
-    pts, _, ok = search.solve_depths(combos)
-    return [tuple(complex(z) for z in row) for row in pts[ok]]
+    combos = [np.stack([a.ravel() for a in np.meshgrid(
+        *[np.arange(n) * (2 * np.pi / n)] * g, indexing="ij")], axis=1) for n in n_angles]
+    pts, _, ok = search.solve_depths(np.concatenate(combos))
+    ends = np.cumsum([0] + [len(c) for c in combos])
+    return [[tuple(complex(z) for z in row) for row in pts[a:b][ok[a:b]]]
+            for a, b in zip(ends, ends[1:])]
 
 
 def _member_min(search: _ExtremalSearch, z: np.ndarray, members, base: np.ndarray):

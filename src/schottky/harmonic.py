@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import qr, solve_triangular
+from scipy.linalg.lapack import dtrcon
 
 from .domain import CircularDomain, _pointwise, validate_domain
 from .errors import ConvergenceError, DomainError
@@ -41,20 +42,36 @@ class HarmonicModel:
     """Least-squares representation of the harmonic measures u_1..u_g.
 
     u_0 is never fitted; it is defined as 1 - sum of the others, which makes
-    the partition of unity exact.  ``solve_harmonic_measures`` builds it and
-    sets ``residual`` before returning it; from then on it is immutable and
-    its evaluators are pure and thread-safe.
+    the partition of unity exact.  The model holds the collocation points
+    (``colloc`` per circle, circle by circle) and the economic QR factors
+    ``q``, ``r`` of the basis matrix on them, so every boundary fit on the
+    same basis -- the measures here, each pole of a ``GreenFunction`` -- is
+    one projection and one triangular solve (``solve_dirichlet``).
+    ``cond`` is LAPACK's estimate of the 1-norm condition number of ``r``
+    (that of the collocation matrix), and ``residual`` the boundary misfit
+    of the measures on a fresh sample.  Immutable after construction; its
+    evaluators are pure and thread-safe.
     """
 
     def __init__(self, domain: CircularDomain, order: int, colloc: int,
-                 coeffs: np.ndarray, residual: float, cond: float):
+                 points: np.ndarray, q: np.ndarray, r: np.ndarray, cond: float):
         self.domain = domain
         self.order = order
         self.colloc = colloc
-        self.coeffs = coeffs  # (g, n_basis) real
-        self.residual = residual
+        self.points = points
+        self.q, self.r = q, r
         self.cond = cond
-        self._complex_coeffs = _complexify(domain, order, coeffs)
+        # u_j has the value 1 on inner circle j and 0 on the other circles
+        data = np.repeat(np.eye(domain.g + 1)[:, 1:], colloc, axis=0)
+        self.coeffs = self.solve_dirichlet(data).T  # (g, n_basis) real
+        self._complex_coeffs = _complexify(domain, order, self.coeffs)
+        self.residual = self.boundary_misfit(2 * colloc)
+
+    def solve_dirichlet(self, values: np.ndarray) -> np.ndarray:
+        """Basis coefficients, shape (n_basis, k), of the least-squares fits
+        to boundary values given at the collocation points, shape
+        (len(points), k): one projection and one triangular solve."""
+        return solve_triangular(self.r, self.q.T @ values)
 
     @property
     def g(self) -> int:
@@ -172,7 +189,7 @@ class HarmonicModel:
             target = np.zeros(self.g)
             if l >= 1:
                 target[l - 1] = 1.0
-            worst = max(worst, float(np.max(np.abs(vals - target))))
+            worst = max(worst, float(np.max(np.abs(vals - target), initial=0.0)))
         return worst
 
 
@@ -183,42 +200,29 @@ def solve_harmonic_measures(
     """Fit all harmonic measures of the domain by boundary least squares.
 
     ``colloc`` is the number of collocation points per circle (default
-    max(4*order, 64)).  Raises ConvergenceError when the collocation system
-    is hopelessly ill conditioned, which usually means the circles are too
+    max(4*order, 64)).  The collocation matrix is factored once (economic
+    QR) and the model keeps the factors for every later fit on its basis.
+    Raises ConvergenceError when LAPACK's 1-norm condition estimate of the
+    factor exceeds ``cond_limit``, which usually means the circles are too
     close together for this basis order.
     """
     report = validate_domain(d)
     if not report.is_valid:
         raise DomainError("invalid domain: " + "; ".join(report.messages))
-    g = d.g
-    if g == 0:
-        return HarmonicModel(d, order, 0, np.zeros((0, 1)), 0.0, 1.0)
     if colloc is None:
         colloc = max(4 * order, 64)
     if colloc < 4 * order:
         raise DomainError("need at least 4*order collocation points per circle")
-
-    rows = []
-    rhs = []
-    for l in range(g + 1):
-        pts = d.circle(l).samples(colloc)
-        rows.append(_basis_matrix(d, order, pts))
-        target = np.zeros((colloc, g))
-        if l >= 1:
-            target[:, l - 1] = 1.0
-        rhs.append(target)
-    amat = np.vstack(rows)
-    bmat = np.vstack(rhs)
-    coeffs, _, rank, sv = np.linalg.lstsq(amat, bmat, rcond=None)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+    points = np.concatenate([d.circle(l).samples(colloc) for l in range(d.g + 1)])
+    q, r = qr(_basis_matrix(d, order, points), mode="economic", overwrite_a=True)
+    rcond, _ = dtrcon(r)
+    cond = 1.0 / rcond if rcond > 0 else np.inf
     if cond > cond_limit:
         raise ConvergenceError(
             f"collocation system condition {cond:.2e} exceeds {cond_limit:.0e}; "
             "increase the circle separation or reduce the basis order"
         )
-    model = HarmonicModel(d, order, colloc, coeffs.T, 0.0, cond)
-    model.residual = model.boundary_misfit(2 * colloc)
-    return model
+    return HarmonicModel(d, order, colloc, points, q, r, cond)
 
 
 class GreenFunction:
@@ -235,17 +239,13 @@ class GreenFunction:
     is symmetric, and a proper map with zeros p_k has
     log|f| = -sum_k G(., p_k).
 
-    The collocation matrix is factored once (economic QR); each pole then
-    costs one projection and one triangular solve.  Immutable after
-    construction.
+    The fits reuse the model's collocation points and QR factors (no
+    factorization here): each pole costs one projection and one triangular
+    solve.  Immutable after construction.
     """
 
     def __init__(self, model: HarmonicModel):
-        d = model.domain
-        colloc = model.colloc or max(4 * model.order, 64)
         self.model = model
-        self._points = np.concatenate([d.circle(l).samples(colloc) for l in range(d.g + 1)])
-        self._q, self._r = np.linalg.qr(_basis_matrix(d, model.order, self._points))
 
     def _fit(self, poles: np.ndarray):
         """Images of the poles (None on the disk) and the coefficients of their
@@ -257,8 +257,8 @@ class GreenFunction:
             near = np.argmin(np.abs(offset) - d.radii, axis=1)
             star = d.centers[near] + d.radii[near] ** 2 / np.conj(
                 offset[np.arange(len(poles)), near])
-        rhs = -(self._q.T @ _log_part(self._points[:, None], poles, star))
-        return star, solve_triangular(self._r, rhs)
+        m = self.model
+        return star, m.solve_dirichlet(-_log_part(m.points[:, None], poles, star))
 
     def kernel(self, poles):
         """G(., p) for each pole, as one function of z that returns an array
@@ -460,11 +460,13 @@ class IntegralsFirstKind:
         return self.model.g
 
     def eval_v_all(self, z) -> np.ndarray:
-        """All v_j at z, shape (..., g); principal branches."""
+        """All v_j at z, shape (..., g); principal branches.  Each point is
+        contracted on its own row (einsum, not a BLAS product), so its value
+        does not depend on the batch it came in."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         h = _analytic_basis(self.domain, self.model.order, z)
-        gvals = h @ self.model._complex_coeffs.T  # (n, g) completions
-        return gvals @ self.combination.T - self._offset[None, :]
+        gvals = np.einsum("nb,jb->nj", h, self.model._complex_coeffs)  # completions
+        return np.einsum("nk,jk->nj", gvals, self.combination) - self._offset[None, :]
 
     def eval_v(self, j: int, z):
         return _pointwise(lambda z: self.eval_v_all(z)[..., j - 1], z)

@@ -179,24 +179,56 @@ def _chart_box(d: CircularDomain, feet: np.ndarray, dirs: np.ndarray):
 
 
 def _level_depths(model: HarmonicModel, circles, feet: np.ndarray, dirs: np.ndarray,
-                  levels) -> np.ndarray:
+                  levels, box=None) -> tuple[np.ndarray, int]:
     """Depths, shape (B, m), where the point on each ray alone brings the
     measure of its circle down to the level: u_l(foot + s dir) = level with
-    l = circles[k] for column k (u_l falls from 1 going inward).  One
-    bisection for all the rays over their chart boxes."""
-    lo, hi = _chart_box(model.domain, feet, dirs)
-    cols = np.asarray(circles) - 1
-    k = np.arange(feet.shape[1])
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        u = model.eval_u_all((feet + mid * dirs).ravel()).reshape(*feet.shape, -1)
-        above = u[:, k, cols] > levels
-        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
-    return 0.5 * (lo + hi)
+    l = circles[k] for column k (u_l falls from 1 going inward), and the
+    number of batched evaluations made.
+
+    Safeguarded Newton on each ray: the ray keeps a bisection bracket over
+    its chart box (``box``, computed when not given) with u_l above the
+    level at its low end, starts at the box's midpoint, and after each
+    evaluation takes the Newton step from ``eval_u_grad`` when that lands
+    inside the bracket, and the bracket's midpoint otherwise.  A ray is
+    frozen once its step falls below ``_SEED_TOL`` times its exit, the
+    resolution of a 40-step bisection of the box, so its depth is at least
+    as close to the level crossing as that bisection's.  After
+    ``_SEED_STEPS`` evaluations a ray still moving keeps its last iterate,
+    which lies inside its bracket.
+    """
+    lo, hi = _chart_box(model.domain, feet, dirs) if box is None else box
+    hi = hi.flatten()
+    lo = np.full(hi.shape, lo)
+    tol = _SEED_TOL * hi
+    level = np.broadcast_to(levels, feet.shape).ravel()
+    cols = np.broadcast_to(np.asarray(circles) - 1, feet.shape).ravel()
+    foot, ray = feet.ravel(), dirs.ravel()
+    s = 0.5 * (lo + hi)
+    active = np.arange(len(s))
+    evaluations = 0
+    while len(active) and evaluations < _SEED_STEPS:
+        at = s[active]
+        u, grad = model.eval_u_grad(foot[active] + at * ray[active])
+        evaluations += 1
+        k, c = np.arange(len(active)), cols[active]
+        excess = u[k, c] - level[active]
+        above = excess > 0
+        lo[active] = np.where(above, at, lo[active])
+        hi[active] = np.where(above, hi[active], at)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = at - excess / np.real(grad[k, c] * ray[active])
+        inside = (newton >= lo[active]) & (newton <= hi[active])
+        s[active] = np.where(inside, newton, 0.5 * (lo[active] + hi[active]))
+        active = active[np.abs(s[active] - at) > tol[active]]
+    return s.reshape(feet.shape), evaluations
+
+
+_SEED_TOL = 2.0**-41  # of the ray's exit: a 40-step bisection's resolution
+_SEED_STEPS = 100  # evaluations: a backstop above any seed seen (8 to 31)
 
 
 def _solve_chart(model: HarmonicModel, feet: np.ndarray, dirs: np.ndarray, target,
-                 seed) -> tuple[np.ndarray, np.ndarray]:
+                 seed, box=None) -> tuple[np.ndarray, np.ndarray]:
     """Depths s, shape (B, g), with sum_k u(feet + s dirs) = target for each
     row of g rays, and the max-norm residual of each row at its last
     evaluation.
@@ -205,9 +237,10 @@ def _solve_chart(model: HarmonicModel, feet: np.ndarray, dirs: np.ndarray, targe
     chart box, at most 40 evaluations.  A row counts as solved once its
     residual is below ``_CHART_TOL``, and is then held fixed (a zeroed step,
     so a batch gives the rows' one-at-a-time results).  A singular Jacobian
-    ends the solve with the residuals reached.
+    ends the solve with the residuals reached.  ``box`` is the rays' chart
+    box, computed when not given.
     """
-    lo, hi = _chart_box(model.domain, feet, dirs)
+    lo, hi = _chart_box(model.domain, feet, dirs) if box is None else box
     b, g = feet.shape
     s = np.clip(seed, lo, hi)
     for _ in range(40):
@@ -673,7 +706,7 @@ def from_boundary_data(
             else:
                 level = 1.0 - rate * t / max(nu[l] - 1, 1)
                 ray = np.array([[inward[(l, k)]]])
-                s = _level_depths(model, [l], np.array([[w]]), ray, level)
+                s, _ = _level_depths(model, [l], np.array([[w]]), ray, level)
                 pts.append(w + s[0, 0] * inward[(l, k)])
         return pts
 

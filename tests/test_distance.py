@@ -155,7 +155,7 @@ def test_family_equals_per_row_solves(triply_tools):
     from schottky.distance import _ExtremalSearch, _build_family
 
     search = _ExtremalSearch(triply_tools.model, 0.3j)
-    family = _build_family(search, 6)
+    family, = _build_family(search, 6)
     grid = np.arange(6) * (2 * np.pi / 6)
     rows = []
     for a1 in grid:
@@ -286,6 +286,10 @@ def test_raster_band_pixels_reach_mobius_distance(triply_tools):
     raster = ball_raster(t.model, t.ev, t.v, 0.3j, 0.6, resolution=20, opts=opts)
     band = np.argwhere(np.abs(raster.values - 0.6) < opts.refine_margin)
     assert len(band) == raster.diagnostics["polished"] > 0
+    # 6^2 + 12^2 family charts, all solved, from one batched seed that
+    # needs fewer evaluations than the 40 of a bisection
+    assert raster.diagnostics["family_charts"] == [180, 180]
+    assert 0 < raster.diagnostics["seed_evaluations"] < 40
     centers = raster.pixel_centers()
     for iy, ix in band:
         exact = mobius_distance(t.model, t.ev, t.v, 0.3j, complex(centers[iy, ix])).value

@@ -299,3 +299,66 @@ def test_green_function_closed_forms(disk_tools, annulus_tools):
     annulus = GreenFunction(annulus_tools.model)(z, [0.5, -0.5])
     wy = np.abs(wang_yin_eval(0.25, [0.5, -0.5], 1, z))
     assert np.max(np.abs(np.exp(-annulus.sum(axis=1)) - wy)) < 1e-12
+
+
+_ONE_FACTORIZATION_DOMAINS = {
+    "triply": CircularDomain((Circle(-0.5 + 0j, 0.1), Circle(0.5 + 0j, 0.1))),
+    "4-connected": CircularDomain((Circle(-0.5 + 0j, 0.12), Circle(0.45 + 0.1j, 0.1),
+                                   Circle(-0.05 - 0.55j, 0.1))),
+    # the shrinking-hole family: anchor circle at -0.5, hole at 0.4
+    "hole-0.05": CircularDomain((Circle(-0.5 + 0j, 0.15), Circle(0.4 + 0j, 0.05))),
+    "hole-1e-6": CircularDomain((Circle(-0.5 + 0j, 0.15), Circle(0.4 + 0j, 1e-6))),
+}
+
+
+def _measure_data(domain, points_per_circle):
+    """Boundary values of u_1..u_g, circle by circle."""
+    return np.repeat(np.eye(domain.g + 1)[:, 1:], points_per_circle, axis=0)
+
+
+@pytest.mark.parametrize("name", list(_ONE_FACTORIZATION_DOMAINS))
+def test_measures_fit_from_the_models_factors(name):
+    d = _ONE_FACTORIZATION_DOMAINS[name]
+    model = solve_harmonic_measures(d)
+    # the reference: an SVD least-squares solve of the same system
+    amat = _basis_matrix(d, model.order, model.points)
+    ref, *_ = np.linalg.lstsq(amat, _measure_data(d, model.colloc), rcond=None)
+    z = interior_points(d, 200, seed=3, margin=0.01)
+    assert np.max(np.abs(model.eval_u_all(z) - _basis_matrix(d, model.order, z) @ ref)) < 1e-13
+    # the same boundary misfit on the fresh sample the model reports
+    fresh = np.concatenate([d.circle(l).samples(2 * model.colloc) for l in range(d.g + 1)])
+    misfit = np.max(np.abs(_basis_matrix(d, model.order, fresh) @ ref
+                           - _measure_data(d, 2 * model.colloc)))
+    assert model.residual == pytest.approx(misfit, abs=1e-13)
+    # cond is LAPACK's 1-norm estimate; it bounds the 2-norm one within a
+    # factor of the basis size
+    cond, n = np.linalg.cond(amat), amat.shape[1]
+    assert cond / n <= model.cond <= cond * n
+
+
+def test_green_function_runs_no_factorization(monkeypatch, triply_tools, disk_tools):
+    def refuse(*args, **kwargs):
+        raise AssertionError("GreenFunction factored a matrix")
+
+    import scipy.linalg
+    import schottky.harmonic
+
+    for module in (np.linalg, scipy.linalg, schottky.harmonic):
+        monkeypatch.setattr(module, "qr", refuse)
+    z = np.array([0.3 + 0.1j, -0.5j, 0.6])
+    p = np.array([0.0, 0.4 + 0.2j])
+    green = GreenFunction(disk_tools.model)
+    expected = np.log(np.abs((1 - np.conj(p) * z[:, None]) / (z[:, None] - p)))
+    assert np.max(np.abs(green(z, p) - expected)) < 1e-14
+    green = GreenFunction(triply_tools.model)
+    z = np.array([0.3 + 0.1j, -0.5j, 0.2 - 0.4j])
+    assert np.max(np.abs(green(z, p) - green(p, z).T)) < 1e-10
+
+
+def test_first_kind_integrals_do_not_depend_on_batch():
+    d = _ONE_FACTORIZATION_DOMAINS["4-connected"]
+    v = integrals_first_kind(solve_harmonic_measures(d))
+    z = interior_points(d, 1000, seed=22, margin=0.02)
+    whole = v.eval_v_all(z)
+    for i in range(1000):
+        assert np.array_equal(v.eval_v_all(z[i : i + 1])[0], whole[i])

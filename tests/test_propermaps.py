@@ -12,6 +12,7 @@ from schottky.errors import (
     ResolutionError,
     SingularEvaluationError,
 )
+from schottky.harmonic import solve_harmonic_measures
 from schottky.prime import RatioProduct
 from schottky.propermaps import (
     blaschke_eval,
@@ -110,7 +111,7 @@ def test_chart_batch_equals_rows(triply_tools):
     m = triply_tools.model
     feet, dirs = _random_charts(m.domain, 12, seed=7)
     target = 1.0 - m.eval_u_all(0.3j)[0]  # the extremal search's charts
-    seed = _level_depths(m, [1, 2], feet, dirs, target)
+    seed, _ = _level_depths(m, [1, 2], feet, dirs, target)
     s, res = _solve_chart(m, feet, dirs, target, seed)
     assert np.all(res < _CHART_TOL)
     for k in range(len(feet)):
@@ -138,6 +139,60 @@ def test_chart_depths_stay_in_box(triply_tools, annulus_tools):
     assert exit_depth == pytest.approx(0.75)
     assert res[0] >= _CHART_TOL
     assert 0 < s[0, 0] < exit_depth
+
+
+def _bisection_depths(model, circles, feet, dirs, levels):
+    """The reference seed: 40 bisection steps over each ray's chart box."""
+    lo, hi = 1e-12, _exits(model.domain, feet, dirs) * (1 - 1e-12)
+    cols = np.asarray(circles) - 1
+    k = np.arange(feet.shape[1])
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        u = model.eval_u_all((feet + mid * dirs).ravel()).reshape(*feet.shape, -1)
+        above = u[:, k, cols] > levels
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+# (inner circles, base point): the raster benchmark's domain, and the
+# shrinking-hole family (anchor circle at -0.5, hole of radius eps at 0.4)
+# with the base point 1e-4 off the anchor, facing away from the hole
+_SEED_CASES = {
+    "raster": (((-0.5, 0.1), (0.5, 0.1)), 0.3j),
+    **{f"hole-{eps:g}": (((-0.5, 0.15), (0.4, eps)), -0.5 - (0.15 + 1e-4))
+       for eps in (0.05, 1e-3, 1e-6)},
+}
+
+
+@pytest.mark.parametrize("case", list(_SEED_CASES))
+def test_level_depths_match_bisection(case):
+    from schottky.distance import _build_family, _ExtremalSearch
+
+    circles, p_tilde = _SEED_CASES[case]
+    model = solve_harmonic_measures(CircularDomain(tuple(Circle(q + 0j, r) for q, r in circles)))
+    search = _ExtremalSearch(model, p_tilde)
+    d = model.domain
+    # the raster families' charts: 6 x 6 and 12 x 12 grids of foot angles
+    angles = np.concatenate([np.stack(np.meshgrid(*[np.arange(n) * (2 * np.pi / n)] * 2,
+                                                  indexing="ij"), axis=-1).reshape(-1, 2)
+                             for n in (6, 12)])
+    feet = d.centers + d.radii * np.exp(1j * angles)
+    dirs = (feet - d.centers) / d.radii  # as the search builds them
+    newton, evaluations = _level_depths(model, [1, 2], feet, dirs, search.targets)
+    reference = _bisection_depths(model, [1, 2], feet, dirs, search.targets)
+    # within the bisection's resolution of the box, 2^-40 of the exit; at
+    # eps = 1e-6 the hole's depths are about 7e-12, and that resolution is up
+    # to 8.7% of them: there the reference is the coarser of the two
+    exits = _exits(d, feet, dirs)
+    assert np.all(np.abs(newton - reference) <= 2.0**-40 * exits)
+    assert evaluations < 40
+    # the same family members as the reference-seeded chart solves
+    solved, res = _solve_chart(model, feet, dirs, search.targets, reference)
+    ok = res < _CHART_TOL
+    coarse, fine = _build_family(search, 6, 12)
+    family = np.array(coarse + fine)
+    assert len(family) == ok.sum()
+    assert np.max(np.abs(family - (feet + solved * dirs)[ok])) < 1e-12
 
 
 # -- construction ---------------------------------------------------------------
@@ -222,10 +277,9 @@ def test_fused_product_does_not_depend_on_batch(g3_tools):
         assert np.max(np.abs(parts - full)) < 1e-15
     for i in range(0, 1000, 37):
         assert abs(ratios(pts[i:i + 1])[0] - full[i]) < 1e-15
-    # the map as a whole adds the first-kind integrals, whose BLAS products
-    # round differently by batch size
+    # the map as a whole adds the first-kind integrals, contracted per point
     whole = f(pts)
-    assert max(abs(f(complex(pts[i])) - whole[i]) for i in range(0, 1000, 37)) < 1e-13
+    assert max(abs(f(complex(pts[i])) - whole[i]) for i in range(0, 1000, 37)) < 1e-15
 
 
 def test_build_guards_zeros_at_fixed_points(annulus_tools):
