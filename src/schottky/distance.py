@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
-from scipy.optimize import minimize  # noqa: F401  unused; perfbench's tracer wraps it by name
 
 from .domain import CircularDomain, _pointwise
 from .errors import (
@@ -53,6 +52,20 @@ __all__ = [
     "find_disconnected_ball",
     "wang_yin_eval",
 ]
+
+
+def __getattr__(name: str):
+    # exists only so perfbench/tracer.py still finds ``distance.minimize``,
+    # which it wraps by name: nothing here calls scipy's optimizer, and
+    # importing it on first access rather than with this module keeps
+    # scipy.optimize out of every run that does not ask for it
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        globals()["minimize"] = minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=int)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "realize_all",
     "tail_estimate",
     "adaptive_word_length",
+    "adaptive_ball",
     "word_inverse",
     "is_reduced",
     "ball_size",
@@ -37,14 +39,6 @@ __all__ = [
 GroupWord = tuple[int, ...]
 
 DEFAULT_WORD_CAP = 200_000
-
-
-def _letter_key(letter: int) -> tuple[int, int]:
-    return (abs(letter), 0 if letter > 0 else 1)
-
-
-def word_key(w: GroupWord) -> tuple:
-    return (len(w), tuple(_letter_key(x) for x in w))
 
 
 def word_inverse(w: GroupWord) -> GroupWord:
@@ -66,12 +60,33 @@ def ball_size(g: int, max_length: int) -> int:
 @dataclass(frozen=True)
 class WordEnumeration:
     """All reduced words up to ``max_length``, canonically ordered, with the
-    half-set mask over the non-identity words."""
+    half-set mask over the non-identity words.
+
+    Row i of the ball also carries, as arrays, the index ``parent[i]`` of
+    the word without its last letter (-1 for the identity), that last letter
+    ``letter[i]`` (0 for the identity) and the word's ``length[i]``: the
+    level structure the realization runs over.  ``enumerate_words`` builds
+    them with the words; an enumeration made by hand from words alone
+    derives them from the words, each of whose prefixes must be listed.
+    """
 
     g: int
     max_length: int
     words: tuple[GroupWord, ...]
     half_set_mask: np.ndarray
+    parent: np.ndarray | None = None
+    letter: np.ndarray | None = None
+    length: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.parent is None or self.letter is None or self.length is None:
+            index = {w: i for i, w in enumerate(self.words)}
+            n = len(self.words)
+            object.__setattr__(self, "parent", np.fromiter(
+                (index[w[:-1]] if w else -1 for w in self.words), np.intp, n))
+            object.__setattr__(self, "letter", np.fromiter(
+                (w[-1] if w else 0 for w in self.words), np.intp, n))
+            object.__setattr__(self, "length", np.fromiter(map(len, self.words), np.intp, n))
 
     def half_set(self) -> list[GroupWord]:
         return [w for w, m in zip(self.words, self.half_set_mask) if m]
@@ -88,42 +103,67 @@ def word_cap() -> int:
 def enumerate_words(g: int, max_length: int, cap: int | None = None) -> WordEnumeration:
     """Enumerate all reduced words of length <= ``max_length``.
 
-    Raises ResourceLimitError when the ball size would exceed the cap
-    (default 200,000, overridable via SCHOTTKY_MAX_WORDS).
+    The ball is built level by level as arrays of letter ranks (the position
+    of a letter in the order 1, -1, 2, -2, ...; a letter's inverse has rank
+    ``rank ^ 1``): level k + 1 appends every rank but the inverse of its last
+    letter to each word of level k, parents in order, so the canonical order
+    follows from the construction.  A word is in the half set when its ranks
+    precede, lexicographically, those of its inverse (the columns reversed,
+    each rank ^ 1); the two differ, since no reduced word is its own inverse.
+
+    Raises ResourceLimitError, before allocating anything, when the ball
+    size would exceed the cap (default 200,000, overridable via
+    SCHOTTKY_MAX_WORDS).
     """
     if g < 0 or max_length < 0:
         raise DomainError("g and max_length must be nonnegative")
+    _check_cap(g, max_length, cap)
+    return _assemble(g, max_length, islice(_levels(g), max_length))
+
+
+def _check_cap(g: int, max_length: int, cap: int | None = None) -> None:
     cap = word_cap() if cap is None else cap
     n = ball_size(g, max_length)
     if n > cap:
         raise ResourceLimitError(
             f"word ball of size {n} exceeds cap {cap} (g={g}, L={max_length})"
         )
-    letters = sorted(
-        [j for k in range(1, g + 1) for j in (k, -k)], key=_letter_key
-    )
-    words: list[GroupWord] = [()]
-    frontier: list[GroupWord] = [()]
-    for _ in range(max_length):
-        nxt = []
-        for w in frontier:
-            for letter in letters:
-                if w and w[-1] == -letter:
-                    continue
-                nxt.append(w + (letter,))
-        frontier = nxt
-        words.extend(frontier)
 
-    index = {w: i for i, w in enumerate(words)}
-    mask = np.zeros(len(words), dtype=bool)
-    for w, i in index.items():
-        if not w:
-            continue
-        winv = word_inverse(w)
-        # mark w iff it precedes its inverse in the canonical order
-        if word_key(w) < word_key(winv):
-            mask[i] = True
-    return WordEnumeration(g, max_length, tuple(words), mask)
+
+def _levels(g: int):
+    """The levels k = 1, 2, ... of the ball on g generators, as arrays:
+    yields (parent, ranks, half) per level, where word i of the level is
+    word parent[i] of the level before with one more letter, ranks[i] are
+    its k letter ranks and half[i] says whether it is in the half set."""
+    ranks = np.zeros((1, 0), dtype=np.intp)  # level 0: the identity
+    while True:
+        parent = np.repeat(np.arange(len(ranks)), 2 * g)
+        rank = np.tile(np.arange(2 * g), len(ranks))
+        if ranks.shape[1]:
+            keep = rank != (ranks[parent, -1] ^ 1)
+            parent, rank = parent[keep], rank[keep]
+        ranks = np.concatenate([ranks[parent], rank[:, None]], axis=1)
+        inverse = ranks[:, ::-1] ^ 1
+        first = np.argmax(ranks != inverse, axis=1)
+        rows = np.arange(len(ranks))
+        yield parent, ranks, ranks[rows, first] < inverse[rows, first]
+
+
+def _assemble(g: int, max_length: int, levels) -> WordEnumeration:
+    """The enumeration of the identity followed by the given levels."""
+    by_rank = np.array([j for k in range(1, g + 1) for j in (k, -k)], dtype=np.intp)
+    words: list[GroupWord] = [()]
+    masks, parents, letters, lengths = [[False]], [[-1]], [[0]], [[0]]
+    start, size = 0, 1  # first row and size of the level before
+    for parent, ranks, half in levels:
+        words.extend(map(tuple, by_rank[ranks].tolist()))
+        masks.append(half)
+        parents.append(parent + start)
+        letters.append(by_rank[ranks[:, -1]])
+        lengths.append(np.full(len(ranks), ranks.shape[1]))
+        start, size = start + size, len(ranks)
+    return WordEnumeration(g, max_length, tuple(words), *(
+        np.concatenate(x) for x in (masks, parents, letters, lengths)))
 
 
 def generators(d: CircularDomain) -> list[MobiusMap]:
@@ -156,20 +196,62 @@ def realize(d: CircularDomain, w: GroupWord) -> MobiusMap:
     return m
 
 
-def realize_all(d: CircularDomain, enum: WordEnumeration) -> list[MobiusMap]:
-    """Realize every enumerated word, reusing each word's parent (the words
-    are ordered so that any proper prefix appears earlier)."""
+def realize_all(d: CircularDomain, enum: WordEnumeration) -> np.ndarray:
+    """Coefficients of every enumerated word's map, shape (4, len(enum)):
+    rows a, b, c, d of (a z + b) / (c z + d), the identity included.
+
+    One level per batch: each word is its parent's map composed with the
+    generator of its last letter (see ``_compose``), so the table equals
+    the scalar chain of ``mobius_compose`` calls bit for bit.
+    """
+    table = np.empty((4, len(enum)), dtype=complex)
+    table[:, enum.length == 0] = _IDENTITY
+    gens = _generator_table(d)
+    for k in range(1, enum.max_length + 1):
+        rows = np.flatnonzero(enum.length == k)
+        letter = enum.letter[rows]
+        table[:, rows] = _compose(table[:, enum.parent[rows]],
+                                  gens[:, 2 * (np.abs(letter) - 1) + (letter < 0)])
+    return table
+
+
+_IDENTITY = np.array([[1.0], [0.0], [0.0], [1.0]], dtype=complex)
+
+
+def _generator_table(d: CircularDomain) -> np.ndarray:
+    """Coefficients of the letters' maps by rank, shape (4, 2g): generator j
+    and its inverse, normalized as ``realize`` takes them."""
     gens = [g.normalized() for g in generators(d)] if d.g else []
-    invs = [g.inverse().normalized() for g in gens]
-    out: dict[GroupWord, MobiusMap] = {(): MobiusMap.identity()}
-    maps = []
-    for w in enum.words:
-        if w not in out:
-            letter = w[-1]
-            gen = gens[letter - 1] if letter > 0 else invs[-letter - 1]
-            out[w] = mobius_compose(out[w[:-1]], gen)
-        maps.append(out[w])
-    return maps
+    return np.array([[m.a, m.b, m.c, m.d] for g in gens
+                     for m in (g, g.inverse().normalized())], dtype=complex).reshape(-1, 4).T
+
+
+def _compose(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """Column by column ``mobius_compose(m1, m2)`` of two coefficient
+    tables, bit for bit.  That takes Python's arithmetic, part by part:
+    products as in ``_mul``, moduli as ``np.hypot`` of the parts (``np.abs``
+    on complex numbers rounds differently from Python's ``abs``), and the
+    parts divided one by one (numpy's complex division by a real multiplies
+    by a reciprocal)."""
+    a1, b1, c1, d1 = m1
+    a2, b2, c2, d2 = m2
+    out = np.stack([_mul(a1, a2) + _mul(b1, c2), _mul(a1, b2) + _mul(b1, d2),
+                    _mul(c1, a2) + _mul(d1, c2), _mul(c1, b2) + _mul(d1, d2)])
+    scale = np.hypot(out.real, out.imag).max(axis=0)
+    scale[~(scale > 0)] = 1.0  # mobius_compose leaves these unscaled
+    out.real /= scale
+    out.imag /= scale
+    return out
+
+
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y with the four real products and two sums of Python's complex
+    multiplication; numpy's complex multiply may fuse them and round
+    differently."""
+    out = np.empty(x.shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
 
 
 def tail_estimate(d: CircularDomain, length: int, samples: int = 32) -> float:
@@ -184,20 +266,26 @@ def tail_estimate(d: CircularDomain, length: int, samples: int = 32) -> float:
     if d.g == 0 or length == 0:
         return 0.0
     enum = enumerate_words(d.g, length)
-    maps = realize_all(d, enum)
+    table = realize_all(d, enum)
+    return _max_diameter(d, table[:, (enum.length == length) & enum.half_set_mask], samples)
+
+
+# words whose sampled images are compared at once by ``_max_diameter``: a
+# block's pairwise differences take 8 MB at 32 samples per circle, g = 2
+_TAIL_BLOCK = 32
+
+
+def _max_diameter(d: CircularDomain, maps: np.ndarray, samples: int = 32) -> float:
+    """The largest diameter of the sampled domain boundary's images under
+    the maps of a coefficient table (0 for none)."""
     pts = np.concatenate([d.circle(l).samples(samples) for l in range(d.g + 1)])
     worst = 0.0
-    for w, m, marked in zip(enum.words, maps, enum.half_set_mask):
-        if len(w) != length or not marked:
-            continue
-        img = m(pts)
-        diam = _diameter(img)
-        worst = max(worst, diam)
+    for i in range(0, maps.shape[1], _TAIL_BLOCK):
+        a, b, c, dd = maps[:, i:i + _TAIL_BLOCK, None]
+        img = (a * pts + b) / (c * pts + dd)
+        diam = np.abs(img[:, :, None] - img[:, None, :]).max(axis=(1, 2))
+        worst = max(worst, float(diam.max()))
     return worst
-
-
-def _diameter(pts: np.ndarray) -> float:
-    return float(np.max(np.abs(pts[:, None] - pts[None, :])))
 
 
 def adaptive_word_length(
@@ -206,13 +294,30 @@ def adaptive_word_length(
     """Smallest word length whose tail estimate is below ``tol``, capped at
     ``max_len`` and at the largest length whose word ball fits ``word_cap()``.
     Returns (length, achieved tail estimate)."""
+    length, est, _, _ = adaptive_ball(d, tol, max_len)
+    return length, est
+
+
+def adaptive_ball(
+    d: CircularDomain, tol: float = 1e-10, max_len: int = 8
+) -> tuple[int, float, WordEnumeration, np.ndarray]:
+    """``adaptive_word_length`` together with the word ball at that length
+    and its ``realize_all`` table, grown one level per length tried: each
+    level is enumerated and realized once, and its tail estimate read off
+    its half-set columns."""
     if d.g == 0:
-        return 0, 0.0
-    est = np.inf
-    for L in range(1, max_len + 1):
-        if L > 1 and ball_size(d.g, L) > word_cap():
-            return L - 1, est
-        est = tail_estimate(d, L)
+        return 0, 0.0, enumerate_words(0, 0), _IDENTITY.copy()
+    top = max((L for L in range(1, max_len + 1)
+               if L == 1 or ball_size(d.g, L) <= word_cap()), default=0)
+    _check_cap(d.g, top)
+    gens = _generator_table(d)
+    levels, tables = [], [_IDENTITY]
+    length, est = 0, np.inf
+    for length, level in zip(range(1, top + 1), _levels(d.g)):
+        parent, ranks, half = level
+        tables.append(_compose(tables[-1][:, parent], gens[:, ranks[:, -1]]))
+        levels.append(level)
+        est = _max_diameter(d, tables[-1][:, half])
         if est < tol:
-            return L, est
-    return max_len, est
+            break
+    return length, est, _assemble(d.g, length, levels), np.concatenate(tables, axis=1)

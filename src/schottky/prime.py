@@ -28,7 +28,7 @@ from .domain import CircularDomain, _pointwise, validate_domain
 from .errors import DomainError, SingularEvaluationError
 from .group import (
     WordEnumeration,
-    adaptive_word_length,
+    adaptive_ball,
     enumerate_words,
     generators,
     realize_all,
@@ -49,8 +49,14 @@ _POINT_TILE = 32
 
 
 class PrimeEvaluator:
-    """Caches a realized half set of the Schottky group and evaluates the
+    """Holds the realized word ball of the Schottky group and evaluates the
     truncated prime-function product.
+
+    The ball is realized once, as ``mobius_table`` (the ``realize_all``
+    table: rows a, b, c, d over every enumerated word, identity included);
+    the product runs over its half-set columns.  Every other product over
+    the ball (``lift_blaschke``, the group-averaged Blaschke route of the
+    slit maps) reads the same table.
 
     The product evaluations are pure, so one evaluator can serve any number
     of threads.  The one state written after construction is the sign of
@@ -86,29 +92,26 @@ class PrimeEvaluator:
         self.validation = report
         self.singular_tol = singular_tol
 
+        table = None
         if enumeration is not None:
             if max_word_length is not None and enumeration.max_length != max_word_length:
                 raise DomainError("enumeration length disagrees with max_word_length")
         elif domain.g == 0:
             enumeration = enumerate_words(0, 0)
+        elif max_word_length is None:
+            max_word_length, tail, enumeration, table = adaptive_ball(domain, tol=tail_tol)
+            if tail >= tail_tol:
+                warnings.warn(
+                    f"tail estimate {tail:.2e} above {tail_tol:.1e} at L={max_word_length}",
+                    stacklevel=2,
+                )
         else:
-            if max_word_length is None:
-                max_word_length, tail = adaptive_word_length(domain, tol=tail_tol)
-                if tail >= tail_tol:
-                    warnings.warn(
-                        f"tail estimate {tail:.2e} above {tail_tol:.1e} at L={max_word_length}",
-                        stacklevel=2,
-                    )
             enumeration = enumerate_words(domain.g, max_word_length)
         self.enumeration = enumeration
         self.max_word_length = enumeration.max_length
-
-        self._maps = realize_all(domain, enumeration)
-        half = [m for m, keep in zip(self._maps, enumeration.half_set_mask) if keep]
-        self._half_a = np.array([m.a for m in half], dtype=complex)
-        self._half_b = np.array([m.b for m in half], dtype=complex)
-        self._half_c = np.array([m.c for m in half], dtype=complex)
-        self._half_d = np.array([m.d for m in half], dtype=complex)
+        self.mobius_table = realize_all(domain, enumeration) if table is None else table
+        self._half_a, self._half_b, self._half_c, self._half_d = (
+            self.mobius_table[:, enumeration.half_set_mask])
         self._gens = generators(domain) if domain.g else []
         self._sqrt_signs: dict[int, float] = {}
 

@@ -189,7 +189,11 @@ def _level_depths(model: HarmonicModel, circles, feet: np.ndarray, dirs: np.ndar
     its chart box (``box``, computed when not given) with u_l above the
     level at its low end, starts at the box's midpoint, and after each
     evaluation takes the Newton step from ``eval_u_grad`` when that lands
-    inside the bracket, and the bracket's midpoint otherwise.  A ray is
+    inside the bracket, and the bracket's midpoint otherwise: the geometric
+    one, sqrt(lo hi), while hi > ``_WIDE_BRACKET`` lo, the arithmetic one
+    after.  u_l grows like the log of the depth near a small circle, so on
+    a tiny hole the geometric midpoint reaches the decade of the level
+    crossing in a few steps, where halving would take twenty.  A ray is
     frozen once its step falls below ``_SEED_TOL`` times its exit, the
     resolution of a 40-step bisection of the box, so its depth is at least
     as close to the level crossing as that bisection's.  After
@@ -218,13 +222,19 @@ def _level_depths(model: HarmonicModel, circles, feet: np.ndarray, dirs: np.ndar
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = at - excess / np.real(grad[k, c] * ray[active])
         inside = (newton >= lo[active]) & (newton <= hi[active])
-        s[active] = np.where(inside, newton, 0.5 * (lo[active] + hi[active]))
+        a, b = lo[active], hi[active]
+        mid = np.where(b > _WIDE_BRACKET * a, np.sqrt(a * b), 0.5 * (a + b))
+        s[active] = np.where(inside, newton, mid)
         active = active[np.abs(s[active] - at) > tol[active]]
     return s.reshape(feet.shape), evaluations
 
 
 _SEED_TOL = 2.0**-41  # of the ray's exit: a 40-step bisection's resolution
-_SEED_STEPS = 100  # evaluations: a backstop above any seed seen (8 to 31)
+# brackets whose ends lie further apart than this ratio fall back to their
+# geometric midpoint: the level depths of tiny holes lie decades below the
+# box midpoint, where halving the bracket gains one bit per evaluation
+_WIDE_BRACKET = 16.0
+_SEED_STEPS = 100  # evaluations: a backstop above any seed seen (7 to 25)
 
 
 def _solve_chart(model: HarmonicModel, feet: np.ndarray, dirs: np.ndarray, target,
@@ -580,11 +590,7 @@ def lift_blaschke(
             raise AdmissibilityError("negative outer boundary degree implied by the zeros")
     nvec = np.asarray(nu[1:], dtype=float)
 
-    maps = ev._maps  # full word ball, identity included
-    a = np.array([m.a for m in maps])
-    b = np.array([m.b for m in maps])
-    c = np.array([m.c for m in maps])
-    dd = np.array([m.d for m in maps])
+    a, b, c, dd = ev.mobius_table  # full word ball, identity included
     th1 = (a + b) / (c + dd)
     b_at_th1 = blaschke_eval(zeros, th1)
 

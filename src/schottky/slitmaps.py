@@ -127,19 +127,17 @@ def eta_via_mobius_product(
     enumeration: WordEnumeration,
     z,
     p: complex,
-    maps=None,
+    table: np.ndarray | None = None,
 ):
     """Independent route to eta: the product of disk Blaschke factors
     m(theta(z), p)/m(theta(1), p) over the whole truncated group ball
     (identity included).  Valid on domains where the prime-function product
-    converges; agrees with the omega-ratio form to truncation accuracy."""
+    converges; agrees with the omega-ratio form to truncation accuracy.
+    ``table`` is the ball's ``realize_all`` table, e.g. an evaluator's
+    ``mobius_table`` for the same enumeration; it is realized when not
+    given."""
     p = complex(p)
-    if maps is None:
-        maps = realize_all(d, enumeration)
-    a = np.array([m.a for m in maps])
-    b = np.array([m.b for m in maps])
-    c = np.array([m.c for m in maps])
-    dd = np.array([m.d for m in maps])
+    a, b, c, dd = realize_all(d, enumeration) if table is None else table
     th_1 = (a + b) / (c + dd)
     m1 = (th_1 - p) / (1.0 - p.conjugate() * th_1)
 

@@ -164,6 +164,11 @@ _SEED_CASES = {
 }
 
 
+# batched evaluations each case's seed takes: the geometric midpoint of a
+# wide bracket reaches the tiny holes' depths in a few steps
+_SEED_EVALUATIONS = {"raster": 7, "hole-0.05": 7, "hole-0.001": 16, "hole-1e-06": 25}
+
+
 @pytest.mark.parametrize("case", list(_SEED_CASES))
 def test_level_depths_match_bisection(case):
     from schottky.distance import _build_family, _ExtremalSearch
@@ -185,7 +190,7 @@ def test_level_depths_match_bisection(case):
     # to 8.7% of them: there the reference is the coarser of the two
     exits = _exits(d, feet, dirs)
     assert np.all(np.abs(newton - reference) <= 2.0**-40 * exits)
-    assert evaluations < 40
+    assert evaluations <= _SEED_EVALUATIONS[case]
     # the same family members as the reference-seeded chart solves
     solved, res = _solve_chart(model, feet, dirs, search.targets, reference)
     ok = res < _CHART_TOL
