@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .domain import CircularDomain, _pointwise
 from .errors import (
@@ -56,9 +55,9 @@ __all__ = [
 
 def __getattr__(name: str):
     # exists only so perfbench/tracer.py still finds ``distance.minimize``,
-    # which it wraps by name: nothing here calls scipy's optimizer, and
-    # importing it on first access rather than with this module keeps
-    # scipy.optimize out of every run that does not ask for it
+    # which it wraps by name: nothing here calls scipy's optimizer, and scipy
+    # is not a dependency of the library, so it is imported on first access
+    # and never by a run that does not ask for it
     if name == "minimize":
         from scipy.optimize import minimize
 
@@ -67,7 +66,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-_FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=int)
+_FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -370,13 +369,14 @@ class BallRaster:
         return iy, ix
 
     def relabel(self, threshold: float | None = None) -> np.ndarray:
-        """(Re)compute the flood-fill labels of {value < threshold}."""
+        """(Re)compute the flood-fill labels of {value < threshold}: the
+        4-connected components of the sublevel set, numbered in the order a
+        row-major scan first meets them (``_label_components``)."""
         if threshold is not None:
             self.threshold = float(threshold)
         inside = ~np.isnan(self.values)
         mask = inside & (self.values < self.threshold)
-        lab, _ = ndimage.label(mask, structure=_FOUR_CONN)
-        lab = lab.astype(np.int32)
+        lab = _label_components(mask)
         lab[~inside] = -1
         self.labels = lab
         return lab
@@ -394,13 +394,12 @@ class BallRaster:
         mask = self.labels == label
         yy, xx = np.mgrid[-radius_px : radius_px + 1, -radius_px : radius_px + 1]
         disk = (xx**2 + yy**2) <= radius_px**2
-        return bool(ndimage.binary_erosion(mask, structure=disk).any())
+        return bool(np.logical_and.reduce(_shifts(mask, disk)).any())  # erosion
 
     def touches_domain_boundary(self, label: int) -> bool:
         """Whether the component touches a pixel bordering the domain
         complement (negation certifies relative compactness at grid scale)."""
-        outside = self.labels == -1
-        grown = ndimage.binary_dilation(outside, structure=_FOUR_CONN.astype(bool))
+        grown = np.logical_or.reduce(_shifts(self.labels == -1, _FOUR_CONN))  # dilation
         return bool((grown & (self.labels == label)).any())
 
     # -- CSV format: header comments, then ny rows of nx values ----------------
@@ -440,6 +439,59 @@ class BallRaster:
         raster = cls(bbox, nx, ny, center, threshold, values)
         raster.relabel()
         return raster
+
+
+def _shifts(mask: np.ndarray, structure: np.ndarray) -> list[np.ndarray]:
+    """mask[y + dy, x + dx] for each offset (dy, dx) of the centered,
+    symmetric structure, False beyond the edges: their AND is the binary
+    erosion of the mask by the structure, their OR its dilation."""
+    ry, rx = (n // 2 for n in structure.shape)
+    padded = np.pad(mask, ((ry, ry), (rx, rx)))
+    ny, nx = mask.shape
+    return [padded[i : i + ny, j : j + nx] for i, j in np.argwhere(structure)]
+
+
+def _label_components(mask: np.ndarray) -> np.ndarray:
+    """Labels 1..k (int32) of the 4-connected components of a 2-d boolean
+    mask, 0 off it, numbered in the order a row-major scan first meets them.
+
+    The nodes are the mask's horizontal runs, numbered in scan order, and
+    the edges join runs of neighbouring rows that overlap.  Every run
+    points at a run of its component with a smaller or equal number; each
+    round hooks the larger of two joined roots onto the smaller and then
+    jumps pointers until every run points at its root, so each component
+    ends at its first run, and the roots in run order number the components
+    in scan order."""
+    ny, nx = mask.shape
+    start, stop = mask.copy(), mask.copy()
+    start[:, 1:] &= ~mask[:, :-1]
+    stop[:, :-1] &= ~mask[:, 1:]
+    starts = np.flatnonzero(start)  # flat index of each run's first pixel, in scan order
+    lengths = np.flatnonzero(stop) + 1 - starts
+    # one edge per overlapping pair of runs: the first column of the overlap
+    both = mask[:-1] & mask[1:]
+    both[:, 1:] &= ~both[:, :-1]
+    edge = np.flatnonzero(both)
+    upper = np.searchsorted(starts, edge, side="right") - 1
+    lower = np.searchsorted(starts, edge + nx, side="right") - 1
+    parent = np.arange(len(starts))
+    while True:
+        pu, pl = parent[upper], parent[lower]
+        joined = pu != pl
+        if not joined.any():
+            break
+        upper, lower, pu, pl = upper[joined], lower[joined], pu[joined], pl[joined]
+        np.minimum.at(parent, np.maximum(pu, pl), np.minimum(pu, pl))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    root = parent == np.arange(len(parent))
+    number = np.cumsum(root, dtype=np.int32)[parent]
+    out = np.zeros((ny, nx), dtype=np.int32)
+    out[mask] = np.repeat(number, lengths)  # the masked pixels are the runs, in order
+    return out
 
 
 def ball_raster(

@@ -18,10 +18,9 @@ the reflected Schottky double produces the period matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
-from scipy.linalg.lapack import dtrcon
 
 from .domain import CircularDomain, _pointwise, validate_domain
 from .errors import ConvergenceError, DomainError
@@ -43,35 +42,45 @@ class HarmonicModel:
 
     u_0 is never fitted; it is defined as 1 - sum of the others, which makes
     the partition of unity exact.  The model holds the collocation points
-    (``colloc`` per circle, circle by circle) and the economic QR factors
-    ``q``, ``r`` of the basis matrix on them, so every boundary fit on the
-    same basis -- the measures here, each pole of a ``GreenFunction`` -- is
-    one projection and one triangular solve (``solve_dirichlet``).
-    ``cond`` is LAPACK's estimate of the 1-norm condition number of ``r``
-    (that of the collocation matrix), and ``residual`` the boundary misfit
-    of the measures on a fresh sample.  Immutable after construction; its
-    evaluators are pure and thread-safe.
+    (``colloc`` per circle, circle by circle), the reduced QR factors ``q``,
+    ``r`` of the basis matrix on them and the inverses of ``r``'s diagonal
+    blocks (``blocks``), so every boundary fit on the same basis -- the
+    measures here, each pole of a ``GreenFunction`` -- is one projection
+    and one blocked back substitution (``solve_dirichlet``).  ``cond`` is
+    the 1-norm condition number of ``r`` (that of the collocation matrix),
+    with ||r^-1||_1 from Hager's estimator.
+
+    Immutable after construction apart from one memo: ``residual``, the
+    boundary misfit of the measures on a fresh sample, is computed the
+    first time it is read (concurrent first reads compute the same value).
+    Its evaluators are pure and thread-safe.
     """
 
     def __init__(self, domain: CircularDomain, order: int, colloc: int,
-                 points: np.ndarray, q: np.ndarray, r: np.ndarray, cond: float):
+                 points: np.ndarray, q: np.ndarray, r: np.ndarray, blocks: list,
+                 cond: float):
         self.domain = domain
         self.order = order
         self.colloc = colloc
         self.points = points
-        self.q, self.r = q, r
+        self.q, self.r, self.blocks = q, r, blocks
         self.cond = cond
         # u_j has the value 1 on inner circle j and 0 on the other circles
         data = np.repeat(np.eye(domain.g + 1)[:, 1:], colloc, axis=0)
         self.coeffs = self.solve_dirichlet(data).T  # (g, n_basis) real
         self._complex_coeffs = _complexify(domain, order, self.coeffs)
-        self.residual = self.boundary_misfit(2 * colloc)
+
+    @cached_property
+    def residual(self) -> float:
+        """Boundary misfit of the measures on twice the collocation sample
+        (``boundary_misfit``), computed on first read."""
+        return self.boundary_misfit(2 * self.colloc)
 
     def solve_dirichlet(self, values: np.ndarray) -> np.ndarray:
         """Basis coefficients, shape (n_basis, k), of the least-squares fits
         to boundary values given at the collocation points, shape
         (len(points), k): one projection and one triangular solve."""
-        return solve_triangular(self.r, self.q.T @ values)
+        return _tri_solve(self.r, self.blocks, self.q.T @ values)
 
     @property
     def g(self) -> int:
@@ -200,11 +209,12 @@ def solve_harmonic_measures(
     """Fit all harmonic measures of the domain by boundary least squares.
 
     ``colloc`` is the number of collocation points per circle (default
-    max(4*order, 64)).  The collocation matrix is factored once (economic
-    QR) and the model keeps the factors for every later fit on its basis.
-    Raises ConvergenceError when LAPACK's 1-norm condition estimate of the
-    factor exceeds ``cond_limit``, which usually means the circles are too
-    close together for this basis order.
+    max(4*order, 64)).  The collocation matrix is factored once (reduced
+    QR), the diagonal blocks of its triangular factor are inverted once,
+    and the model keeps both for every later fit on its basis.  Raises
+    ConvergenceError when the factor's 1-norm condition number, ||r||_1
+    times Hager's estimate of ||r^-1||_1, exceeds ``cond_limit``, which
+    usually means the circles are too close together for this basis order.
     """
     report = validate_domain(d)
     if not report.is_valid:
@@ -214,15 +224,85 @@ def solve_harmonic_measures(
     if colloc < 4 * order:
         raise DomainError("need at least 4*order collocation points per circle")
     points = np.concatenate([d.circle(l).samples(colloc) for l in range(d.g + 1)])
-    q, r = qr(_basis_matrix(d, order, points), mode="economic", overwrite_a=True)
-    rcond, _ = dtrcon(r)
-    cond = 1.0 / rcond if rcond > 0 else np.inf
+    q, r = np.linalg.qr(_basis_matrix(d, order, points))
+    try:
+        blocks = _block_inverses(r)
+        with np.errstate(all="ignore"):  # a near-singular factor reads as cond = inf
+            cond = _cond_1norm(r, blocks)
+    except np.linalg.LinAlgError:  # an exact zero on the diagonal
+        cond = np.inf
     if cond > cond_limit:
         raise ConvergenceError(
             f"collocation system condition {cond:.2e} exceeds {cond_limit:.0e}; "
             "increase the circle separation or reduce the basis order"
         )
-    return HarmonicModel(d, order, colloc, points, q, r, cond)
+    return HarmonicModel(d, order, colloc, points, q, r, blocks, cond)
+
+
+# -- the triangular factor --------------------------------------------------------
+#
+# Every fit on a model's basis solves with the same triangular factor r, so
+# the inverses of its diagonal blocks are formed once; a solve is then block
+# substitution in matrix products, for one right-hand side or hundreds.
+
+_BLOCK = 32  # rows per diagonal block of r
+
+
+def _block_inverses(r: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
+    """(lo, hi, inverse of r[lo:hi, lo:hi]) for the diagonal blocks of the
+    upper triangular r.  Raises LinAlgError on an exact zero on the diagonal."""
+    n = len(r)
+    spans = [(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
+    return [(lo, hi, np.linalg.inv(r[lo:hi, lo:hi])) for lo, hi in spans]
+
+
+def _tri_solve(r: np.ndarray, blocks, y: np.ndarray, trans: bool = False) -> np.ndarray:
+    """x with r x = y (r^T x = y when ``trans``) for the upper triangular r
+    whose diagonal blocks are inverted in ``blocks``; y has shape (n,) or
+    (n, k)."""
+    x = np.empty(y.shape, dtype=np.result_type(r, y))
+    if trans:
+        for lo, hi, inv in blocks:
+            x[lo:hi] = inv.T @ (y[lo:hi] - r[:lo, lo:hi].T @ x[:lo])
+    else:
+        for lo, hi, inv in reversed(blocks):
+            x[lo:hi] = inv @ (y[lo:hi] - r[lo:hi, hi:] @ x[hi:])
+    return x
+
+
+def _cond_1norm(r: np.ndarray, blocks) -> float:
+    """||r||_1 ||r^-1||_1 for the upper triangular r, the second factor by
+    Hager's estimator in Higham's refinement (LAPACK's dlacn2, as its
+    triangular condition estimate dtrcon uses it): a lower bound on the
+    1-norm that is almost always exact.  inf for a singular r."""
+    n = len(r)
+
+    def solve(x, trans=False):
+        return _tri_solve(r, blocks, x, trans)
+
+    def sign(x):
+        return np.where(x >= 0, 1.0, -1.0)
+
+    x = solve(np.full(n, 1.0 / n))
+    est = float(np.abs(x).sum())
+    if n > 1:
+        signs = sign(x)
+        j = int(np.argmax(np.abs(solve(signs, trans=True))))
+        for _ in range(4):  # dlacn2's iterations 2 to ITMAX = 5
+            x = solve(np.eye(1, n, j)[0])
+            est_old, est = est, float(np.abs(x).sum())
+            if np.array_equal(sign(x), signs) or est <= est_old:
+                break  # a repeated sign vector, or cycling
+            signs = sign(x)
+            z = solve(signs, trans=True)
+            j_last, j = j, int(np.argmax(np.abs(z)))
+            if z[j_last] == abs(z[j]):
+                break
+        # the alternating vector guards against the estimator's bad cases
+        alt = (1.0 + np.arange(n) / (n - 1)) * np.where(np.arange(n) % 2, -1.0, 1.0)
+        est = max(est, 2.0 * float(np.abs(solve(alt)).sum()) / (3 * n))
+    cond = float(np.abs(r).sum(axis=0).max()) * est
+    return cond if np.isfinite(cond) else np.inf
 
 
 class GreenFunction:

@@ -21,12 +21,11 @@ preimages of 1 on every boundary circle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import UNIT_CIRCLE, CircularDomain, _pointwise
+from .domain import CircularDomain, _pointwise
 from .errors import (
     AdmissibilityError,
     ConvergenceError,
@@ -151,31 +150,19 @@ def make_zero_config(model: HarmonicModel, zeros, nu) -> ZeroConfig:
 _CHART_TOL = 1e-11  # max-norm residual of a solved chart
 
 
-def _ray_exit(d: CircularDomain, foot: complex, direction: complex) -> float:
-    """Distance along the inward ray from a boundary foot to the next boundary
-    circle it meets (the roots on the foot's own circle lie at depth <= 0)."""
-    best = math.inf
-    for c in (UNIT_CIRCLE, *d.inner_circles):
-        # |foot - q + s u|^2 = r^2 with |u| = 1
-        w = foot - c.q
-        b = (w.conjugate() * direction).real
-        disc = b * b - (abs(w) ** 2 - c.r**2)
-        if disc < 0:
-            continue
-        root = math.sqrt(disc)
-        for s in (-b - root, -b + root):
-            if s > 1e-12:
-                best = min(best, s)
-    return best
-
-
 def _chart_box(d: CircularDomain, feet: np.ndarray, dirs: np.ndarray):
     """Bounds (lo, hi) of the depths of the rays: just off the foot, just
-    short of the exit.  A scalar loop on Python complex numbers: the solves
-    are mostly one chart, where numpy's per-call cost would dominate."""
-    exits = np.array([[_ray_exit(d, f, u) for f, u in zip(row_f, row_u)]
-                      for row_f, row_u in zip(feet.tolist(), dirs.tolist())])
-    return 1e-12, exits * (1 - 1e-12)
+    short of the exit, the nearest root s > 1e-12 of |foot - q + s dir| = r
+    over the boundary circles (|dir| = 1; the roots on the foot's own circle
+    lie at depth <= 0).  One pass over rays x circles."""
+    w = feet[..., None] - np.append(0j, d.centers)
+    u = dirs[..., None]
+    b = w.real * u.real + w.imag * u.imag
+    disc = b * b - (np.hypot(w.real, w.imag) ** 2 - np.append(1.0, d.radii) ** 2)
+    root = np.sqrt(np.maximum(disc, 0.0))
+    s = np.stack([-b - root, -b + root])
+    s = np.where((disc >= 0) & (s > 1e-12), s, np.inf)
+    return 1e-12, s.min(axis=(0, -1)) * (1 - 1e-12)
 
 
 def _level_depths(model: HarmonicModel, circles, feet: np.ndarray, dirs: np.ndarray,

@@ -1,0 +1,39 @@
+"""The library runs on numpy alone; scipy is only the tests' oracle."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = """
+import sys
+
+from schottky import (Circle, CircularDomain, PrimeEvaluator, integrals_first_kind,
+                      solve_harmonic_measures)
+from schottky.distance import ball_raster
+from schottky.propermaps import build_proper_map, make_zero_config
+import schottky.cli, schottky.verify
+
+annulus = CircularDomain((Circle(0j, 0.25),))
+model = solve_harmonic_measures(annulus)
+f = build_proper_map(PrimeEvaluator(annulus, max_word_length=4), integrals_first_kind(model),
+                     make_zero_config(model, [0.5, -0.5], (1, 1)))
+f([0.7j, 0.3])
+model.residual
+triply = CircularDomain((Circle(-0.5 + 0j, 0.1), Circle(0.5 + 0j, 0.1)))
+raster = ball_raster(solve_harmonic_measures(triply), None, None, 0.3j, 0.6, resolution=20)
+raster.relabel(0.7)
+raster.component_has_disk(1)
+raster.touches_domain_boundary(1)
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_library_loads_no_scipy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [], out.stdout

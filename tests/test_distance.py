@@ -14,6 +14,7 @@ from schottky.distance import (
     product_distance,
     wang_yin_eval,
 )
+from schottky.distance import _FOUR_CONN, _label_components, _shifts
 from schottky.errors import AdmissibilityError, DomainError
 from schottky.propermaps import build_proper_map, make_zero_config
 
@@ -294,3 +295,62 @@ def test_raster_band_pixels_reach_mobius_distance(triply_tools):
     for iy, ix in band:
         exact = mobius_distance(t.model, t.ev, t.v, 0.3j, complex(centers[iy, ix])).value
         assert abs(raster.values[iy, ix] - exact) < 1e-8
+
+
+# -- raster morphology against scipy.ndimage (a test-only oracle) -------------------
+
+
+def _oracle_masks(triply_tools):
+    rng = np.random.default_rng(40)
+    yy, xx = np.mgrid[-40:40, -50:50]
+    ball = (xx**2 + yy**2 < 35**2) & ((xx - 10) ** 2 + (yy - 5) ** 2 > 8**2)
+    # the raster-g2 benchmark raster at seed 0
+    raster = ball_raster(triply_tools.model, None, None, 0.3j, 0.6, resolution=20)
+    return {
+        "empty": np.zeros((7, 9), dtype=bool),
+        "full": np.ones((7, 9), dtype=bool),
+        "1xn": rng.uniform(size=(1, 40)) < 0.5,
+        "nx1": rng.uniform(size=(40, 1)) < 0.5,
+        "random": rng.uniform(size=(120, 90)) < 0.5,
+        "ball with a hole": ball,
+        "raster-g2": ~np.isnan(raster.values) & (raster.values < 0.6),
+    }
+
+
+def test_morphology_matches_ndimage(triply_tools):
+    from scipy import ndimage
+    yy, xx = np.mgrid[-3:4, -3:4]
+    disk = xx**2 + yy**2 <= 9
+    for name, mask in _oracle_masks(triply_tools).items():
+        labels, count = ndimage.label(mask, structure=_FOUR_CONN)
+        got = _label_components(mask)
+        assert got.dtype == np.int32 and np.array_equal(got, labels), name
+        assert np.array_equal(np.logical_and.reduce(_shifts(mask, disk)),
+                              ndimage.binary_erosion(mask, structure=disk)), name
+        assert np.array_equal(np.logical_or.reduce(_shifts(mask, _FOUR_CONN)),
+                              ndimage.binary_dilation(mask, structure=_FOUR_CONN)), name
+    rng = np.random.default_rng(41)
+    for _ in range(200):  # random shapes and densities
+        mask = rng.uniform(size=rng.integers(1, 30, 2)) < rng.uniform(0.2, 0.8)
+        assert np.array_equal(_label_components(mask),
+                              ndimage.label(mask, structure=_FOUR_CONN)[0])
+
+
+def test_raster_labels_match_ndimage(triply_tools):
+    from scipy import ndimage
+    raster = ball_raster(triply_tools.model, None, None, 0.3j, 0.6, resolution=24)
+    inside = ~np.isnan(raster.values)
+    for r in (0.3, 0.6, 0.9, 0.99):
+        labels = raster.relabel(r)
+        ref, count = ndimage.label(inside & (raster.values < r), structure=_FOUR_CONN)
+        ref[~inside] = -1
+        assert np.array_equal(labels, ref) and raster.component_count() == count
+        grown = ndimage.binary_dilation(~inside, structure=_FOUR_CONN)
+        for label in range(1, count + 1):
+            mask = labels == label
+            assert raster.touches_domain_boundary(label) == bool((grown & mask).any())
+            for radius in (1, 3):
+                yy, xx = np.mgrid[-radius : radius + 1, -radius : radius + 1]
+                disk = xx**2 + yy**2 <= radius**2
+                assert raster.component_has_disk(label, radius) == bool(
+                    ndimage.binary_erosion(mask, structure=disk).any())

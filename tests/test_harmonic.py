@@ -10,6 +10,7 @@ from schottky.harmonic import (
     GreenFunction,
     _analytic_basis,
     _basis_matrix,
+    _tri_solve,
     har_relation_residual,
     integrals_first_kind,
     period_matrix,
@@ -330,21 +331,81 @@ def test_measures_fit_from_the_models_factors(name):
     misfit = np.max(np.abs(_basis_matrix(d, model.order, fresh) @ ref
                            - _measure_data(d, 2 * model.colloc)))
     assert model.residual == pytest.approx(misfit, abs=1e-13)
-    # cond is LAPACK's 1-norm estimate; it bounds the 2-norm one within a
+    # cond is a 1-norm condition number; it bounds the 2-norm one within a
     # factor of the basis size
     cond, n = np.linalg.cond(amat), amat.shape[1]
     assert cond / n <= model.cond <= cond * n
 
 
+# scipy is a test-only oracle for the numpy factor routines
+_ORACLE_DOMAINS = ["triply", "4-connected", "hole-1e-6"]
+
+
+@pytest.mark.parametrize("name", _ORACLE_DOMAINS)
+@pytest.mark.parametrize("k", [1, 2, 300])
+def test_block_triangular_solve_matches_scipy(name, k):
+    from scipy.linalg import solve_triangular
+
+    model = solve_harmonic_measures(_ONE_FACTORIZATION_DOMAINS[name])
+    rng = np.random.default_rng(k)
+    y = rng.standard_normal((len(model.r), k))
+    for trans in (False, True):
+        ref = solve_triangular(model.r, y, trans="T" if trans else "N")
+        got = _tri_solve(model.r, model.blocks, y, trans=trans)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+    # one right-hand side as a vector
+    ref = solve_triangular(model.r, y[:, 0])
+    got = _tri_solve(model.r, model.blocks, y[:, 0])
+    assert got.shape == ref.shape and np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", _ORACLE_DOMAINS)
+def test_cond_matches_lapack_estimate(name):
+    from scipy.linalg import qr
+    from scipy.linalg.lapack import dtrcon
+
+    d = _ONE_FACTORIZATION_DOMAINS[name]
+    model = solve_harmonic_measures(d)
+    _, r = qr(_basis_matrix(d, model.order, model.points), mode="economic")
+    rcond, info = dtrcon(r)
+    assert info == 0
+    assert model.cond == pytest.approx(1.0 / rcond, rel=1e-12)
+
+
+def test_cond_of_a_singular_factor_stops_the_fit(monkeypatch):
+    # a zero column makes r singular: cond is infinite, and the fit refuses
+    import schottky.harmonic as harmonic
+
+    basis = harmonic._basis_matrix
+
+    def degenerate(*args):
+        out = basis(*args)
+        out[:, 3] = 0.0
+        return out
+
+    monkeypatch.setattr(harmonic, "_basis_matrix", degenerate)
+    from schottky.errors import ConvergenceError
+
+    with pytest.raises(ConvergenceError, match="condition inf exceeds"):
+        solve_harmonic_measures(_ONE_FACTORIZATION_DOMAINS["triply"])
+
+
+def test_residual_is_a_first_use_memo():
+    model = solve_harmonic_measures(_ONE_FACTORIZATION_DOMAINS["triply"])
+    assert "residual" not in vars(model)
+    assert model.residual == model.boundary_misfit(2 * model.colloc)
+    assert "residual" in vars(model)
+
+
 def test_green_function_runs_no_factorization(monkeypatch, triply_tools, disk_tools):
     def refuse(*args, **kwargs):
-        raise AssertionError("GreenFunction factored a matrix")
+        raise AssertionError("GreenFunction factored or inverted a matrix")
 
     import scipy.linalg
-    import schottky.harmonic
 
-    for module in (np.linalg, scipy.linalg, schottky.harmonic):
-        monkeypatch.setattr(module, "qr", refuse)
+    for module in (np.linalg, scipy.linalg):
+        for name in ("qr", "inv"):
+            monkeypatch.setattr(module, name, refuse)
     z = np.array([0.3 + 0.1j, -0.5j, 0.6])
     p = np.array([0.0, 0.4 + 0.2j])
     green = GreenFunction(disk_tools.model)

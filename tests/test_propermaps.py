@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import Tools, interior_points
 from schottky.distance import wang_yin_eval
-from schottky.domain import Circle, CircularDomain
+from schottky.domain import UNIT_CIRCLE, Circle, CircularDomain
 from schottky.errors import (
     AdmissibilityError,
     ConvergenceError,
@@ -29,7 +31,7 @@ from schottky.propermaps import (
     winding_number,
     ZeroConfig,
 )
-from schottky.propermaps import _CHART_TOL, _level_depths, _ray_exit, _solve_chart
+from schottky.propermaps import _CHART_TOL, _chart_box, _level_depths, _solve_chart
 from schottky.slitmaps import eta
 
 
@@ -102,9 +104,45 @@ def _random_charts(domain, count, seed):
     return domain.centers + domain.radii * dirs, dirs
 
 
+def _ray_exit(d, foot: complex, direction: complex) -> float:
+    """Reference scalar loop: distance along the inward ray from a boundary
+    foot to the next boundary circle it meets."""
+    best = math.inf
+    for c in (UNIT_CIRCLE, *d.inner_circles):
+        # |foot - q + s u|^2 = r^2 with |u| = 1
+        w = foot - c.q
+        b = (w.conjugate() * direction).real
+        disc = b * b - (abs(w) ** 2 - c.r**2)
+        if disc < 0:
+            continue
+        root = math.sqrt(disc)
+        for s in (-b - root, -b + root):
+            if s > 1e-12:
+                best = min(best, s)
+    return best
+
+
 def _exits(domain, feet, dirs):
     return np.array([[_ray_exit(domain, f, u) for f, u in zip(rf, ru)]
-                     for rf, ru in zip(feet, dirs)])
+                     for rf, ru in zip(feet.tolist(), dirs.tolist())])
+
+
+@pytest.mark.parametrize("inward", [False, True])
+def test_chart_box_equals_the_scalar_loop(inward):
+    # outward normals from the inner circles (the charts), and inward rays
+    # from the unit circle, which cross every circle in their way
+    d = CircularDomain((Circle(-0.5 + 0j, 0.12), Circle(0.45 + 0.1j, 0.1),
+                        Circle(-0.05 - 0.55j, 0.1)))
+    feet, dirs = _random_charts(d, 500, seed=30)
+    if inward:
+        feet = dirs.copy()
+        dirs = -dirs * np.exp(0.3j * np.random.default_rng(31).uniform(-1, 1, dirs.shape))
+    lo, hi = _chart_box(d, feet, dirs)
+    assert lo == 1e-12
+    # the loop squares |w| with libm's pow, which is not always correctly
+    # rounded, the batch with one multiply: an ulp apart on a few rays
+    ref = _exits(d, feet, dirs) * (1 - 1e-12)
+    assert np.all(np.isfinite(hi)) and np.max(np.abs(hi - ref) / ref) < 4.5e-16
 
 
 def test_chart_batch_equals_rows(triply_tools):
