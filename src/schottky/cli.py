@@ -97,50 +97,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, domain=True):
-        if domain:
-            p.add_argument("--domain", required=True, help="domain JSON file")
-        p.add_argument("--length", type=int, default=None,
-                       help="word-ball truncation length (default adaptive)")
-        p.add_argument("--basis", type=int, default=24,
-                       help="harmonic basis order per circle")
-        p.add_argument("--samples", type=int, default=256,
-                       help="boundary samples per circle for diagnostics")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for optimizer multi-starts")
-        p.add_argument("--output", default=None, help="artifact output path")
+    flags = {
+        "length": dict(type=int, default=None,
+                       help="word-ball truncation length (default adaptive)"),
+        "basis": dict(type=int, default=24, help="harmonic basis order per circle"),
+        "samples": dict(type=int, default=256,
+                        help="boundary samples per circle for diagnostics"),
+        "seed": dict(type=int, default=0, help="seed for optimizer multi-starts"),
+        "output": dict(default=None, help="artifact output path"),
+    }
+
+    def common(p, *names):
+        """--domain and the named shared flags: each subcommand registers
+        only the flags it reads."""
+        p.add_argument("--domain", required=True, help="domain JSON file")
+        for name in names:
+            p.add_argument(f"--{name}", **flags[name])
 
     p = sub.add_parser("validate", help="validate a domain file")
     p.add_argument("--domain", required=True)
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("omega", help="evaluate the prime function")
-    common(p)
+    common(p, "length")
     p.add_argument("--z", required=True)
     p.add_argument("--y", required=True)
 
     p = sub.add_parser("eta", help="evaluate a slit map")
-    common(p)
+    common(p, "length")
     p.add_argument("--z", required=True)
     p.add_argument("--p", required=True)
     p.add_argument("--circle", type=int, default=0,
                    help="boundary circle mapped to the unit circle")
 
     p = sub.add_parser("proper-build", help="build a proper map from zeros")
-    common(p)
+    common(p, "length", "basis", "samples", "output")
     p.add_argument("--zeros", help='space-separated "re,im" pairs')
     p.add_argument("--nu", help="comma-separated boundary degrees")
     p.add_argument("--config", help="zero-config JSON file (alternative to --zeros/--nu)")
 
     p = sub.add_parser("proper-eval", help="build a proper map and evaluate it")
-    common(p)
+    common(p, "length", "basis", "samples", "output")
     p.add_argument("--zeros")
     p.add_argument("--nu")
     p.add_argument("--config")
     p.add_argument("--at", required=True, help="evaluation points (space separated)")
 
     p = sub.add_parser("from-boundary", help="proper map from boundary data")
-    common(p)
+    common(p, "length", "basis", "output")
     p.add_argument("--interior", required=True, help="interior zero p")
     p.add_argument("--points", required=True,
                    help='space-separated "circle:re,im" boundary points')
@@ -149,12 +153,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=0.05)
 
     p = sub.add_parser("cball-dist", help="Moebius/Caratheodory distance")
-    common(p)
+    common(p, "basis", "seed", "output")
     p.add_argument("--base", required=True)
     p.add_argument("--target", required=True)
 
     p = sub.add_parser("cball-raster", help="distance raster with labels")
-    common(p)
+    common(p, "basis", "seed", "output")
     p.add_argument("--center", required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--res", type=int, default=300)
@@ -292,7 +296,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     # the distances come from Green's functions on the harmonic model alone:
-    # no prime function or first-kind integrals (--length is accepted, unused)
+    # no prime function or first-kind integrals
     if cmd == "cball-dist":
         domain = _load_domain(args.domain)
         model = solve_harmonic_measures(domain, order=args.basis)

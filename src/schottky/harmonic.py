@@ -86,13 +86,6 @@ class HarmonicModel:
     def g(self) -> int:
         return self.domain.g
 
-    @property
-    def log_coefficients(self) -> np.ndarray:
-        """(g, g) real matrix: log-term coefficient of measure j at inner
-        circle l.  Row j, column l."""
-        g = self.g
-        return self.coeffs[:, 1 : 1 + g].copy()
-
     # -- real evaluation ---------------------------------------------------
 
     def eval_u_all(self, z) -> np.ndarray:
@@ -110,31 +103,12 @@ class HarmonicModel:
 
         return _pointwise(u, z, float)
 
-    def eval_grad_u(self, j: int, z):
-        """Gradient (du/dx, du/dy); analytic from the basis derivatives."""
-        if j == 0:
-            c = -self._complex_coeffs.sum(axis=0)
-        else:
-            c = self._complex_coeffs[j - 1]
-
-        def grad(z):
-            w = _analytic_basis_derivative(self.domain, self.order, z) @ c
-            return w.real, -w.imag  # w is the complex derivative of the completion
-
-        return _pointwise(grad, z, float)
-
-    def grad_u_complex(self, z) -> np.ndarray:
-        """Gradients of all measures at once, encoded as du/dx - i du/dy
-        (the complex derivative of each completion); shape (len(z), g)."""
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        if self.g == 0:
-            return np.zeros((len(z), 0), dtype=complex)
-        hp = _analytic_basis_derivative(self.domain, self.order, z)
-        return hp @ self._complex_coeffs.T
-
     def eval_u_grad(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """``eval_u_all`` and ``grad_u_complex`` together, from one table of
-        basis powers; shapes (len(z), g) each."""
+        """The values of (u_1, ..., u_g) at z (``eval_u_all``) and their
+        gradients, encoded as du/dx - i du/dy (the complex derivative of
+        each completion), from one table of basis powers; shapes
+        (len(z), g) each.  Every derivative of the measures comes from
+        here."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         if self.g == 0:
             return np.zeros((len(z), 0)), np.zeros((len(z), 0), dtype=complex)
@@ -146,32 +120,18 @@ class HarmonicModel:
     def eval_normal_derivative(self, j: int, l: int, z):
         """Normal derivative of u_j on boundary circle l, in the direction
         pointing into the domain (away from the circle for inner circles,
-        toward the origin on the unit circle)."""
+        toward the origin on the unit circle): Re((du/dx - i du/dy) n)."""
         c = self.domain.circle(l)
 
         def derivative(z):
             n = (z - c.q) / np.abs(z - c.q)
             if l == 0:
                 n = -n
-            gx, gy = self.eval_grad_u(j, z)
-            return gx * n.real + gy * n.imag
+            grad = self.eval_u_grad(z)[1]
+            w = -grad.sum(axis=1) if j == 0 else grad[:, j - 1]
+            return (w * n).real
 
         return _pointwise(derivative, z, float)
-
-    # -- analytic completion ------------------------------------------------
-
-    def completion(self, j: int, z):
-        """Analytic completion G_j with Re G_j = u_j (principal log branches;
-        the real part is single-valued, the imaginary part is tracked by the
-        first-kind integrals)."""
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        h = _analytic_basis(self.domain, self.order, z)
-        return h @ self._complex_coeffs[j - 1]
-
-    def completion_derivative(self, j: int, z):
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        hp = _analytic_basis_derivative(self.domain, self.order, z)
-        return hp @ self._complex_coeffs[j - 1]
 
     def normal_derivative_matrix(self, feet=None) -> tuple[np.ndarray, float]:
         """The g x g matrix of inward normal derivatives of the measures at
@@ -340,26 +300,13 @@ class GreenFunction:
         m = self.model
         return star, m.solve_dirichlet(-_log_part(m.points[:, None], poles, star))
 
-    def kernel(self, poles):
-        """G(., p) for each pole, as one function of z that returns an array
-        of shape (len(z), len(poles)); the poles' fits are solved here, once."""
-        p = np.atleast_1d(np.asarray(poles, dtype=complex))
-        d, order = self.model.domain, self.model.order
-        star, coeffs = self._fit(p)
-
-        def green(z) -> np.ndarray:
-            z = np.atleast_1d(np.asarray(z, dtype=complex))
-            return _log_part(z[:, None], p, star) + _basis_matrix(d, order, z) @ coeffs
-
-        return green
-
     def paired(self, poles):
         """G(z, p_b) and its z-derivative dG/dx - i dG/dy, with row b of the
         points paired with pole b alone.  Returns a function of (z, rows):
         z has shape (len(rows), m), rows indexes the poles (default: all, in
         order), and both results have the shape of z.  The poles' fits are
         solved here, once; an evaluation costs one basis row per point,
-        where ``kernel`` would build the (points, poles) matrix."""
+        where ``__call__`` builds the (points, poles) matrix."""
         p = np.atleast_1d(np.asarray(poles, dtype=complex))
         d, order = self.model.domain, self.model.order
         star, coeffs = self._fit(p)
@@ -388,7 +335,11 @@ class GreenFunction:
 
     def __call__(self, z, poles) -> np.ndarray:
         """G(z_i, p_m), shape (len(z), len(poles))."""
-        return self.kernel(poles)(z)
+        p = np.atleast_1d(np.asarray(poles, dtype=complex))
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
+        star, coeffs = self._fit(p)
+        m = self.model
+        return _log_part(z[:, None], p, star) + _basis_matrix(m.domain, m.order, z) @ coeffs
 
 
 def _log_part(z: np.ndarray, p: np.ndarray, star: np.ndarray | None) -> np.ndarray:
@@ -519,7 +470,7 @@ class IntegralsFirstKind:
         g = model.g
         if g == 0:
             raise DomainError("integrals of the first kind need g >= 1")
-        cmat = model.log_coefficients  # (j, l)
+        cmat = model.coeffs[:, 1 : 1 + g]  # log-term coefficient of measure j at circle l
         try:
             inv = np.linalg.inv(cmat)
         except np.linalg.LinAlgError as exc:
@@ -527,8 +478,10 @@ class IntegralsFirstKind:
                 "singular period system; harmonic model is degenerate"
             ) from exc
         self.combination = inv / (2j * np.pi)  # (g, g): v_j = sum_k C[j,k] G_k
-        comp1 = np.array([model.completion(k + 1, 1.0)[0] for k in range(g)])
-        self._offset = self.combination @ comp1  # subtracted so v_j(1) = 0
+        # the completions at 1, subtracted so v_j(1) = 0 (one matrix-vector
+        # product each: a single matrix product rounds differently)
+        h = _analytic_basis(self.domain, model.order, np.ones(1, dtype=complex))
+        self._offset = self.combination @ np.array([(h @ c)[0] for c in model._complex_coeffs])
         self._period_cache: PeriodMatrix | None = None
 
     @property
@@ -557,9 +510,6 @@ class IntegralsFirstKind:
         gprime = hp @ self.model._complex_coeffs.T
         return gprime @ self.combination.T
 
-    def v_prime(self, j: int, z):
-        return _pointwise(lambda z: self.v_prime_all(z)[..., j - 1], z)
-
     def circle_periods(self, samples: int = 512) -> np.ndarray:
         """Quadrature check of the defining normalization: entry (i, j) is
         the period of dv_j around boundary circle i+1; should be delta_ij."""
@@ -574,7 +524,7 @@ class IntegralsFirstKind:
             out[i] = (vp * dz[:, None]).sum(axis=0) * (2 * np.pi / samples)
         return out
 
-    def period_matrix(self, base_points: int = 3) -> PeriodMatrix:
+    def period_matrix(self) -> PeriodMatrix:
         """b-periods by integrating dv_j along a cycle of the Schottky double:
         from the reflection of a boundary point of circle i, through the unit
         circle, to the point itself.  The half outside the unit disk is pulled
@@ -582,8 +532,9 @@ class IntegralsFirstKind:
         -conj(v'(1/conj w)) / w^2 dw, so the integrand is only ever evaluated
         where the fitted series is accurate.
 
-        The result is averaged over several base points and the spread is
-        reported; for a faithful model it is independent of the base point.
+        The result is averaged over ``_BASE_POINTS`` base points per circle
+        and the spread is reported; for a faithful model it is independent
+        of the base point.
         """
         if self._period_cache is not None:
             return self._period_cache
@@ -591,10 +542,10 @@ class IntegralsFirstKind:
         taus = []
         for i in range(1, g + 1):
             rows = []
-            for zb in _cycle_base_points(self.domain, i, base_points):
+            for zb in _cycle_base_points(self.domain, i, _BASE_POINTS):
                 rows.append(self._cycle_integral(zb))
             taus.append(rows)
-        taus = np.array(taus)  # (g, base_points, g)
+        taus = np.array(taus)  # (g, base points, g)
         tau = taus.mean(axis=1)
         spread = float(np.max(np.abs(taus - tau[:, None, :])))
         self._period_cache = PeriodMatrix(
@@ -621,6 +572,10 @@ class IntegralsFirstKind:
         w = a + (b - a) * nodes
         inner = (b - a) * (weights @ self.v_prime_all(w))
         return outer + inner
+
+
+# Base points per circle over which the b-periods are averaged.
+_BASE_POINTS = 3
 
 
 def _cycle_base_points(d: CircularDomain, i: int, count: int) -> list[complex]:

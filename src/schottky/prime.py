@@ -12,10 +12,17 @@ classical product over a half set of the Schottky group:
 Each factor is invariant under theta -> theta^-1, which is exactly why the
 result does not depend on which half set is chosen.
 
-Ratios omega(z, y1)/omega(z, y2), and products of them over several pairs
-(the proper maps), are one fused pass over the words: ``RatioProduct``.
-Every product over the words follows one drift rule: plain within blocks of
-at most ``_LOG_SPACE_THRESHOLD`` words, log space across blocks.
+This module is the only one that forms a product over the word ball.  Every
+such product -- omega itself, ratios omega(z, y1)/omega(z, y2) and products
+of them over several pairs (``RatioProduct``, behind the slit and proper
+maps), the y -> infinity limit behind eta(., 0), and the group-averaged
+Blaschke products over the whole ball (``ball_blaschke``) -- supplies its
+own factor per (point, word) to one tiled reducer, ``_reduce``.  It runs
+over tiles of ``_POINT_TILE`` points by ``_LOG_SPACE_THRESHOLD`` words,
+forms the images of the points per tile, multiplies plainly within a tile
+and in log space across word tiles.  No product forms a (words x points)
+array, and each point's value depends only on that point, not on the batch
+it came in.
 """
 
 from __future__ import annotations
@@ -39,9 +46,9 @@ __all__ = ["PrimeEvaluator", "RatioProduct"]
 # Products over the words multiply at most this many factors plainly (a
 # block) and combine the block products in log space, which keeps thousands
 # of near-unity factors from accumulating rounding drift at the cost of one
-# log per block.  It is also the word extent of a ``RatioProduct`` tile.
+# log per block.  It is also the word extent of a ``_reduce`` tile.
 _LOG_SPACE_THRESHOLD = 1000
-# Points per tile of a ``RatioProduct`` pass.  A full tile's temporaries are
+# Points per tile of a ``_reduce`` pass.  A full tile's temporaries are
 # 512 KB each, so a tile stays in a core's L2 cache whatever the batch; on a
 # 2-core Xeon with 2 MB of L2 per core, 32 ran a 64-point degree-4 map call
 # about 10% faster than 64 and 1024-point calls about 20% faster than 128.
@@ -54,9 +61,9 @@ class PrimeEvaluator:
 
     The ball is realized once, as ``mobius_table`` (the ``realize_all``
     table: rows a, b, c, d over every enumerated word, identity included);
-    the product runs over its half-set columns.  Every other product over
-    the ball (``lift_blaschke``, the group-averaged Blaschke route of the
-    slit maps) reads the same table.
+    the prime-function products run over its half-set columns, and
+    ``ball_blaschke`` (behind ``lift_blaschke`` and the group-averaged
+    Blaschke route of the slit maps) over all of it.
 
     The product evaluations are pure, so one evaluator can serve any number
     of threads.  The one state written after construction is the sign of
@@ -94,6 +101,9 @@ class PrimeEvaluator:
 
         table = None
         if enumeration is not None:
+            if enumeration.g != domain.g:
+                raise DomainError(
+                    f"enumeration of {enumeration.g} generators for a domain with {domain.g}")
             if max_word_length is not None and enumeration.max_length != max_word_length:
                 raise DomainError("enumeration length disagrees with max_word_length")
         elif domain.g == 0:
@@ -110,69 +120,96 @@ class PrimeEvaluator:
         self.enumeration = enumeration
         self.max_word_length = enumeration.max_length
         self.mobius_table = realize_all(domain, enumeration) if table is None else table
-        self._half_a, self._half_b, self._half_c, self._half_d = (
-            self.mobius_table[:, enumeration.half_set_mask])
+        self._half = self.mobius_table[:, enumeration.half_set_mask]
         self._gens = generators(domain) if domain.g else []
         self._sqrt_signs: dict[int, float] = {}
 
     @property
     def half_set_size(self) -> int:
-        return len(self._half_a)
+        return self._half.shape[1]
 
     # -- low-level tables ------------------------------------------------
 
     def theta_table(self, z: np.ndarray) -> np.ndarray:
         """Images of the points under every half-set map, shape
-        (half_set_size, len(z)).  Exposed so grid sweeps can reuse it."""
-        return self._theta_tile(slice(None), np.atleast_1d(np.asarray(z, dtype=complex))).T
-
-    def _theta_tile(self, words: slice, z: np.ndarray) -> np.ndarray:
-        """Images of the points under a range of half-set words, shape
-        (len(z), words): one contiguous row per point."""
-        num = self._half_a[None, words] * z[:, None] + self._half_b[None, words]
-        den = self._half_c[None, words] * z[:, None] + self._half_d[None, words]
-        return num / den
+        (half_set_size, len(z))."""
+        return _images(self._half, slice(None), np.atleast_1d(np.asarray(z, dtype=complex))).T
 
     def _theta_point(self, y: complex) -> np.ndarray:
-        return self._theta_tile(slice(None), np.array([complex(y)]))[0]
+        return _images(self._half, slice(None), np.array([complex(y)]))[0]
 
     # -- prime function --------------------------------------------------
 
     def omega(self, z, y: complex):
         """Truncated prime function; ``z`` may be a scalar or an array
         (``y`` is a scalar; use antisymmetry for the other layout)."""
-        return _pointwise(lambda z: self._omega_impl(z, complex(y), self.theta_table(z)), z)
+        return _pointwise(lambda z: self._omega(z, complex(y)), z)
 
-    def omega_with_table(self, z: np.ndarray, theta_z: np.ndarray, y: complex) -> np.ndarray:
-        """Same as :meth:`omega` with a precomputed ``theta_table(z)``."""
-        return self._omega_impl(np.asarray(z, dtype=complex), complex(y), theta_z)
-
-    def _omega_impl(self, z, y, th_z):
+    def _omega(self, z: np.ndarray, y: complex) -> np.ndarray:
         if self.half_set_size == 0:
             return z - y
         th_y = self._theta_point(y)
-        diag_z = z[None, :] - th_z
         diag_y = y - th_y
-        if min(np.min(np.abs(diag_z)), np.min(np.abs(diag_y))) < self.singular_tol:
-            raise SingularEvaluationError(
-                "evaluation point within tolerance of a Moebius fixed point"
-            )
-        factors = (z[None, :] - th_y[:, None]) * (y - th_z) / (diag_z * diag_y[:, None])
-        return (z - y) * _product(factors)
+
+        def factor(th, zt, rows):
+            diag_z = zt - th
+            if min(np.abs(diag_z).min(), np.abs(diag_y[rows]).min()) < self.singular_tol:
+                raise SingularEvaluationError(
+                    "evaluation point within tolerance of a Moebius fixed point"
+                )
+            return (zt - th_y[None, rows]) * (y - th) / (diag_z * diag_y[None, rows])
+
+        return (z - y) * _reduce(self._half, z, factor)
 
     def omega_ratio(self, z, y1: complex, y2: complex):
         """omega(z, y1) / omega(z, y2) with the shared (z - theta(z))
         denominators cancelled.  This is the workhorse behind the slit maps;
         the cancellation also removes the z fixed-point guard, which matters
         when z sits on a boundary circle."""
-        return _pointwise(lambda z: self.omega_ratio_with_table(z, None, y1, y2), z)
+        return _pointwise(lambda z: self.omega_ratio_with_table(z, y1, y2), z)
 
-    def omega_ratio_with_table(
-        self, z: np.ndarray, theta_z: np.ndarray | None, y1: complex, y2: complex
-    ) -> np.ndarray:
-        """Same as :meth:`omega_ratio` with a precomputed ``theta_table(z)``
-        (or None to form it tile by tile): the one-pair ``RatioProduct``."""
-        return RatioProduct(self, [y1], [y2])(np.asarray(z, dtype=complex), theta_z)
+    def omega_ratio_with_table(self, z: np.ndarray, y1: complex, y2: complex) -> np.ndarray:
+        """:meth:`omega_ratio` at the 1-d points ``z``: the one-pair
+        ``RatioProduct``."""
+        return RatioProduct(self, [y1], [y2])(np.asarray(z, dtype=complex))
+
+    def omega_ratio_at_infinity(self, z):
+        """lim_{y -> infinity} omega(1, y) / omega(z, y), the factor that
+        takes eta(., p) to its limit at p = 0.  Factor by factor the limit is
+
+            (1 - theta(inf)) (z - theta(z)) / [(z - theta(inf)) (1 - theta(1))]
+
+        over the half set, with theta(inf) = a/c."""
+        def value(z):
+            if self.half_set_size == 0:
+                return np.ones(len(z), dtype=complex)
+            a, _, c, _ = self._half
+            th_inf = a / c
+            th_one = self._theta_point(1.0)
+
+            def factor(th, zt, rows):
+                return ((1.0 - th_inf[None, rows]) * (zt - th)
+                        / ((zt - th_inf[None, rows]) * (1.0 - th_one[None, rows])))
+
+            return _reduce(self._half, z, factor)
+
+        return _pointwise(value, z)
+
+    # -- products over the whole ball ---------------------------------------
+
+    def ball_blaschke(self, zeros, z):
+        """prod_theta B(theta(z)) / B(theta(1)) over the whole truncated ball
+        (identity included), B the finite Blaschke product with the given
+        zeros normalized to 1 at 1 (``blaschke_eval``).  With the first-kind
+        exponential factor this is the Blaschke lift; for one zero p it is
+        the group-averaged route to eta(., p)."""
+        a, b, c, d = self.mobius_table
+        at_one = blaschke_eval(zeros, (a + b) / (c + d))
+
+        def factor(th, zt, rows):
+            return blaschke_eval(zeros, th) / at_one[None, rows]
+
+        return _pointwise(lambda z: _reduce(self.mobius_table, z, factor), z)
 
     # -- defining properties as residuals ---------------------------------
 
@@ -260,11 +297,7 @@ class RatioProduct:
     computed here once: theta(y1_k), theta(y2_k), the fixed-point guard and
     the per-word column c_theta = prod_k (y2_k - theta(y2_k)) /
     (y1_k - theta(y1_k)).  The column stays per word, since its product over
-    all words overflows.  A call runs over tiles of at most
-    ``_LOG_SPACE_THRESHOLD`` words by ``_POINT_TILE`` points, forming
-    theta(z) per tile, and reduces by the rule of ``_product``: plain within
-    a tile, log space across the word tiles.  Each point's value depends
-    only on that point, not on the batch it came in.
+    all words overflows.  A call is one ``_reduce`` pass.
     """
 
     def __init__(self, ev: PrimeEvaluator, y1, y2):
@@ -275,8 +308,8 @@ class RatioProduct:
             raise DomainError("RatioProduct needs two equally long lists of points")
         if ev.half_set_size == 0:
             return
-        self._t1 = ev._theta_tile(slice(None), self.y1)  # (pairs, words)
-        self._t2 = ev._theta_tile(slice(None), self.y2)
+        self._t1 = _images(ev._half, slice(None), self.y1)  # (pairs, words)
+        self._t2 = _images(ev._half, slice(None), self.y2)
         d1 = self.y1[:, None] - self._t1
         d2 = self.y2[:, None] - self._t2
         if min(np.abs(d1).min(initial=np.inf), np.abs(d2).min(initial=np.inf)) < ev.singular_tol:
@@ -285,49 +318,71 @@ class RatioProduct:
             )
         self._col = np.prod(d2 / d1, axis=0)
 
-    def __call__(self, z: np.ndarray, theta_z: np.ndarray | None = None) -> np.ndarray:
-        """Values at the 1-d points ``z``; ``theta_z`` optionally supplies
-        ``theta_table(z)``."""
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        """Values at the 1-d points ``z``."""
         y1, y2 = self.y1, self.y2
         out = np.prod((z[None, :] - y1[:, None]) / (z[None, :] - y2[:, None]), axis=0)
         if self.ev.half_set_size == 0 or len(y1) == 0:
             return out
         t1, t2, col = self._t1, self._t2, self._col
-        words = self.ev.half_set_size
-        step = _LOG_SPACE_THRESHOLD
-        for p0 in range(0, len(z), _POINT_TILE):
-            pts = slice(p0, p0 + _POINT_TILE)
-            zt = z[pts, None]
-            blocks = []
-            for w0 in range(0, words, step):
-                rows = slice(w0, w0 + step)
-                # tiles are (points, words), so each point is reduced on its
-                # own contiguous row, the same way in any batch
-                if theta_z is None:
-                    th = self.ev._theta_tile(rows, z[pts])
-                else:
-                    th = np.ascontiguousarray(theta_z[rows, pts].T)
-                num = col[None, rows] * (zt - t1[0, None, rows]) * (y1[0] - th)
-                den = (zt - t2[0, None, rows]) * (y2[0] - th)
-                for k in range(1, len(y1)):
-                    num *= zt - t1[k, None, rows]
-                    num *= y1[k] - th
-                    den *= zt - t2[k, None, rows]
-                    den *= y2[k] - th
-                num /= den
-                blocks.append(np.prod(num, axis=1))
-            out[pts] *= _combine(blocks)
+
+        def factor(th, zt, rows):
+            num = col[None, rows] * (zt - t1[0, None, rows]) * (y1[0] - th)
+            den = (zt - t2[0, None, rows]) * (y2[0] - th)
+            for k in range(1, len(y1)):
+                num *= zt - t1[k, None, rows]
+                num *= y1[k] - th
+                den *= zt - t2[k, None, rows]
+                den *= y2[k] - th
+            num /= den
+            return num
+
+        out *= _reduce(self.ev._half, z, factor)
         return out
 
 
-def _product(factors: np.ndarray) -> np.ndarray:
-    """Product over the words of factors shaped (words, points), by the drift
-    rule: plain within blocks of at most ``_LOG_SPACE_THRESHOLD`` words, log
-    space across blocks.  Each point's block is reduced as one contiguous
-    row, so its value does not depend on the other points of the batch."""
-    step = _LOG_SPACE_THRESHOLD
-    return _combine([np.prod(np.ascontiguousarray(factors[i:i + step].T), axis=1)
-                     for i in range(0, max(len(factors), 1), step)])
+def blaschke_eval(zeros, z):
+    """Finite Blaschke product with the given zeros, normalized to 1 at 1;
+    ``z`` may be a scalar or an array of any shape.  Part of the public API
+    of ``propermaps``."""
+    def value(z):
+        acc = np.ones(z.shape, dtype=complex)
+        for p in zeros:
+            p = complex(p)
+            acc *= (z - p) / (1.0 - p.conjugate() * z)
+            acc /= (1.0 - p) / (1.0 - p.conjugate())
+        return acc
+
+    return _pointwise(value, z)
+
+
+def _images(table: np.ndarray, words: slice, z: np.ndarray) -> np.ndarray:
+    """Images of the 1-d points ``z`` under a range of the words of a
+    (4, words) Moebius table, shape (len(z), words): one row per point."""
+    a, b, c, d = table[:, words]
+    return (a[None, :] * z[:, None] + b[None, :]) / (c[None, :] * z[:, None] + d[None, :])
+
+
+def _reduce(table: np.ndarray, z: np.ndarray, factor) -> np.ndarray:
+    """prod over the words of ``table`` of factor(th, zt, rows), at the 1-d
+    points ``z``.  The pass runs over tiles of at most ``_POINT_TILE``
+    points by ``_LOG_SPACE_THRESHOLD`` words: ``th`` holds the tile's images
+    (``_images``), ``zt`` its points as a column and ``rows`` its word
+    slice, and ``factor`` returns the tile's factors, shape (points, words).
+    Each point's factors are multiplied plainly along its own contiguous row
+    within a tile and combined in log space across word tiles, so its value
+    does not depend on the batch it came in."""
+    out = np.empty(len(z), dtype=complex)
+    words, step = table.shape[1], _LOG_SPACE_THRESHOLD
+    for p0 in range(0, len(z), _POINT_TILE):
+        pts = slice(p0, p0 + _POINT_TILE)
+        blocks = []
+        for w0 in range(0, words, step):
+            rows = slice(w0, w0 + step)
+            blocks.append(np.prod(factor(_images(table, rows, z[pts]), z[pts, None], rows),
+                                  axis=1))
+        out[pts] = _combine(blocks)
+    return out
 
 
 def _combine(blocks: list[np.ndarray]) -> np.ndarray:

@@ -34,7 +34,7 @@ from .errors import (
     TruncationQualityError,
 )
 from .harmonic import HarmonicModel, IntegralsFirstKind
-from .prime import PrimeEvaluator, RatioProduct, _product
+from .prime import PrimeEvaluator, RatioProduct, blaschke_eval
 from .slitmaps import eta, eta_l, slit_radius
 
 __all__ = [
@@ -528,20 +528,7 @@ def boundary_degree(f, l: int, samples: int = 1024, domain: CircularDomain | Non
     return winding_number(f(w))
 
 
-# -- finite Blaschke products and the disk bridge ------------------------------
-
-
-def blaschke_eval(zeros, z):
-    """Finite Blaschke product with the given zeros, normalized to 1 at 1."""
-    def value(z):
-        acc = np.ones(len(z), dtype=complex)
-        for p in zeros:
-            p = complex(p)
-            acc *= (z - p) / (1.0 - p.conjugate() * z)
-            acc /= (1.0 - p) / (1.0 - p.conjugate())
-        return acc
-
-    return _pointwise(value, z)
+# -- the disk bridge: lifted Blaschke products ---------------------------------
 
 
 def lift_blaschke(
@@ -552,7 +539,7 @@ def lift_blaschke(
 ) -> ProperMap:
     """Lift a finite Blaschke product to the proper map of the domain with
     the same zeros: the group-averaged product of B over the truncated word
-    ball times the first-kind exponential factor.
+    ball (``ev.ball_blaschke``) times the first-kind exponential factor.
 
     Defined only when the zero set is admissible in the domain (the boundary
     degrees are read off from the measure sums, which must be near-integers).
@@ -577,16 +564,8 @@ def lift_blaschke(
             raise AdmissibilityError("negative outer boundary degree implied by the zeros")
     nvec = np.asarray(nu[1:], dtype=float)
 
-    a, b, c, dd = ev.mobius_table  # full word ball, identity included
-    th1 = (a + b) / (c + dd)
-    b_at_th1 = blaschke_eval(zeros, th1)
-
     def base(z: np.ndarray) -> np.ndarray:
-        th_z = (a[:, None] * z[None, :] + b[:, None]) / (
-            c[:, None] * z[None, :] + dd[:, None]
-        )
-        vals = blaschke_eval(zeros, th_z.ravel()).reshape(th_z.shape)
-        prod = _product(vals / b_at_th1[:, None])
+        prod = ev.ball_blaschke(zeros, z)
         if d.g:
             prod = prod * np.exp(-2j * np.pi * (v.eval_v_all(z) @ nvec))
         return prod

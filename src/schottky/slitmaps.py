@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import CircularDomain, _pointwise, reflect
+from .domain import _pointwise, reflect
 from .errors import DomainError, TruncationQualityError
-from .group import WordEnumeration, realize_all
-from .prime import PrimeEvaluator, _product
+from .prime import PrimeEvaluator
 
 __all__ = [
     "eta",
@@ -50,25 +49,11 @@ def eta(ev: PrimeEvaluator, z, p: complex):
 
 def _eta_center(ev: PrimeEvaluator, z):
     # limit p -> 0 of the normalized ratio: (omega(z,0)/omega(1,0)) times
-    # lim_{y->inf} omega(1,y)/omega(z,y), the latter evaluated factor-wise.
+    # lim_{y->inf} omega(1,y)/omega(z,y)
     if not ev.domain.contains(0j):
         raise DomainError("p = 0 is not in the domain")
-
-    def value(z):
-        base = ev.omega(z, 0j) / ev.omega(1.0, 0j)
-        if ev.half_set_size:
-            th_inf = ev._half_a / ev._half_c  # theta(infinity)
-            th_z = ev.theta_table(z)
-            th_one = ev._theta_point(1.0)
-            factors = (
-                (1.0 - th_inf[:, None])
-                * (z[None, :] - th_z)
-                / ((z[None, :] - th_inf[:, None]) * (1.0 - th_one[:, None]))
-            )
-            base = base * _product(factors)
-        return base
-
-    return _pointwise(value, z)
+    return _pointwise(lambda z: ev.omega(z, 0j) / ev.omega(1.0, 0j)
+                      * ev.omega_ratio_at_infinity(z), z)
 
 
 def eta_l(ev: PrimeEvaluator, l: int, z, p: complex):
@@ -122,31 +107,13 @@ def slit_radius(
     return mean
 
 
-def eta_via_mobius_product(
-    d: CircularDomain,
-    enumeration: WordEnumeration,
-    z,
-    p: complex,
-    table: np.ndarray | None = None,
-):
-    """Independent route to eta: the product of disk Blaschke factors
-    m(theta(z), p)/m(theta(1), p) over the whole truncated group ball
-    (identity included).  Valid on domains where the prime-function product
-    converges; agrees with the omega-ratio form to truncation accuracy.
-    ``table`` is the ball's ``realize_all`` table, e.g. an evaluator's
-    ``mobius_table`` for the same enumeration; it is realized when not
-    given."""
-    p = complex(p)
-    a, b, c, dd = realize_all(d, enumeration) if table is None else table
-    th_1 = (a + b) / (c + dd)
-    m1 = (th_1 - p) / (1.0 - p.conjugate() * th_1)
-
-    def value(z):
-        th_z = (a[:, None] * z[None, :] + b[:, None]) / (c[:, None] * z[None, :] + dd[:, None])
-        mz = (th_z - p) / (1.0 - p.conjugate() * th_z)
-        return _product(mz / m1[:, None])
-
-    return _pointwise(value, z)
+def eta_via_mobius_product(ev: PrimeEvaluator, z, p: complex):
+    """Independent route to eta: the product of normalized disk Blaschke
+    factors m(theta(z), p)/m(theta(1), p) over the evaluator's whole
+    truncated ball, identity included (``ev.ball_blaschke``).  Valid on
+    domains where the prime-function product converges; agrees with the
+    omega-ratio form to truncation accuracy."""
+    return ev.ball_blaschke([p], z)
 
 
 def eta_j_relation_residual(

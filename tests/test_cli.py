@@ -85,7 +85,7 @@ def test_from_boundary(annulus_file, capsys):
 def test_cball_dist(annulus_file, tmp_path):
     out_path = str(tmp_path / "dist.json")
     code = main(["cball-dist", "--domain", annulus_file, "--base", "0.5,0",
-                 "--target=-0.5,0", "--length", "6", "--output", out_path])
+                 "--target=-0.5,0", "--output", out_path])
     assert code == 0
     payload = json.loads(open(out_path).read())
     assert 0.99 < payload["c_star"] < 1.0
@@ -94,7 +94,7 @@ def test_cball_dist(annulus_file, tmp_path):
 def test_cball_raster_deterministic(annulus_file, tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     args = ["cball-raster", "--domain", annulus_file, "--center", "0.5,0",
-            "--r", "0.4", "--res", "36", "--length", "5", "--refine-cap", "60",
+            "--r", "0.4", "--res", "36", "--refine-cap", "60",
             "--seed", "1"]
     assert main(args + ["--output", a]) == 0
     assert main(args + ["--output", b]) == 0
@@ -133,3 +133,7 @@ def test_verify_disk(capsys):
 def test_unknown_flag_rejected(annulus_file):
     with pytest.raises(SystemExit):
         main(["validate", "--domain", annulus_file, "--bogus"])
+    # a subcommand takes only the shared flags it reads
+    with pytest.raises(SystemExit):
+        main(["cball-raster", "--domain", annulus_file, "--center", "0.5,0",
+              "--r", "0.4", "--length", "5"])

@@ -90,10 +90,11 @@ def test_gradient_matches_finite_differences(triply_tools):
     m = triply_tools.model
     pts = interior_points(m.domain, 10, seed=5)
     h = 1e-5
-    for z in pts:
+    grads = m.eval_u_grad(pts)[1]  # du/dx - i du/dy
+    for z, grad in zip(pts, grads):
         z = complex(z)
         for j in (1, 2):
-            gx, gy = m.eval_grad_u(j, z)
+            gx, gy = grad[j - 1].real, -grad[j - 1].imag
             fx = (m.eval_u(j, z + h) - m.eval_u(j, z - h)) / (2 * h)
             fy = (m.eval_u(j, z + 1j * h) - m.eval_u(j, z - 1j * h)) / (2 * h)
             assert gx == pytest.approx(fx, abs=1e-6)
@@ -233,7 +234,6 @@ def test_fused_values_and_gradients(triply_tools):
     z = interior_points(m.domain, 15, seed=4)
     u, grad = m.eval_u_grad(z)
     assert np.array_equal(u, m.eval_u_all(z))
-    assert np.max(np.abs(grad - m.grad_u_complex(z))) < 1e-13
     h = 1e-5
     dx = (m.eval_u_all(z + h) - m.eval_u_all(z - h)) / (2 * h)
     dy = (m.eval_u_all(z + 1j * h) - m.eval_u_all(z - 1j * h)) / (2 * h)

@@ -3,9 +3,9 @@ import pytest
 
 from conftest import interior_points
 from schottky.domain import Circle, CircularDomain
-from schottky.errors import SingularEvaluationError
+from schottky.errors import DomainError, SingularEvaluationError
 from schottky.group import WordEnumeration, enumerate_words
-from schottky.prime import PrimeEvaluator, RatioProduct, _product
+from schottky.prime import PrimeEvaluator, RatioProduct, _combine
 
 
 def annulus_omega_oracle(z, y, r=0.25, terms=8):
@@ -150,7 +150,8 @@ def test_blocked_product_equals_log_space_product(length):
                              + 1j * rng.standard_normal((length, 5))))
     factors[:, 4] *= -1  # every principal log on the branch cut side
     logged = np.exp(np.sum(np.log(factors), axis=0))
-    assert np.max(np.abs(_product(factors) / logged - 1)) < 1e-12
+    blocks = [np.prod(factors[i:i + 1000], axis=0) for i in range(0, length, 1000)]
+    assert np.max(np.abs(_combine(blocks) / logged - 1)) < 1e-12
 
 
 def test_ratio_product_matches_per_factor_formula(triply_tools, monkeypatch):
@@ -175,4 +176,26 @@ def test_ratio_product_matches_per_factor_formula(triply_tools, monkeypatch):
     expected = prefactor * np.exp(logs)
     ratios = RatioProduct(ev, y1, y2)
     assert np.max(np.abs(ratios(z) / expected - 1)) < 1e-12
-    assert np.max(np.abs(ratios(z, th_z) - ratios(z))) < 1e-15
+
+
+def test_omega_memory_is_flat_in_the_word_count(triply_tools):
+    # 6560 half-set words: a (words x points) table of 1000 points would
+    # hold 105 MB per temporary; the tiled pass holds a few 512 KB tiles
+    import tracemalloc
+
+    ev = PrimeEvaluator(triply_tools.domain, max_word_length=8)
+    z = interior_points(ev.domain, 1000, seed=41)
+    tracemalloc.start()
+    try:
+        vals = ev.omega(z, 0.1 + 0.3j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert np.all(np.isfinite(vals))
+
+
+def test_enumeration_rank_must_match_the_domain(triply_tools):
+    for g in (1, 3):
+        with pytest.raises(DomainError):
+            PrimeEvaluator(triply_tools.domain, enumeration=enumerate_words(g, 2))

@@ -308,18 +308,25 @@ def test_fused_product_matches_per_zero_route(case, annulus_tools, triply_tools,
 
 
 def test_fused_product_does_not_depend_on_batch(g3_tools):
-    # the fused product of the map's zeros off the origin, over three word
-    # tiles and many point tiles, in batches of 1000, 64, 7 and 1
+    # every product over the word ball, over many point tiles, in batches of
+    # 1000, 64, 7 and 1: the fused product of the map's zeros off the
+    # origin, omega and eta(., 0) (three half-set word tiles), and the
+    # Blaschke product over the whole ball (five word tiles)
     f = _g3_map(g3_tools)
+    ev = g3_tools.ev
     moved = [p for p in f.zeros if p != 0]
-    ratios = RatioProduct(g3_tools.ev, moved, [1 / p.conjugate() for p in moved])
+    routes = (RatioProduct(ev, moved, [1 / p.conjugate() for p in moved]),
+              lambda z: ev.omega(z, moved[0]),
+              lambda z: eta(ev, z, 0j),
+              lambda z: ev.ball_blaschke(moved, z))
     pts = interior_points(g3_tools.domain, 1000, seed=22, margin=0.02)
-    full = ratios(pts)
-    for size in (64, 7):
-        parts = np.concatenate([ratios(pts[i:i + size]) for i in range(0, 1000, size)])
-        assert np.max(np.abs(parts - full)) < 1e-15
-    for i in range(0, 1000, 37):
-        assert abs(ratios(pts[i:i + 1])[0] - full[i]) < 1e-15
+    for route in routes:
+        full = route(pts)
+        for size in (64, 7):
+            parts = np.concatenate([route(pts[i:i + size]) for i in range(0, 1000, size)])
+            assert np.max(np.abs(parts - full)) < 1e-15
+        for i in range(0, 1000, 37):
+            assert abs(route(pts[i:i + 1])[0] - full[i]) < 1e-15
     # the map as a whole adds the first-kind integrals, contracted per point
     whole = f(pts)
     assert max(abs(f(complex(pts[i])) - whole[i]) for i in range(0, 1000, 37)) < 1e-15

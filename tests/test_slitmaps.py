@@ -4,7 +4,6 @@ import pytest
 from conftest import interior_points
 from schottky.domain import Circle, CircularDomain
 from schottky.errors import DomainError, TruncationQualityError
-from schottky.group import enumerate_words
 from schottky.prime import PrimeEvaluator
 from schottky.slitmaps import (
     eta,
@@ -116,24 +115,21 @@ def test_slit_radius_errors(annulus_tools, disk_tools):
 
 
 def test_eta_via_mobius_product_disk(disk_tools):
-    enum = enumerate_words(0, 0)
-    val = eta_via_mobius_product(disk_tools.domain, enum, 0.5, 0.2)
+    val = eta_via_mobius_product(disk_tools.ev, 0.5, 0.2)
     assert val == pytest.approx(1 / 3)
 
 
 def test_eta_via_mobius_product_annulus(annulus_tools):
-    enum = enumerate_words(1, 8)
     z, p = 0.7j, 0.4
-    lhs = eta_via_mobius_product(annulus_tools.domain, enum, z, p)
+    lhs = eta_via_mobius_product(annulus_tools.ev, z, p)
     assert abs(lhs - eta(annulus_tools.ev, z, p)) < 1e-8
 
 
 def test_eta_via_mobius_product_triply(triply_tools):
-    enum = enumerate_words(2, 5)
     ev5 = PrimeEvaluator(triply_tools.domain, max_word_length=5)
     pts = interior_points(triply_tools.domain, 20, seed=31)
     for z, p in zip(pts[:10], pts[10:]):
-        lhs = eta_via_mobius_product(triply_tools.domain, enum, complex(z), complex(p))
+        lhs = eta_via_mobius_product(ev5, complex(z), complex(p))
         assert abs(lhs - eta(ev5, complex(z), complex(p))) < 1e-6
 
 
