@@ -25,7 +25,6 @@ from .errors import (
 )
 from .group import (
     WordEnumeration,
-    adaptive_word_length,
     enumerate_words,
     generators,
     realize,

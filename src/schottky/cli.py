@@ -20,7 +20,6 @@ import sys
 
 from . import verify as verify_mod
 from .distance import (
-    BallRaster,
     DistanceOptions,
     ball_raster,
     find_disconnected_ball,

@@ -7,6 +7,14 @@ the letter order 1 < -1 < 2 < -2 < ...  The half set marks one word out of
 each inverse pair {w, w^-1}; by the inversion invariance of the product
 factors the prime function does not depend on which one, so the canonical
 order is used as the tie break.
+
+The products over the ball are truncated at the word length L where the
+images of the domain under the words of length L become small.
+``tail_estimate`` gives that size exactly: the image of the domain under a
+Moebius map is bounded by image circles, and each image circle's diameter
+is the distance between the images of two points of its circle
+(``_max_diameter``).  ``adaptive_ball`` grows the ball one level at a time
+until the estimate falls below a tolerance.
 """
 
 from __future__ import annotations
@@ -28,7 +36,6 @@ __all__ = [
     "realize",
     "realize_all",
     "tail_estimate",
-    "adaptive_word_length",
     "adaptive_ball",
     "word_inverse",
     "is_reduced",
@@ -254,57 +261,62 @@ def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def tail_estimate(d: CircularDomain, length: int, samples: int = 32) -> float:
+def tail_estimate(d: CircularDomain, length: int) -> float:
     """Truncation control: the largest Euclidean diameter of w(closure of the
-    domain) over the half-set words w of exactly the given length.
-
-    The domain closure is sampled on its boundary circles; a Moebius map
-    sends the region between them to the region between the image circles,
-    so the diameter of the sampled image bounds the image region.  For g = 0
-    there are no words and the estimate is 0.
+    domain) over the half-set words w of exactly the given length, in closed
+    form (``_max_diameter``).  For g = 0 there are no words and the estimate
+    is 0.
     """
     if d.g == 0 or length == 0:
         return 0.0
     enum = enumerate_words(d.g, length)
     table = realize_all(d, enum)
-    return _max_diameter(d, table[:, (enum.length == length) & enum.half_set_mask], samples)
+    return _max_diameter(d, table[:, (enum.length == length) & enum.half_set_mask])
 
 
-# words whose sampled images are compared at once by ``_max_diameter``: a
-# block's pairwise differences take 8 MB at 32 samples per circle, g = 2
-_TAIL_BLOCK = 32
+def _max_diameter(d: CircularDomain, maps: np.ndarray) -> float:
+    """The largest diameter of the domain closure's images under the
+    non-identity maps of a coefficient table (0 for none), in closed form.
 
+    A map M(z) = (a z + b) / (c z + d) sends the domain to the region
+    bounded by its boundary circles' images, one of which encloses the
+    others, so the image's diameter is the largest of theirs.  On the circle
+    |z - q| = r take z+- = q +- r u, u the unit vector from q toward the pole
+    -d/c (u = 1 when c = 0 or the pole is q).  The line through q and the
+    pole meets the circle at right angles and passes through the pole, so M
+    sends it to a line through the image circle's centre: M(z+) and M(z-)
+    are the ends of a diameter, of length |M(z+) - M(z-)|.
 
-def _max_diameter(d: CircularDomain, maps: np.ndarray, samples: int = 32) -> float:
-    """The largest diameter of the sampled domain boundary's images under
-    the maps of a coefficient table (0 for none)."""
-    pts = np.concatenate([d.circle(l).samples(samples) for l in range(d.g + 1)])
+    u is the direction of -(c q + d) conj(c), formed in Python's complex
+    arithmetic part by part (``_mul``, moduli as ``np.hypot``), and M is
+    applied as ``MobiusMap`` applies a scalar map to an array, so the
+    estimate equals a word-by-word loop over scalar maps bit for bit.
+    """
+    a, b, c, dd = maps
     worst = 0.0
-    for i in range(0, maps.shape[1], _TAIL_BLOCK):
-        a, b, c, dd = maps[:, i:i + _TAIL_BLOCK, None]
-        img = (a * pts + b) / (c * pts + dd)
-        diam = np.abs(img[:, :, None] - img[:, None, :]).max(axis=(1, 2))
-        worst = max(worst, float(diam.max()))
+    for l in range(d.g + 1):
+        circle = d.circle(l)
+        u = -_mul(_mul(c, circle.q) + dd, c.conj())  # (pole - q) |c|^2
+        size = np.hypot(u.real, u.imag)
+        u[size == 0], size[size == 0] = 1.0, 1.0  # c = 0, or the pole at q
+        u.real /= size
+        u.imag /= size
+        plus, minus = [(a * z + b) / (c * z + dd)
+                       for z in (circle.q + _mul(u, circle.r), circle.q - _mul(u, circle.r))]
+        chord = plus - minus
+        worst = max(worst, float(np.hypot(chord.real, chord.imag).max(initial=0.0)))
     return worst
-
-
-def adaptive_word_length(
-    d: CircularDomain, tol: float = 1e-10, max_len: int = 8
-) -> tuple[int, float]:
-    """Smallest word length whose tail estimate is below ``tol``, capped at
-    ``max_len`` and at the largest length whose word ball fits ``word_cap()``.
-    Returns (length, achieved tail estimate)."""
-    length, est, _, _ = adaptive_ball(d, tol, max_len)
-    return length, est
 
 
 def adaptive_ball(
     d: CircularDomain, tol: float = 1e-10, max_len: int = 8
 ) -> tuple[int, float, WordEnumeration, np.ndarray]:
-    """``adaptive_word_length`` together with the word ball at that length
-    and its ``realize_all`` table, grown one level per length tried: each
-    level is enumerated and realized once, and its tail estimate read off
-    its half-set columns."""
+    """The smallest word length whose tail estimate is below ``tol``, capped
+    at ``max_len`` and at the largest length whose word ball fits
+    ``word_cap()``: returns (length, achieved tail estimate, the word ball at
+    that length, its ``realize_all`` table).  The ball is grown one level
+    per length tried: each level is enumerated and realized once, and its
+    tail estimate read off its half-set columns."""
     if d.g == 0:
         return 0, 0.0, enumerate_words(0, 0), _IDENTITY.copy()
     top = max((L for L in range(1, max_len + 1)

@@ -65,11 +65,9 @@ class PrimeEvaluator:
     ``ball_blaschke`` (behind ``lift_blaschke`` and the group-averaged
     Blaschke route of the slit maps) over all of it.
 
-    The product evaluations are pure, so one evaluator can serve any number
-    of threads.  The one state written after construction is the sign of
-    ``sqrt_dtheta(j, .)``: +1 until ``calibrate_sqrt_sign`` (or the first
-    ``functional_equation_residual`` for circle j) calibrates it.  For g = 0 the evaluator is
-    trivial and omega(z, y) = z - y exactly.
+    The evaluator is immutable after construction, so one evaluator can
+    serve any number of threads.  For g = 0 it is trivial and
+    omega(z, y) = z - y exactly.
 
     Parameters
     ----------
@@ -122,18 +120,10 @@ class PrimeEvaluator:
         self.mobius_table = realize_all(domain, enumeration) if table is None else table
         self._half = self.mobius_table[:, enumeration.half_set_mask]
         self._gens = generators(domain) if domain.g else []
-        self._sqrt_signs: dict[int, float] = {}
 
     @property
     def half_set_size(self) -> int:
         return self._half.shape[1]
-
-    # -- low-level tables ------------------------------------------------
-
-    def theta_table(self, z: np.ndarray) -> np.ndarray:
-        """Images of the points under every half-set map, shape
-        (half_set_size, len(z))."""
-        return _images(self._half, slice(None), np.atleast_1d(np.asarray(z, dtype=complex))).T
 
     def _theta_point(self, y: complex) -> np.ndarray:
         return _images(self._half, slice(None), np.array([complex(y)]))[0]
@@ -214,46 +204,30 @@ class PrimeEvaluator:
     # -- defining properties as residuals ---------------------------------
 
     def sqrt_dtheta(self, j: int, z):
-        """Analytic square root of the derivative of generator ``j``:
-        +- r_j / (1 - conj(q_j) z), with the global sign calibrated once so
-        the prime-function shift identity holds (the identity fixes the root
-        only implicitly)."""
+        """The square root of the derivative of generator ``j`` that the
+        prime function's shift identity takes, -r_j / (1 - conj(q_j) z).
+        The other root, +r_j / (1 - conj(q_j) z), leaves an O(1) residual
+        in ``functional_equation_residual``."""
         c = self.domain.circle(j)
-        sign = self._sqrt_signs.get(j, 1.0)
-        return sign * c.r / (1.0 - c.q.conjugate() * np.asarray(z, dtype=complex))
-
-    def calibrate_sqrt_sign(self, j: int, v) -> float:
-        z0, y0 = self._reference_pair()
-        best = min(
-            (+1.0, -1.0),
-            key=lambda s: self._shift_residual(z0, y0, j, v, s),
-        )
-        self._sqrt_signs[j] = best
-        return best
+        z = complex(z) if np.isscalar(z) else np.asarray(z, dtype=complex)
+        return -c.r / (1.0 - c.q.conjugate() * z)
 
     def functional_equation_residual(self, z: complex, y: complex, j: int, v) -> float:
         """Relative residual of the shift property
 
         |omega(theta_j z, y) - exp(2 pi i (v_j(y) - v_j(z)) - pi i tau_jj)
-          * sqrt(theta_j') * omega(z, y)| / |omega(z, y)|.
+          * sqrt(theta_j'(z)) * omega(z, y)| / |omega(z, y)|,
 
-        Vacuously 0 for g = 0.
+        with the root ``sqrt_dtheta``.  Vacuously 0 for g = 0.
         """
         if self.domain.g == 0:
             return 0.0
-        if j not in self._sqrt_signs:
-            self.calibrate_sqrt_sign(j, v)
-        return self._shift_residual(complex(z), complex(y), j, v, self._sqrt_signs[j])
-
-    def _shift_residual(self, z, y, j, v, sign) -> float:
-        theta = self._gens[j - 1]
-        lhs = self.omega(theta(z), y)
+        z, y = complex(z), complex(y)
+        lhs = self.omega(self._gens[j - 1](z), y)
         tau_jj = v.period_matrix().tau[j - 1, j - 1]
         phase = np.exp(2j * np.pi * (v.eval_v(j, y) - v.eval_v(j, z)) - 1j * np.pi * tau_jj)
-        c = self.domain.circle(j)
-        sq = sign * c.r / (1.0 - c.q.conjugate() * z)
         base = self.omega(z, y)
-        return abs(lhs - phase * sq * base) / abs(base)
+        return abs(lhs - phase * self.sqrt_dtheta(j, z) * base) / abs(base)
 
     def symmetry_residuals(self, z: complex, y: complex) -> tuple[float, float]:
         """(conjugation-reflection residual, exchange-antisymmetry residual)."""
@@ -266,21 +240,13 @@ class PrimeEvaluator:
         r2 = abs(w + self.omega(y, z))
         return r1, r2
 
-    def _reference_pair(self) -> tuple[complex, complex]:
-        """Two interior points on/near the positive real axis, used as the
-        calibration anchor (0.9 when available)."""
-        d = self.domain
+    def _reference_point(self) -> complex:
+        """An interior point on or near the positive real axis (0.9 when
+        available), where constants of the slit maps are measured."""
         for z0 in (0.9, 0.9j, -0.9, 0.7, 0.7j, -0.7):
-            z0 = complex(z0)
-            if d.contains(z0, margin=1e-3):
-                break
-        else:
-            raise DomainError("could not find a reference point in the domain")
-        for y0 in (0.4j, 0.55, -0.35, 0.2 + 0.3j, -0.6j):
-            y0 = complex(y0)
-            if d.contains(y0, margin=1e-3) and abs(y0 - z0) > 0.1:
-                return z0, y0
-        raise DomainError("could not find a reference pair in the domain")
+            if self.domain.contains(complex(z0), margin=1e-3):
+                return complex(z0)
+        raise DomainError("could not find a reference point in the domain")
 
 
 class RatioProduct:

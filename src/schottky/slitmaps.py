@@ -131,7 +131,7 @@ def eta_j_relation_residual(
     if ev.domain.g == 0:
         return 0.0
     if z0 is None:
-        z0 = ev._reference_pair()[0]
+        z0 = ev._reference_point()
     k = np.exp(-2j * np.pi * v.eval_v(j, z0)) * eta(ev, z0, p) / eta_l(ev, j, z0, p)
     lhs = np.exp(-2j * np.pi * v.eval_v(j, complex(z))) * eta(ev, z, p)
     return float(abs(lhs - k * eta_l(ev, j, z, p)))

@@ -1,5 +1,6 @@
 """The library runs on numpy alone; scipy is only the tests' oracle."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -37,3 +38,29 @@ def test_library_loads_no_scipy():
                          env=env, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == [], out.stdout
+
+
+def _unused_imports(path):
+    """(line, name) of each name a module imports and neither reads nor
+    lists in ``__all__``."""
+    tree = ast.parse(path.read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, (a.asname or a.name).split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, a.asname or a.name) for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [(line, name) for line, name in imported if name not in used]
+
+
+def test_every_imported_name_is_used():
+    package = Path(__file__).resolve().parent.parent / "src" / "schottky"
+    unused = {f"{path.name}:{line} {name}"
+              for path in sorted(package.glob("*.py")) if path.name != "__init__.py"
+              for line, name in _unused_imports(path)}
+    assert not unused, sorted(unused)

@@ -1,16 +1,17 @@
 import copy
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schottky import group
 from schottky.domain import Circle, CircularDomain, MobiusMap, mobius_compose
 from schottky.errors import DomainError, ResourceLimitError
 from schottky.group import (
     WordEnumeration,
     adaptive_ball,
-    adaptive_word_length,
     ball_size,
     enumerate_words,
     generators,
@@ -131,9 +132,10 @@ def test_realize_all_matches_realize():
 
 
 def test_tail_estimate_annulus_closed_form():
-    # image of the domain closure under theta^3 has diameter 2 r^6
-    est = tail_estimate(ANNULUS, 3)
-    assert est == pytest.approx(2 * 0.25**6, rel=1e-6)
+    # the image of the domain closure under theta^L is the disk of radius
+    # r^(2L): diameter 2 r^(2L)
+    for L in range(1, 9):
+        assert tail_estimate(ANNULUS, L) == pytest.approx(2 * 0.25 ** (2 * L), rel=1e-14)
 
 
 def test_tail_estimate_empty_group():
@@ -148,12 +150,12 @@ def test_tail_estimate_monotone_on_triply():
 def test_adaptive_word_length():
     # annulus tails decay like 2 r^(2L): the 1e-10 target needs L = 9, so
     # the adaptive search stops at the cap
-    L, est = adaptive_word_length(ANNULUS, tol=1e-10)
+    L, est, _, _ = adaptive_ball(ANNULUS, tol=1e-10)
     assert L == 8
-    assert est == pytest.approx(2 * 0.25**16, rel=1e-6)
-    L, est = adaptive_word_length(ANNULUS, tol=1e-8)
+    assert est == pytest.approx(2 * 0.25**16, rel=1e-14)
+    L, est, _, _ = adaptive_ball(ANNULUS, tol=1e-8)
     assert L == 7 and est < 1e-8
-    assert adaptive_word_length(CircularDomain()) == (0, 0.0)
+    assert adaptive_ball(CircularDomain())[:2] == (0, 0.0)
 
 
 def test_adaptive_word_length_stops_at_the_word_cap(monkeypatch):
@@ -162,7 +164,7 @@ def test_adaptive_word_length_stops_at_the_word_cap(monkeypatch):
     # that length's tail, so the evaluator warns instead of raising
     dom = FOUR
     monkeypatch.setenv("SCHOTTKY_MAX_WORDS", "200")
-    L, est = adaptive_word_length(dom)
+    L, est, _, _ = adaptive_ball(dom)
     assert L == 3
     assert est == tail_estimate(dom, 3) and est > 1e-10
     with pytest.warns(UserWarning, match="tail estimate"):
@@ -207,7 +209,8 @@ def _chain_table(d, words):
 
 
 def _loop_tail(d, length, samples=32):
-    """Reference: the largest sampled image diameter, one word at a time."""
+    """Reference: the largest sampled image diameter, one word at a time.
+    Sampling bounds the diameter from below."""
     words, mask = _loop_enumeration(d.g, length)
     pts = np.concatenate([d.circle(l).samples(samples) for l in range(d.g + 1)])
     worst = 0.0
@@ -216,6 +219,47 @@ def _loop_tail(d, length, samples=32):
             img = m(pts)
             worst = max(worst, float(np.max(np.abs(img[:, None] - img[None, :]))))
     return worst
+
+
+def _loop_two_point_tail(d, length):
+    """Reference: the largest image-circle diameter |M(z+) - M(z-)|, one word
+    and one circle at a time, with z+- = q +- r u and u the unit vector from
+    q toward the pole -d/c, the direction of -(c q + d) conj(c)."""
+    words, mask = _loop_enumeration(d.g, length)
+    worst = 0.0
+    for w, m, marked in zip(words, _chain_maps(d, words), mask):
+        if len(w) == length and marked:
+            for l in range(d.g + 1):
+                q, r = d.circle(l).q, d.circle(l).r
+                u = -(m.c * q + m.d) * m.c.conjugate()
+                u = u / abs(u) if u else 1.0
+                plus, minus = m(np.array([q + r * u, q - r * u]))
+                worst = max(worst, abs(complex(plus - minus)))
+    return worst
+
+
+def _mp_diameters(d, words):
+    """Reference: each word's image-circle diameters, largest over the
+    boundary circles, from the word's exact composition at 50 digits and
+    the image radius r |ad - bc| / ||c q + d|^2 - |c|^2 r^2|."""
+    with mpmath.workdps(50):
+        gens = {}
+        for j, circle in enumerate(d.inner_circles, 1):
+            q, r = mpmath.mpc(circle.q), mpmath.mpf(circle.r)
+            gens[j] = (r**2 - abs(q) ** 2, q, -mpmath.conj(q), mpmath.mpf(1))
+            a, b, c, dd = gens[j]
+            gens[-j] = (dd, -b, -c, a)
+        out = []
+        for w in words:
+            a, b, c, dd = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1)
+            for x in w:
+                a2, b2, c2, d2 = gens[x]
+                a, b, c, dd = a * a2 + b * c2, a * b2 + b * d2, c * a2 + dd * c2, c * b2 + dd * d2
+            out.append(float(max(
+                2 * mpmath.mpf(circle.r) * abs(a * dd - b * c)
+                / abs(abs(c * circle.q + dd) ** 2 - abs(c) ** 2 * mpmath.mpf(circle.r) ** 2)
+                for circle in (d.circle(l) for l in range(d.g + 1)))))
+        return out
 
 
 def _same_bits(x, y):
@@ -268,7 +312,27 @@ def test_word_cap_raises_before_allocating():
 @pytest.mark.parametrize("d", [ANNULUS, TRIPLY, FOUR], ids=["annulus", "triply", "four"])
 def test_tail_estimate_matches_word_loop(d):
     for L in range(1, 5):
-        assert tail_estimate(d, L) == _loop_tail(d, L)
+        est = tail_estimate(d, L)
+        assert est == _loop_two_point_tail(d, L)
+        # the sampled diameter is a lower bound, and 32 samples per circle
+        # come within 1e-4 of the whole circle
+        sampled = _loop_tail(d, L)
+        assert sampled * (1 - 1e-12) <= est <= sampled * (1 + 1e-4)
+
+
+@pytest.mark.parametrize("d", [TRIPLY, FOUR], ids=["triply", "four"])
+def test_tail_diameters_match_mpmath(d):
+    # every word of length 1 to 3, its diameter against the exact
+    # composition; the double word table costs about 1e-10 here
+    enum = enumerate_words(d.g, 3)
+    table = realize_all(d, enum)
+    words = range(1, len(enum))
+    ours = [group._max_diameter(d, table[:, [i]]) for i in words]
+    ref = _mp_diameters(d, [enum.words[i] for i in words])
+    assert np.max(np.abs(np.array(ours) / ref - 1)) <= 1e-9
+    for L in range(1, 4):
+        level = (enum.length == L) & enum.half_set_mask
+        assert tail_estimate(d, L) == max(x for x, i in zip(ours, words) if level[i])
 
 
 def test_adaptive_ball_is_the_enumerated_ball(monkeypatch):
@@ -280,8 +344,8 @@ def test_adaptive_ball_is_the_enumerated_ball(monkeypatch):
             monkeypatch.setenv("SCHOTTKY_MAX_WORDS", cap)
         L, est, enum, table = adaptive_ball(d)
         ref = enumerate_words(d.g, L)
-        assert L == length and (L, est) == adaptive_word_length(d)
-        assert est == _loop_tail(d, L)
+        assert L == length
+        assert est == _loop_two_point_tail(d, L) == tail_estimate(d, L)
         assert enum.max_length == L and enum.words == ref.words
         for name in ("half_set_mask", "parent", "letter", "length"):
             assert np.array_equal(getattr(enum, name), getattr(ref, name))

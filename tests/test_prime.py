@@ -5,7 +5,13 @@ from conftest import interior_points
 from schottky.domain import Circle, CircularDomain
 from schottky.errors import DomainError, SingularEvaluationError
 from schottky.group import WordEnumeration, enumerate_words
-from schottky.prime import PrimeEvaluator, RatioProduct, _combine
+from schottky.harmonic import integrals_first_kind, solve_harmonic_measures
+from schottky.prime import PrimeEvaluator, RatioProduct, _combine, _images
+
+ANNULUS = CircularDomain((Circle(0j, 0.25),))
+TRIPLY = CircularDomain((Circle(-0.5 + 0j, 0.1), Circle(0.5 + 0j, 0.1)))
+FOUR = CircularDomain((Circle(-0.5 + 0j, 0.12), Circle(0.45 + 0.1j, 0.1),
+                       Circle(-0.05 - 0.55j, 0.1)))
 
 
 def annulus_omega_oracle(z, y, r=0.25, terms=8):
@@ -104,6 +110,31 @@ def test_functional_equation_disk_vacuous(disk_tools):
     assert disk_tools.ev.functional_equation_residual(0.3, 0.2, 1, None) == 0.0
 
 
+def _shift_residual(ev, v, j, z, y, sign=1.0):
+    """The shift identity written out with ``sign * sqrt_dtheta``."""
+    lhs = ev.omega(ev._gens[j - 1](z), y)
+    tau_jj = v.period_matrix().tau[j - 1, j - 1]
+    phase = np.exp(2j * np.pi * (v.eval_v(j, y) - v.eval_v(j, z)) - 1j * np.pi * tau_jj)
+    base = ev.omega(z, y)
+    return abs(lhs - phase * sign * ev.sqrt_dtheta(j, z) * base) / abs(base)
+
+
+@pytest.mark.parametrize("d", [ANNULUS, TRIPLY, FOUR], ids=["annulus", "triply", "four"])
+def test_sqrt_dtheta_takes_the_root_of_the_shift_identity(d):
+    # a fresh evaluator, with nothing calibrated: the fixed root -r/(1 - conj(q) z)
+    # satisfies the identity on every circle, and the other root misses by O(1)
+    v = integrals_first_kind(solve_harmonic_measures(d))
+    ev = PrimeEvaluator(d, max_word_length=5)
+    for j in range(1, d.g + 1):
+        for z, y in ((0.9, 0.4j), (0.2 + 0.6j, -0.3 - 0.2j)):
+            assert _shift_residual(ev, v, j, z, y) < 1e-5
+            assert _shift_residual(ev, v, j, z, y, sign=-1.0) > 0.1
+            assert ev.functional_equation_residual(z, y, j, v) == _shift_residual(ev, v, j, z, y)
+    z = np.array([0.9, 0.2 + 0.6j])
+    ref = [ev.sqrt_dtheta(1, complex(x)) for x in z]
+    assert np.allclose(ev.sqrt_dtheta(1, z), ref, rtol=1e-15, atol=0)
+
+
 def test_half_set_choice_does_not_matter(triply_tools):
     enum = enumerate_words(2, 4)
     mirrored = ~enum.half_set_mask
@@ -154,6 +185,12 @@ def test_blocked_product_equals_log_space_product(length):
     assert np.max(np.abs(_combine(blocks) / logged - 1)) < 1e-12
 
 
+def _theta_table(ev, z):
+    """Images of the points under every half-set map, shape
+    (half_set_size, len(z))."""
+    return _images(ev._half, slice(None), np.atleast_1d(np.asarray(z, dtype=complex))).T
+
+
 def test_ratio_product_matches_per_factor_formula(triply_tools, monkeypatch):
     # the fused, tiled pass against the ratios written out factor by factor
     # over the whole table and multiplied in log space; 100 words per tile
@@ -165,10 +202,10 @@ def test_ratio_product_matches_per_factor_formula(triply_tools, monkeypatch):
     z = interior_points(ev.domain, 100, seed=31)
     y1 = np.array([0.1 + 0.55j, -0.3 - 0.2j, 0.3 - 0.2j])
     y2 = 1 / y1.conj()
-    th_z = ev.theta_table(z)
+    th_z = _theta_table(ev, z)
     prefactor, logs = np.ones(len(z), dtype=complex), np.zeros(len(z), dtype=complex)
     for a, b in zip(y1, y2):
-        ta, tb = ev.theta_table(a)[:, 0], ev.theta_table(b)[:, 0]
+        ta, tb = _theta_table(ev, a)[:, 0], _theta_table(ev, b)[:, 0]
         factors = ((z - ta[:, None]) * (a - th_z) * (b - tb)[:, None]
                    / ((z - tb[:, None]) * (b - th_z) * (a - ta)[:, None]))
         prefactor *= (z - a) / (z - b)
