@@ -2,8 +2,8 @@
 
 Three routes to the same maps: prescribe admissible zeros (two product
 formulas that must agree), lift a finite Blaschke product through the
-group, or prescribe the preimages of 1 on each boundary circle and let the
-continuation pull the zeros inside.
+group, or prescribe the preimages of 1 on each boundary circle and let a
+walk down in t pull the zeros inside.
 """
 
 import numpy as np

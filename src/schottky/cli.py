@@ -149,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help='space-separated "circle:re,im" boundary points')
     p.add_argument("--lambdas", default=None,
                    help="comma-separated rates for the extra points")
-    p.add_argument("--horizon", type=float, default=0.05)
+    p.add_argument("--horizon", type=float, default=0.05,
+                   help="the t at which the walk down in t starts")
 
     p = sub.add_parser("cball-dist", help="Moebius/Caratheodory distance")
     common(p, "basis", "seed", "output")

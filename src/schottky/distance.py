@@ -75,19 +75,15 @@ class DistanceOptions:
     draw, so identical inputs give identical outputs.  One distance is an
     ascent of ``n_starts`` rows capped at ``nm_maxiter`` trial steps each
     (default 100 g); the band polish of a raster caps its rows at
-    ``refine_maxiter``.  A row stops once its last angle step (radians, max
-    norm) is below ``xatol`` and the change of |f| it made below ``fatol``.
+    ``refine_maxiter``.
     """
 
     seed: int = 0
     n_starts: int = 8
-    xatol: float = 1e-4
-    fatol: float = 1e-10
     nm_maxiter: int | None = None
     family_angles: int = 12
     coarse_angles: int = 6
     refine_margin: float = 0.025
-    band_margin: float = 0.06
     refine_cap: int = 4000
     refine_maxiter: int = 40
 
@@ -174,10 +170,10 @@ class _ExtremalSearch:
         ``_FIRST_TURN`` radians, never more than ``_MAX_TURN`` radians per
         angle, and halves its step when the trial chart fails or F does not
         fall by the Armijo amount.  Every trial is one warm chart solve over
-        all active rows.  A row stops when its last angle step is below
-        ``opts.xatol`` and its value change below ``opts.fatol``, or after
-        ``maxiter`` trials.  Stopped rows are frozen, so a batch gives its
-        rows' one-at-a-time results."""
+        all active rows.  A row stops when its last angle step (radians, max
+        norm) is below ``_XATOL`` and the change of |f| it made below
+        ``_FATOL``, or after ``maxiter`` trials.  Stopped rows are frozen,
+        so a batch gives its rows' one-at-a-time results."""
         g = self.g
         zetas = np.atleast_1d(np.asarray(zetas, dtype=complex))
         n = len(zetas)
@@ -214,7 +210,7 @@ class _ExtremalSearch:
             if ok.any():
                 f_t[ok], g_t[ok] = self._objective(green, rows[ok], pts[ok], trial[ok], s_t[ok])
             change = np.abs(np.exp(-(base[rows] + f_t)) - np.exp(-(base[rows] + fval[rows])))
-            active[rows[(np.abs(step).max(axis=1) < opts.xatol) & (change < opts.fatol)]] = False
+            active[rows[(np.abs(step).max(axis=1) < _XATOL) & (change < _FATOL)]] = False
             accept = f_t <= fval[rows] + 1e-4 * np.einsum("bi,bi->b", step, gr)
             step_len[rows] = np.where(accept, 1.0, 0.5 * step_len[rows])
             acc = rows[accept]
@@ -255,6 +251,8 @@ class _ExtremalSearch:
 
 
 _MAX_TURN = 0.5  # radians: the longest step of one foot angle in one trial
+_XATOL = 1e-4  # radians: a row stops once its angle step is below this
+_FATOL = 1e-10  # ... and the change of |f| that step made is below this
 _FIRST_TURN = 0.1  # radians: a row's first step, before any curvature is known
 
 
@@ -503,20 +501,21 @@ def ball_raster(
     bbox: tuple[float, float, float, float] = (-1.0, -1.0, 1.0, 1.0),
     resolution: int | tuple[int, int] = 300,
     opts: DistanceOptions | None = None,
-    chunk: int = 8192,
 ) -> BallRaster:
     """Raster of c*(p_tilde, .) over the grid with flood-fill labels of the
     sublevel set {c* < r}.
 
     The values are computed as the upper envelope of a deterministic family
-    of charted extremal maps (a coarse family everywhere, a fine family on
-    the band around the threshold; both solved in one batch), then the
-    pixels within ``refine_margin`` of the threshold (at most
+    of charted extremal maps (a coarse family everywhere, a fine family
+    where the coarse value lies within ``_BAND_MARGIN`` of the threshold;
+    both solved in one batch, and swept ``_RASTER_CHUNK`` pixels at a time),
+    then the pixels within ``refine_margin`` of the threshold (at most
     ``refine_cap``) are polished by one batched ascent, each row seeded
     from its pixel's family argmax and capped at ``refine_maxiter`` trial
-    steps; a polished value only replaces a lower one.  Every |f| comes from the domain's Green's
-    function on the harmonic series basis of ``model``: a family sweep is
-    one product of the pixel basis with the fits of all the family's zeros.
+    steps; a polished value only replaces a lower one.  Every |f| comes
+    from the domain's Green's function on the harmonic series basis of
+    ``model``: a family sweep is one product of the pixel basis with the
+    fits of all the family's zeros.
     ``raster.diagnostics`` counts the families' charts (solved, ok) and
     the batched evaluations of their seeds, and the polish: pixels
     polished, ascent iterations, batched chart solves and rows stopped at
@@ -550,14 +549,14 @@ def ball_raster(
     else:
         coarse, fine = _build_family(search, opts.coarse_angles, opts.family_angles)
         family = coarse + fine
-        for lo in range(0, len(idx), chunk):
-            zchunk = zs[idx[lo : lo + chunk]]
+        for lo in range(0, len(idx), _RASTER_CHUNK):
+            zchunk = zs[idx[lo : lo + _RASTER_CHUNK]]
             # -log|f| = G(., p_tilde) + sum_k G(., p_k): the envelope is the
             # smallest sum over the members
             base = search.green(zchunk, search.p)[:, 0]
             total, amax = _member_min(search, zchunk, coarse, base)
             # fine family only where the value could cross the threshold
-            band = np.flatnonzero(np.abs(np.exp(-total) - r) < opts.band_margin)
+            band = np.flatnonzero(np.abs(np.exp(-total) - r) < _BAND_MARGIN)
             if len(band):
                 fine_total, fine_amax = _member_min(search, zchunk[band], fine, base[band])
                 better = fine_total < total[band]
@@ -637,6 +636,8 @@ def _refine_band(raster, search, opts, idx, argmax_member, family, zs) -> dict:
 
 
 _ASCENT_ROWS = 512  # band pixels per ascent batch, to bound its memory
+_RASTER_CHUNK = 8192  # pixels per family sweep, to bound its memory
+_BAND_MARGIN = 0.06  # the fine family runs where the coarse value is this near r
 
 
 # -- disconnected-ball witness ---------------------------------------------------

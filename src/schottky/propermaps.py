@@ -15,8 +15,9 @@ with the rotation fixing f(1) = 1, or equivalently a radius-normalized
 product of the eta_l slit maps over any circle-indexed grouping of the
 zeros with the right group sizes.  Both forms are implemented, plus the
 Newton machinery that completes partial zero sets to admissible ones and
-the boundary-data continuation that builds the map with prescribed
-preimages of 1 on every boundary circle.
+the boundary-data construction that builds the map with prescribed
+preimages of 1 on every boundary circle, by one walk down in the time t of
+a family of zero sets that tends to those points.
 """
 
 from __future__ import annotations
@@ -72,6 +73,11 @@ class BoundaryDegree:
         return sum(self.nu)
 
 
+_ADMISSIBLE_TOL = 1e-6  # largest measure-sum residual of an admissible zero set
+_BOUNDARY_TOL = 1e-4  # largest | |f| - 1 | of a built map on the coarse boundary samples
+_CONDITION_TOL = 1e-5  # largest spread of the slit-radius products of an indexing
+
+
 @dataclass(frozen=True)
 class ZeroConfig:
     """A multiset of prospective zeros with a boundary degree and the
@@ -85,7 +91,7 @@ class ZeroConfig:
     def max_residual(self) -> float:
         return max(self.residual) if self.residual else 0.0
 
-    def admissible(self, tol: float = 1e-6) -> bool:
+    def admissible(self, tol: float = _ADMISSIBLE_TOL) -> bool:
         return self.max_residual < tol
 
     # JSON schema: {"zeros":[[re,im],...], "nu":[n0,...,ng]}
@@ -353,21 +359,21 @@ def build_proper_map(
     ev: PrimeEvaluator,
     v: IntegralsFirstKind | None,
     config: ZeroConfig,
-    admissible_tol: float = 1e-6,
     check_boundary: bool = True,
-    boundary_tol: float = 1e-4,
 ) -> ProperMap:
     """Construct the proper map with the zeros and boundary degree of an
     admissible configuration (product-of-slit-maps form, rotation fixing
     f(1) = 1).
 
     ``v`` may be None only for the disk (g = 0), where the exponential
-    factor is empty and the map is a normalized Blaschke product.
+    factor is empty and the map is a normalized Blaschke product.  With
+    ``check_boundary`` a deviation of |f| from 1 above ``_BOUNDARY_TOL`` on
+    64 samples per boundary circle raises TruncationQualityError.
     """
-    if not config.admissible(admissible_tol):
+    if not config.admissible():
         raise AdmissibilityError(
             f"zero configuration residual {config.max_residual:.2e} "
-            f"exceeds {admissible_tol:.0e}"
+            f"exceeds {_ADMISSIBLE_TOL:.0e}"
         )
     d = ev.domain
     nu = config.nu
@@ -400,9 +406,9 @@ def build_proper_map(
     if check_boundary:
         dev = boundary_modulus_deviation(f, samples=64)
         f.diagnostics["boundary_deviation_coarse"] = dev
-        if dev > boundary_tol:
+        if dev > _BOUNDARY_TOL:
             raise TruncationQualityError(
-                f"boundary modulus deviation {dev:.2e} exceeds {boundary_tol:.0e}; "
+                f"boundary modulus deviation {dev:.2e} exceeds {_BOUNDARY_TOL:.0e}; "
                 "increase the word length or basis order"
             )
     return f
@@ -440,14 +446,13 @@ def condition3_residual(ev: PrimeEvaluator, indexed_zeros) -> float:
 def build_proper_map_alt(
     ev: PrimeEvaluator,
     indexed_zeros,
-    condition_tol: float = 1e-5,
 ) -> ProperMap:
     """Alternate construction: radius-normalized product of the eta_l slit
     maps over circle-indexed zeros (list of (circle index, zero) pairs).
 
     The boundary degree is the per-circle group size.  Requires the
     reindexed admissibility condition: the slit-radius products must agree
-    across circles to ``condition_tol``.  Agrees with the first-kind-product
+    across circles to ``_CONDITION_TOL``.  Agrees with the first-kind-product
     construction up to a unimodular constant, and exactly after both are
     normalized at z = 1.
     """
@@ -459,10 +464,10 @@ def build_proper_map_alt(
     if d.g:
         prods = _radius_products(ev, groups)
         spread = float(np.max(prods) - np.min(prods))
-        if spread > condition_tol:
+        if spread > _CONDITION_TOL:
             raise AdmissibilityError(
                 f"slit-radius products differ across circles by {spread:.2e} "
-                f"(> {condition_tol:.0e}): indexing is not admissible"
+                f"(> {_CONDITION_TOL:.0e}): indexing is not admissible"
             )
         scale = 1.0 / float(np.exp(np.mean(np.log(prods))))
     else:
@@ -535,14 +540,14 @@ def lift_blaschke(
     ev: PrimeEvaluator,
     v: IntegralsFirstKind | None,
     zeros,
-    admissible_tol: float = 1e-6,
 ) -> ProperMap:
     """Lift a finite Blaschke product to the proper map of the domain with
     the same zeros: the group-averaged product of B over the truncated word
     ball (``ev.ball_blaschke``) times the first-kind exponential factor.
 
     Defined only when the zero set is admissible in the domain (the boundary
-    degrees are read off from the measure sums, which must be near-integers).
+    degrees are read off from the measure sums, which must lie within
+    ``_ADMISSIBLE_TOL`` of integers).
     """
     d = ev.domain
     zeros = [complex(p) for p in zeros]
@@ -553,7 +558,7 @@ def lift_blaschke(
         model = v.model
         sums = model.eval_u_all(np.asarray(zeros)).sum(axis=0)
         njs = np.round(sums).astype(int)
-        if np.max(np.abs(sums - njs)) > admissible_tol:
+        if np.max(np.abs(sums - njs)) > _ADMISSIBLE_TOL:
             raise AdmissibilityError(
                 f"zero set is not admissible: measure sums {sums} are not integers"
             )
@@ -588,12 +593,9 @@ def from_boundary_data(
     boundary_points,
     lambdas=None,
     horizon: float = 0.05,
-    steps: int = 32,
-    target_residual: float = 5e-5,
-    min_t: float = 1e-6,
 ) -> ProperMap:
     """Build the proper map with f(p) = 0 and f(w) = 1 at prescribed
-    boundary points, by continuation of the zero set in from the boundary.
+    boundary points, from zero sets that tend to the prescribed points.
 
     ``boundary_points`` is a sequence of (circle index, point) pairs; the
     number of points on each circle is its boundary degree, and every circle
@@ -606,12 +608,22 @@ def from_boundary_data(
     inward at rate t/alpha (alpha just below the smallest normal derivative
     of the measures there); the extra points moved inward along their
     normals so the measure of their own circle drops linearly in t (scaled
-    by their lambda); and one tethered point per inner circle solved from
-    the admissibility condition.  The map built from the zero set at small t,
-    recentred so f(p) = 0 and rotated against the prescribed points, then
-    converges to the desired map; t is decreased geometrically from the
-    horizon until the reported max |f(w) - 1| meets ``target_residual`` or
-    t reaches ``min_t``.
+    by their lambda); and one tethered point per inner circle, on the inward
+    normal at that circle's first point, solved from the admissibility
+    condition.  The map built from the zero set at small t, recentred so
+    f(p) = 0 and rotated against the prescribed points, converges to the
+    desired map as t -> 0.
+
+    One walk down in t builds it.  It starts at t = ``horizon`` with the
+    tethers seeded cold, at the depths where each alone brings its circle's
+    measure to its target, and halves t after each map, each tether solve
+    warm-started from the last, until the reported max |f(w) - 1| is below
+    ``_TARGET_RESIDUAL`` or t would fall below ``_MIN_T``.  A tether solve
+    that fails, or puts a zero outside the domain, halves t and seeds cold
+    again.  That always ends: as t -> 0 the tethered zeros tend to their
+    feet, where the Jacobian is the matrix of normal derivatives of the
+    measures, nonsingular for any valid domain.  Raises ConvergenceError
+    when t would fall below ``_MIN_T`` with the tether still failing.
     """
     d = model.domain
     g = d.g
@@ -684,53 +696,41 @@ def from_boundary_data(
 
     feet = np.array([[groups[j][0] for j in range(1, g + 1)]], dtype=complex)
     dirs = np.array([[inward[(j, 0)] for j in range(1, g + 1)]], dtype=complex)
-    depths = np.zeros(g)
 
-    def tether(t: float, depths0: np.ndarray) -> tuple[np.ndarray, list[complex]]:
+    def tether(t: float, seed=None) -> tuple[np.ndarray, list[complex]]:
+        """Depths of the tethered points at time t, from the seed depths or
+        cold, and the whole zero set; raises ConvergenceError when the chart
+        solve fails or a zero lies outside the domain."""
         driven = driven_zeros(t)  # never empty: the first unit-circle point is driven
         target = np.asarray(nu[1:], dtype=float) - model.eval_u_all(np.asarray(driven)).sum(axis=0)
-        s, res = _solve_chart(model, feet, dirs, target, depths0[None])
+        if seed is None:
+            seed, _ = _level_depths(model, range(1, g + 1), feet, dirs, target)
+        s, res = _solve_chart(model, feet, dirs, target, seed)
         if res[0] >= _CHART_TOL:
-            raise ConvergenceError("tether chart solve did not converge", residual=float(res[0]))
-        return s[0], driven + [complex(z) for z in (feet + s * dirs)[0]]
+            raise ConvergenceError(f"tether chart solve did not converge at t = {t:.3g}",
+                                   residual=float(res[0]))
+        zeros = driven + [complex(z) for z in (feet + s * dirs)[0]]
+        if not np.all(d.contains(np.asarray(zeros))):
+            raise ConvergenceError(f"tethered zero left the domain at t = {t:.3g}")
+        return s, zeros
 
-    # march t up to the horizon with adaptive substeps (warm-starting Newton)
-    t_reached = 0.0
-    t_step = horizon / steps
-    while t_reached < horizon - 1e-15:
-        t_next = min(horizon, t_reached + t_step)
-        try:
-            depths_new, zeros_at = tether(t_next, depths)
-        except ConvergenceError as exc:
-            t_step *= 0.5
-            if t_step < horizon / (steps * 1024):
-                raise ConvergenceError(
-                    f"continuation stalled at t = {t_reached:.3g}: {exc}",
-                    residual=exc.residual,
-                ) from exc
-            continue
-        if not np.all(d.contains(np.asarray(zeros_at))):
-            raise ConvergenceError(
-                f"tethered zero left the domain at t = {t_next:.3g}"
-            )
-        depths = depths_new
-        t_reached = t_next
-
-    # walk back down in t, building maps until the prescribed-point residual
-    # is small enough
     targets = np.array([w for l in range(g + 1) for w in groups[l]], dtype=complex)
     best: ProperMap | None = None
     best_res = np.inf
-    t = horizon
+    t, depths = horizon, None
     while True:
-        depths, zeros_t = tether(t, depths)
+        try:
+            depths, zeros_t = tether(t, depths)
+        except ConvergenceError:
+            if t / 2 < _MIN_T:
+                raise
+            t, depths = t / 2, None
+            continue
         config = make_zero_config(model, zeros_t, nu)
         base_map = build_proper_map(ev, v, config, check_boundary=False)
         a = base_map(p)
-        f_pre = ProperMap(d, base_map.zeros, nu, base_map._base, base_map.rotation,
-                          post=(a, 1.0 + 0j))
-        vals = f_pre(targets)
-        mu = vals.mean()
+        w = base_map(targets)
+        mu = np.mean((w - a) / (1.0 - a.conjugate() * w))
         phase = mu.conjugate() / abs(mu)
         f = ProperMap(
             d, base_map.zeros, nu, base_map._base, base_map.rotation,
@@ -743,7 +743,7 @@ def from_boundary_data(
         f.diagnostics["interior_zero_residual"] = float(abs(f(p)))
         if res < best_res:
             best, best_res = f, res
-        if res < target_residual or t / 2 < min_t:
+        if res < _TARGET_RESIDUAL or t / 2 < _MIN_T:
             break
         t /= 2.0
 
@@ -752,6 +752,10 @@ def from_boundary_data(
             best, groups, inward, lam, free
         )
     return best
+
+
+_TARGET_RESIDUAL = 5e-5  # max |f(w) - 1| at which the walk down in t stops
+_MIN_T = 1e-6  # the walk's floor in t
 
 
 def _derivative_ratios(f, groups, inward, lam, free):

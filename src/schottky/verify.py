@@ -161,7 +161,9 @@ def suite_annulus() -> list[CheckResult]:
     ))
     out.extend(_boundary_behavior_checks(dom, model, v, ev, seed=23, count=10,
                                          label="annulus"))
-    out.extend(_boundary_data_checks_annulus(dom, model, v, ev))
+    points = [(0, 1.0), (1, 0.25)]
+    out.extend(_boundary_data_checks(dom, model, v, ev, "annulus", 0.5j, points,
+                                     points[::-1], seed=8))
     return out
 
 
@@ -226,15 +228,18 @@ def _boundary_behavior_checks(dom, model, v, ev, seed, count, label, green=None)
     return out
 
 
-def _boundary_data_checks_annulus(dom, model, v, ev):
+def _boundary_data_checks(dom, model, v, ev, label, p, points, permuted, seed):
+    """Criterion 5: the boundary-data map through ``points`` vanishes at p
+    and hits its points, and the same data in the ``permuted`` order gives
+    the same map at 20 interior points drawn with ``seed``."""
     out = []
-    f = from_boundary_data(model, ev, v, 0.5j, [(0, 1.0), (1, 0.25)])
+    f = from_boundary_data(model, ev, v, p, points)
     res = f.diagnostics["prescribed_point_residual"]
-    out.append(_check("annulus: boundary-data map hits prescribed points", res, 1e-4))
-    out.append(_check("annulus: boundary-data map vanishes at p", abs(f(0.5j)), 1e-8))
-    f2 = from_boundary_data(model, ev, v, 0.5j, [(1, 0.25), (0, 1.0)])
-    pts = _interior_points(dom, 20, seed=8)
-    out.append(_check("annulus: permuted boundary data gives the same map",
+    out.append(_check(f"{label}: boundary-data map hits prescribed points", res, 1e-4))
+    out.append(_check(f"{label}: boundary-data map vanishes at p", abs(f(p)), 1e-8))
+    f2 = from_boundary_data(model, ev, v, p, permuted)
+    pts = _interior_points(dom, 20, seed=seed)
+    out.append(_check(f"{label}: permuted boundary data gives the same map",
                       float(np.max(np.abs(f(pts) - f2(pts)))), 1e-6))
     return out
 
@@ -301,7 +306,9 @@ def suite_triply() -> list[CheckResult]:
 
     out.extend(_boundary_behavior_checks(dom, model, v, ev, seed=31, count=10,
                                          label="triply", green=GreenFunction(model)))
-    out.extend(_boundary_data_checks_triply(dom, model, v, ev))
+    points = [(0, complex(np.exp(0.4j))), (1, -0.5 + 0.1j), (2, 0.5 + 0.1j)]
+    out.extend(_boundary_data_checks(dom, model, v, ev, "triply", 0.1 + 0.55j, points,
+                                     [points[2], points[0], points[1]], seed=97))
     out.extend(_semigroup_checks(dom, model, v, ev))
     return out
 
@@ -321,21 +328,6 @@ def _assign_circles(dom, zeros):
         labels.append(best)
         remaining.remove(best)
     return labels
-
-
-def _boundary_data_checks_triply(dom, model, v, ev):
-    out = []
-    p = 0.1 + 0.55j
-    points = [(0, complex(np.exp(0.4j))), (1, -0.5 + 0.1j), (2, 0.5 + 0.1j)]
-    f = from_boundary_data(model, ev, v, p, points)
-    res = f.diagnostics["prescribed_point_residual"]
-    out.append(_check("triply: boundary-data map hits prescribed points", res, 1e-4))
-    out.append(_check("triply: boundary-data map vanishes at p", abs(f(p)), 1e-8))
-    f2 = from_boundary_data(model, ev, v, p, [points[2], points[0], points[1]])
-    pts = _interior_points(dom, 20, seed=97)
-    out.append(_check("triply: permuted boundary data gives the same map",
-                      float(np.max(np.abs(f(pts) - f2(pts)))), 1e-6))
-    return out
 
 
 def _semigroup_checks(dom, model, v, ev):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from schottky.cli import main
+from schottky.domain import Circle, CircularDomain
 
 
 @pytest.fixture()
@@ -80,6 +81,23 @@ def test_from_boundary(annulus_file, capsys):
                  "--length", "8"])
     assert code == 0
     assert "prescribed-point residual" in capsys.readouterr().out
+
+
+def test_from_boundary_triply(tmp_path):
+    # the tether fails at the default horizon: the walk halves t
+    path = tmp_path / "triply.json"
+    path.write_text('{"inner_circles":[{"q":[-0.5,0.0],"r":0.1},{"q":[0.5,0.0],"r":0.1}]}')
+    dom = CircularDomain((Circle(-0.5 + 0j, 0.1), Circle(0.5 + 0j, 0.1)))
+    angles = [(0, 3.2), (1, -1.55), (2, -1.13), (2, -1.99)]
+    pts = [(l, dom.circle(l).point(a)) for l, a in angles]
+    points = " ".join(f"{l}:{w.real:.17g},{w.imag:.17g}" for l, w in pts)
+    out_path = tmp_path / "map.json"
+    code = main(["from-boundary", "--domain", str(path), "--interior", "0.57,-0.62",
+                 "--points", points, "--length", "6", "--output", str(out_path)])
+    assert code == 0
+    payload = json.loads(out_path.read_text())
+    assert payload["nu"] == [1, 1, 2]
+    assert payload["prescribed_point_residual"] < 1e-4
 
 
 def test_cball_dist(annulus_file, tmp_path):

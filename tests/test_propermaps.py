@@ -425,6 +425,65 @@ def test_from_boundary_data_higher_degree(annulus_tools):
     assert measured == pytest.approx(1.3, rel=0.1)
 
 
+# Boundary data whose tether fails at the horizon t = 0.05, and in the first
+# case again after a warm start at t = 0.0125: the walk halves t and seeds
+# cold until it holds.  The second case has an extra point on an inner
+# circle, where the map turns fast (its derivative ratio reads about 0.013),
+# so its windings need 4096 samples per circle.
+FAILED_TETHER_CASES = [
+    ("triply", 0.57 - 0.62j, [(0, 3.2), (1, -1.55), (2, -1.13), (2, -1.99)], 256),
+    ("triply", 0.34 + 0.81j, [(0, -0.57), (0, -0.24), (1, 2.9), (1, 3.5), (2, 0.4)], 4096),
+    ("g3", -0.7 - 0.2j, [(0, 0.5), (1, 3.3), (2, 0.0), (3, 1.7)], 256),
+]
+
+
+@pytest.mark.parametrize("name, p, angles, samples", FAILED_TETHER_CASES)
+def test_from_boundary_data_builds_after_a_failed_tether(name, p, angles, samples, request):
+    tools = request.getfixturevalue(f"{name}_tools")
+    points = [(l, tools.domain.circle(l).point(a)) for l, a in angles]
+    f = from_boundary_data(tools.model, tools.ev, tools.v, p, points)
+    assert f.diagnostics["prescribed_point_residual"] < 1e-4
+    assert abs(f(p)) < 1e-8
+    sizes = [sum(1 for l, _ in angles if l == k) for k in range(tools.domain.g + 1)]
+    assert list(f.nu) == sizes
+    assert [boundary_degree(f, l, samples=samples)
+            for l in range(tools.domain.g + 1)] == sizes
+
+
+def _random_boundary_data(domain, rng):
+    """One point at a uniform angle on every circle, a second with
+    probability 0.3, and p uniform in the square at least 0.1 inside."""
+    points = []
+    for l in range(domain.g + 1):
+        points.append((l, domain.circle(l).point(rng.uniform(0, 2 * np.pi))))
+        if rng.uniform() < 0.3:
+            points.append((l, domain.circle(l).point(rng.uniform(0, 2 * np.pi))))
+    while True:
+        p = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        if domain.contains(p, margin=0.1):
+            return p, points
+
+
+def test_from_boundary_data_random_sweep(triply_tools, g3_tools):
+    # six seeded data sets per domain: every one builds
+    for tools in (triply_tools, g3_tools):
+        rng = np.random.default_rng(1)
+        for _ in range(6):
+            p, points = _random_boundary_data(tools.domain, rng)
+            f = from_boundary_data(tools.model, tools.ev, tools.v, p, points)
+            assert f.diagnostics["prescribed_point_residual"] < 1e-4
+            assert abs(f(p)) < 1e-8
+
+
+def test_from_boundary_data_pins_the_verify_triply_map(triply_tools):
+    tools = triply_tools
+    points = [(0, complex(np.exp(0.4j))), (1, -0.5 + 0.1j), (2, 0.5 + 0.1j)]
+    f = from_boundary_data(tools.model, tools.ev, tools.v, 0.1 + 0.55j, points)
+    assert f.diagnostics["t"] == 3.90625e-4
+    assert f.diagnostics["prescribed_point_residual"] == pytest.approx(4.3597766801e-05,
+                                                                       rel=1e-9)
+
+
 def test_from_boundary_data_input_validation(annulus_tools):
     m, ev, v = annulus_tools.model, annulus_tools.ev, annulus_tools.v
     with pytest.raises(DomainError):
