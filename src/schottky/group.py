@@ -95,9 +95,6 @@ class WordEnumeration:
                 (w[-1] if w else 0 for w in self.words), np.intp, n))
             object.__setattr__(self, "length", np.fromiter(map(len, self.words), np.intp, n))
 
-    def half_set(self) -> list[GroupWord]:
-        return [w for w, m in zip(self.words, self.half_set_mask) if m]
-
     def __len__(self) -> int:
         return len(self.words)
 

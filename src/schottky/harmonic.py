@@ -47,8 +47,7 @@ class HarmonicModel:
     blocks (``blocks``), so every boundary fit on the same basis -- the
     measures here, each pole of a ``GreenFunction`` -- is one projection
     and one blocked back substitution (``solve_dirichlet``).  ``cond`` is
-    the 1-norm condition number of ``r`` (that of the collocation matrix),
-    with ||r^-1||_1 from Hager's estimator.
+    the 1-norm condition number of ``r`` (that of the collocation matrix).
 
     Immutable after construction apart from one memo: ``residual``, the
     boundary misfit of the measures on a fresh sample, is computed the
@@ -172,9 +171,9 @@ def solve_harmonic_measures(
     max(4*order, 64)).  The collocation matrix is factored once (reduced
     QR), the diagonal blocks of its triangular factor are inverted once,
     and the model keeps both for every later fit on its basis.  Raises
-    ConvergenceError when the factor's 1-norm condition number, ||r||_1
-    times Hager's estimate of ||r^-1||_1, exceeds ``cond_limit``, which
-    usually means the circles are too close together for this basis order.
+    ConvergenceError when the factor's 1-norm condition number
+    ||r||_1 ||r^-1||_1 exceeds ``cond_limit``, which usually means the
+    circles are too close together for this basis order.
     """
     report = validate_domain(d)
     if not report.is_valid:
@@ -231,37 +230,10 @@ def _tri_solve(r: np.ndarray, blocks, y: np.ndarray, trans: bool = False) -> np.
 
 
 def _cond_1norm(r: np.ndarray, blocks) -> float:
-    """||r||_1 ||r^-1||_1 for the upper triangular r, the second factor by
-    Hager's estimator in Higham's refinement (LAPACK's dlacn2, as its
-    triangular condition estimate dtrcon uses it): a lower bound on the
-    1-norm that is almost always exact.  inf for a singular r."""
-    n = len(r)
-
-    def solve(x, trans=False):
-        return _tri_solve(r, blocks, x, trans)
-
-    def sign(x):
-        return np.where(x >= 0, 1.0, -1.0)
-
-    x = solve(np.full(n, 1.0 / n))
-    est = float(np.abs(x).sum())
-    if n > 1:
-        signs = sign(x)
-        j = int(np.argmax(np.abs(solve(signs, trans=True))))
-        for _ in range(4):  # dlacn2's iterations 2 to ITMAX = 5
-            x = solve(np.eye(1, n, j)[0])
-            est_old, est = est, float(np.abs(x).sum())
-            if np.array_equal(sign(x), signs) or est <= est_old:
-                break  # a repeated sign vector, or cycling
-            signs = sign(x)
-            z = solve(signs, trans=True)
-            j_last, j = j, int(np.argmax(np.abs(z)))
-            if z[j_last] == abs(z[j]):
-                break
-        # the alternating vector guards against the estimator's bad cases
-        alt = (1.0 + np.arange(n) / (n - 1)) * np.where(np.arange(n) % 2, -1.0, 1.0)
-        est = max(est, 2.0 * float(np.abs(solve(alt)).sum()) / (3 * n))
-    cond = float(np.abs(r).sum(axis=0).max()) * est
+    """||r||_1 ||r^-1||_1 for the upper triangular r, with r^-1 by block
+    substitution; inf for a singular r."""
+    inv = _tri_solve(r, blocks, np.eye(len(r)))
+    cond = float(np.abs(r).sum(axis=0).max() * np.abs(inv).sum(axis=0).max())
     return cond if np.isfinite(cond) else np.inf
 
 

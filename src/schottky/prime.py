@@ -14,15 +14,15 @@ result does not depend on which half set is chosen.
 
 This module is the only one that forms a product over the word ball.  Every
 such product -- omega itself, ratios omega(z, y1)/omega(z, y2) and products
-of them over several pairs (``RatioProduct``, behind the slit and proper
-maps), the y -> infinity limit behind eta(., 0), and the group-averaged
-Blaschke products over the whole ball (``ball_blaschke``) -- supplies its
-own factor per (point, word) to one tiled reducer, ``_reduce``.  It runs
-over tiles of ``_POINT_TILE`` points by ``_LOG_SPACE_THRESHOLD`` words,
-forms the images of the points per tile, multiplies plainly within a tile
-and in log space across word tiles.  No product forms a (words x points)
-array, and each point's value depends only on that point, not on the batch
-it came in.
+of them over several pairs (``RatioProduct``, behind the slit maps and the
+product forms of the proper maps; a pair whose y2 is the point at infinity
+stands for the limit behind eta(., 0)), and the group-averaged Blaschke
+products over the whole ball (``ball_blaschke``) -- supplies its own factor
+per (point, word) to one tiled reducer, ``_reduce``.  It runs over tiles of
+``_POINT_TILE`` points by ``_LOG_SPACE_THRESHOLD`` words, forms the images
+of the points per tile, multiplies plainly within a tile and in log space
+across word tiles.  No product forms a (words x points) array, and each
+point's value depends only on that point, not on the batch it came in.
 """
 
 from __future__ import annotations
@@ -53,6 +53,10 @@ _LOG_SPACE_THRESHOLD = 1000
 # 2-core Xeon with 2 MB of L2 per core, 32 ran a 64-point degree-4 map call
 # about 10% faster than 64 and 1024-point calls about 20% faster than 128.
 _POINT_TILE = 32
+# The adaptive word length is the smallest whose tail estimate is below this.
+_TAIL_TOL = 1e-10
+# A point within this distance of a Moebius fixed point of a word is refused.
+_SINGULAR_TOL = 1e-8
 
 
 class PrimeEvaluator:
@@ -75,8 +79,8 @@ class PrimeEvaluator:
         A validated circular domain.
     max_word_length:
         Truncation level L.  When omitted, the smallest L <= 8 whose tail
-        estimate is below ``tail_tol`` is chosen; a warning is issued if
-        no L up to 8 whose word ball fits the word cap reaches it.
+        estimate is below 1e-10 (``_TAIL_TOL``) is chosen; a warning is
+        issued if no L up to 8 whose word ball fits the word cap reaches it.
     enumeration:
         Optional explicit word enumeration (used e.g. to test independence
         of the half-set choice).
@@ -87,15 +91,12 @@ class PrimeEvaluator:
         domain: CircularDomain,
         max_word_length: int | None = None,
         enumeration: WordEnumeration | None = None,
-        tail_tol: float = 1e-10,
-        singular_tol: float = 1e-8,
     ):
         report = validate_domain(domain)
         if not report.is_valid:
             raise DomainError("invalid domain: " + "; ".join(report.messages))
         self.domain = domain
         self.validation = report
-        self.singular_tol = singular_tol
 
         table = None
         if enumeration is not None:
@@ -107,10 +108,10 @@ class PrimeEvaluator:
         elif domain.g == 0:
             enumeration = enumerate_words(0, 0)
         elif max_word_length is None:
-            max_word_length, tail, enumeration, table = adaptive_ball(domain, tol=tail_tol)
-            if tail >= tail_tol:
+            max_word_length, tail, enumeration, table = adaptive_ball(domain, tol=_TAIL_TOL)
+            if tail >= _TAIL_TOL:
                 warnings.warn(
-                    f"tail estimate {tail:.2e} above {tail_tol:.1e} at L={max_word_length}",
+                    f"tail estimate {tail:.2e} above {_TAIL_TOL:.1e} at L={max_word_length}",
                     stacklevel=2,
                 )
         else:
@@ -143,7 +144,7 @@ class PrimeEvaluator:
 
         def factor(th, zt, rows):
             diag_z = zt - th
-            if min(np.abs(diag_z).min(), np.abs(diag_y[rows]).min()) < self.singular_tol:
+            if min(np.abs(diag_z).min(), np.abs(diag_y[rows]).min()) < _SINGULAR_TOL:
                 raise SingularEvaluationError(
                     "evaluation point within tolerance of a Moebius fixed point"
                 )
@@ -151,39 +152,13 @@ class PrimeEvaluator:
 
         return (z - y) * _reduce(self._half, z, factor)
 
-    def omega_ratio(self, z, y1: complex, y2: complex):
-        """omega(z, y1) / omega(z, y2) with the shared (z - theta(z))
-        denominators cancelled.  This is the workhorse behind the slit maps;
-        the cancellation also removes the z fixed-point guard, which matters
-        when z sits on a boundary circle."""
-        return _pointwise(lambda z: self.omega_ratio_with_table(z, y1, y2), z)
-
     def omega_ratio_with_table(self, z: np.ndarray, y1: complex, y2: complex) -> np.ndarray:
-        """:meth:`omega_ratio` at the 1-d points ``z``: the one-pair
-        ``RatioProduct``."""
+        """omega(z, y1) / omega(z, y2) at the 1-d points ``z``, with the
+        shared (z - theta(z)) denominators cancelled: the one-pair
+        ``RatioProduct`` (y2 may be ``INFINITY``).  The cancellation also
+        removes the z fixed-point guard, which matters when z sits on a
+        boundary circle."""
         return RatioProduct(self, [y1], [y2])(np.asarray(z, dtype=complex))
-
-    def omega_ratio_at_infinity(self, z):
-        """lim_{y -> infinity} omega(1, y) / omega(z, y), the factor that
-        takes eta(., p) to its limit at p = 0.  Factor by factor the limit is
-
-            (1 - theta(inf)) (z - theta(z)) / [(z - theta(inf)) (1 - theta(1))]
-
-        over the half set, with theta(inf) = a/c."""
-        def value(z):
-            if self.half_set_size == 0:
-                return np.ones(len(z), dtype=complex)
-            a, _, c, _ = self._half
-            th_inf = a / c
-            th_one = self._theta_point(1.0)
-
-            def factor(th, zt, rows):
-                return ((1.0 - th_inf[None, rows]) * (zt - th)
-                        / ((zt - th_inf[None, rows]) * (1.0 - th_one[None, rows])))
-
-            return _reduce(self._half, z, factor)
-
-        return _pointwise(value, z)
 
     # -- products over the whole ball ---------------------------------------
 
@@ -264,42 +239,68 @@ class RatioProduct:
     the per-word column c_theta = prod_k (y2_k - theta(y2_k)) /
     (y1_k - theta(y1_k)).  The column stays per word, since its product over
     all words overflows.  A call is one ``_reduce`` pass.
+
+    A pair whose y2 is ``INFINITY`` stands for the limit
+    lim_{y2 -> infinity} -y2 omega(z, y1) / omega(z, y2), the pair behind
+    eta(., 0): its leading factor is (z - y1), and per word
+
+        (z - theta(y1)) (y1 - theta(z)) / [(y1 - theta(y1)) (z - theta(inf))]
+
+    with theta(inf) = a/c, the factors (y2 - theta(y2)) / (y2 - theta(z))
+    tending to 1.  Such pairs are multiplied in after the finite ones.
     """
 
     def __init__(self, ev: PrimeEvaluator, y1, y2):
         self.ev = ev
-        self.y1 = np.atleast_1d(np.asarray(y1, dtype=complex))
-        self.y2 = np.atleast_1d(np.asarray(y2, dtype=complex))
-        if self.y1.shape != self.y2.shape or self.y1.ndim != 1:
+        y1 = np.atleast_1d(np.asarray(y1, dtype=complex))
+        y2 = np.atleast_1d(np.asarray(y2, dtype=complex))
+        if y1.shape != y2.shape or y1.ndim != 1:
             raise DomainError("RatioProduct needs two equally long lists of points")
+        limit = np.isinf(y2)
+        # the finite pairs first, then the finite ends of the limit pairs
+        self._y1, self._y2 = np.concatenate([y1[~limit], y1[limit]]), y2[~limit]
+        nf = self._finite = len(self._y2)
         if ev.half_set_size == 0:
             return
-        self._t1 = _images(ev._half, slice(None), self.y1)  # (pairs, words)
-        self._t2 = _images(ev._half, slice(None), self.y2)
-        d1 = self.y1[:, None] - self._t1
-        d2 = self.y2[:, None] - self._t2
-        if min(np.abs(d1).min(initial=np.inf), np.abs(d2).min(initial=np.inf)) < ev.singular_tol:
+        self._t1 = _images(ev._half, slice(None), self._y1)  # (pairs, words)
+        self._t2 = _images(ev._half, slice(None), self._y2)
+        d1 = self._y1[:, None] - self._t1
+        d2 = self._y2[:, None] - self._t2
+        if min(np.abs(d1).min(initial=np.inf), np.abs(d2).min(initial=np.inf)) < _SINGULAR_TOL:
             raise SingularEvaluationError(
                 "zero location within tolerance of a Moebius fixed point"
             )
-        self._col = np.prod(d2 / d1, axis=0)
+        self._col = np.prod(d2 / d1[:nf], axis=0)
+        if limit.any():
+            a, _, c, _ = ev._half
+            # |c / a| = |1 / theta(inf)| vanishes where theta fixes infinity
+            if np.any(np.abs(c) < _SINGULAR_TOL * np.abs(a)):
+                raise SingularEvaluationError("infinity within tolerance of a Moebius fixed point")
+            self._t_inf = a / c
+            self._col = self._col / np.prod(d1[nf:], axis=0)
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         """Values at the 1-d points ``z``."""
-        y1, y2 = self.y1, self.y2
-        out = np.prod((z[None, :] - y1[:, None]) / (z[None, :] - y2[:, None]), axis=0)
+        y1, y2, nf = self._y1, self._y2, self._finite
+        out = np.prod((z[None, :] - y1[:nf, None]) / (z[None, :] - y2[:, None]), axis=0)
+        for y in y1[nf:]:
+            out *= z - y
         if self.ev.half_set_size == 0 or len(y1) == 0:
             return out
         t1, t2, col = self._t1, self._t2, self._col
 
         def factor(th, zt, rows):
             num = col[None, rows] * (zt - t1[0, None, rows]) * (y1[0] - th)
-            den = (zt - t2[0, None, rows]) * (y2[0] - th)
-            for k in range(1, len(y1)):
+            den = (zt - t2[0, None, rows]) * (y2[0] - th) if nf else zt - self._t_inf[None, rows]
+            for k in range(1, nf):
                 num *= zt - t1[k, None, rows]
                 num *= y1[k] - th
                 den *= zt - t2[k, None, rows]
                 den *= y2[k] - th
+            for k in range(max(nf, 1), len(y1)):
+                num *= zt - t1[k, None, rows]
+                num *= y1[k] - th
+                den *= zt - self._t_inf[None, rows]
             num /= den
             return num
 

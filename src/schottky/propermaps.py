@@ -11,13 +11,14 @@ product form
 
     f(z) = rot * exp(-2 pi i sum_j n_j v_j(z)) * prod_k eta(z, p_k)
 
-with the rotation fixing f(1) = 1, or equivalently a radius-normalized
-product of the eta_l slit maps over any circle-indexed grouping of the
-zeros with the right group sizes.  Both forms are implemented, plus the
-Newton machinery that completes partial zero sets to admissible ones and
-the boundary-data construction that builds the map with prescribed
-preimages of 1 on every boundary circle, by one walk down in the time t of
-a family of zero sets that tends to those points.
+with the rotation fixing f(1) = 1, or equivalently the product of the
+eta_l slit maps over any circle-indexed grouping of the zeros with the
+right group sizes, rotated the same way (the slit radii enter only its
+admissibility check).  Both forms are implemented, plus the Newton
+machinery that completes partial zero sets to admissible ones and the
+boundary-data construction that builds the map with prescribed preimages
+of 1 on every boundary circle, by one walk down in the time t of a family
+of zero sets that tends to those points.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import CircularDomain, _pointwise
+from .domain import INFINITY, CircularDomain, _pointwise, reflect
 from .errors import (
     AdmissibilityError,
     ConvergenceError,
@@ -36,10 +37,9 @@ from .errors import (
 )
 from .harmonic import HarmonicModel, IntegralsFirstKind
 from .prime import PrimeEvaluator, RatioProduct, blaschke_eval
-from .slitmaps import eta, eta_l, slit_radius
+from .slitmaps import slit_radius
 
 __all__ = [
-    "BoundaryDegree",
     "ZeroConfig",
     "ProperMap",
     "condition1_residual",
@@ -55,22 +55,6 @@ __all__ = [
     "blaschke_eval",
     "lift_blaschke",
 ]
-
-
-@dataclass(frozen=True)
-class BoundaryDegree:
-    """Covering degrees (n_0, ..., n_g) of a proper map on the boundary
-    circles.  Total degree at least g+1 is the realizability floor."""
-
-    nu: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(n < 0 for n in self.nu):
-            raise DomainError("boundary degrees must be nonnegative")
-
-    @property
-    def n(self) -> int:
-        return sum(self.nu)
 
 
 _ADMISSIBLE_TOL = 1e-6  # largest measure-sum residual of an admissible zero set
@@ -382,19 +366,15 @@ def build_proper_map(
     zeros = config.zeros
     nvec = np.asarray(nu[1:], dtype=float)
 
-    # the eta factors of the zeros off the origin as one fused ratio
-    # product, normalized at z = 1; a zero at the origin keeps its own eta
-    moved = [complex(p) for p in zeros if p != 0]
-    centered = len(zeros) - len(moved)
-    ratios = RatioProduct(ev, moved, [1 / p.conjugate() for p in moved])
+    # the eta factors of all zeros as one fused ratio product, normalized at
+    # z = 1; a zero at the origin pairs with the point at infinity
+    ratios = RatioProduct(ev, zeros, [INFINITY if p == 0 else 1 / p.conjugate() for p in zeros])
     norm = ratios(np.array([1.0 + 0j]))[0]
 
     def base(z: np.ndarray) -> np.ndarray:
         acc = ratios(z) / norm
         if d.g:
             acc = acc * np.exp(-2j * np.pi * (v.eval_v_all(z) @ nvec))
-        if centered:
-            acc = acc * eta(ev, z, 0j) ** centered
         return acc
 
     rotation = 1.0 / base(np.array([1.0 + 0j]))[0]
@@ -447,12 +427,17 @@ def build_proper_map_alt(
     ev: PrimeEvaluator,
     indexed_zeros,
 ) -> ProperMap:
-    """Alternate construction: radius-normalized product of the eta_l slit
-    maps over circle-indexed zeros (list of (circle index, zero) pairs).
+    """Alternate construction: the product of the eta_l slit maps over
+    circle-indexed zeros (list of (circle index, zero) pairs), rotated so
+    f(1) = 1.
 
     The boundary degree is the per-circle group size.  Requires the
     reindexed admissibility condition: the slit-radius products must agree
-    across circles to ``_CONDITION_TOL``.  Agrees with the first-kind-product
+    across circles to ``_CONDITION_TOL``.  The map is one ``RatioProduct``
+    over the pairs (p, phi_l(p)), phi_l the reflection in circle l (the
+    point at infinity for p = 0 on the unit circle): the slit-radius scale
+    and each eta_l's prefactor and rotation are constants, which the
+    rotation at z = 1 cancels.  Agrees with the first-kind-product
     construction up to a unimodular constant, and exactly after both are
     normalized at z = 1.
     """
@@ -469,20 +454,12 @@ def build_proper_map_alt(
                 f"slit-radius products differ across circles by {spread:.2e} "
                 f"(> {_CONDITION_TOL:.0e}): indexing is not admissible"
             )
-        scale = 1.0 / float(np.exp(np.mean(np.log(prods))))
-    else:
-        scale = 1.0
 
     pairs = [(l, p) for l in sorted(groups) for p in groups[l]]
-
-    def base(z: np.ndarray) -> np.ndarray:
-        acc = np.full(len(z), scale, dtype=complex)
-        for l, p in pairs:
-            acc = acc * eta_l(ev, l, z, p)
-        return acc
-
-    rotation = 1.0 / base(np.array([1.0 + 0j]))[0]
     zeros = tuple(p for _, p in pairs)
+    base = RatioProduct(ev, zeros, [INFINITY if (l, p) == (0, 0) else reflect(d, l, p)
+                                    for l, p in pairs])
+    rotation = 1.0 / base(np.array([1.0 + 0j]))[0]
     return ProperMap(
         d, zeros, nu, base, rotation,
         diagnostics={"form": "slit_product", "max_word_length": ev.max_word_length},
@@ -602,7 +579,18 @@ def from_boundary_data(
     needs at least one point.  For degrees above the minimum, ``lambdas``
     gives the positive rate parameters of the extra points (one per extra
     point, in input order; default all 1), which select among the
-    n * n_0! ... n_g!-fold preimages of the same map.
+    n * n_0! ... n_g!-fold preimages of the same map.  What a lambda sets
+    depends on the circle of its point.  On the unit circle it is the
+    limiting derivative ratio |f'(w_00)| / |f'(w)| at the point w against
+    the first unit-circle point w_00 (the annulus r = 0.25 reads 0.4997,
+    1.0000 and 2.0012 for lambda = 0.5, 1 and 2).  On an inner circle it
+    only scales how fast that circle's measure falls at the point, and the
+    derivative ratio is far from lambda (0.11 and 0.22 there for lambda =
+    0.5 and 1); once lambda t / (n_l - 1) outruns the first point's pull on
+    the measure, the tether target exceeds 1 at every t and the build
+    raises ConvergenceError (on that annulus from lambda = 1.2 on).  The
+    built map reports the measured ratios in
+    ``diagnostics["derivative_ratios"]``.
 
     The zero set at time t consists of: the first unit-circle point moved
     inward at rate t/alpha (alpha just below the smallest normal derivative

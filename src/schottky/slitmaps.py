@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import _pointwise, reflect
+from .domain import INFINITY, _pointwise, reflect
 from .errors import DomainError, TruncationQualityError
 from .prime import PrimeEvaluator
 
@@ -31,29 +31,19 @@ __all__ = [
 
 
 def eta(ev: PrimeEvaluator, z, p: complex):
-    """Slit map with the unit circle fixed: the ratio
-    omega(z, p) / (|p| omega(z, 1/conj(p))), rescaled so eta(1, p) = 1.
+    """Slit map with the unit circle fixed: R(z) / R(1), R the ratio
+    omega(z, p) / omega(z, 1/conj(p)), so eta(1, p) = 1 (the paper's
+    constant 1/|p| cancels).
 
     p = 0 is legitimate whenever 0 is in the domain; the reflected point
-    1/conj(p) runs off to infinity but every product factor has a finite
-    limit, which is evaluated directly.
+    1/conj(p) runs off to infinity, and R is the limit pair (0, ``INFINITY``)
+    of the ratio product.
     """
     p = complex(p)
-    if p == 0:
-        return _eta_center(ev, z)
-    phat = 1 / p.conjugate()
-    num = ev.omega_ratio(z, p, phat)
-    den = ev.omega_ratio(1.0, p, phat)
-    return num / den
-
-
-def _eta_center(ev: PrimeEvaluator, z):
-    # limit p -> 0 of the normalized ratio: (omega(z,0)/omega(1,0)) times
-    # lim_{y->inf} omega(1,y)/omega(z,y)
-    if not ev.domain.contains(0j):
+    if p == 0 and not ev.domain.contains(0j):
         raise DomainError("p = 0 is not in the domain")
-    return _pointwise(lambda z: ev.omega(z, 0j) / ev.omega(1.0, 0j)
-                      * ev.omega_ratio_at_infinity(z), z)
+    pair = INFINITY if p == 0 else 1 / p.conjugate()
+    return _with_one(ev, z, p, pair, lambda r, r1: r / r1)
 
 
 def eta_l(ev: PrimeEvaluator, l: int, z, p: complex):
@@ -63,21 +53,29 @@ def eta_l(ev: PrimeEvaluator, l: int, z, p: complex):
 
     The prefactor is the circle-centered form of sqrt(phi_l(p)/p); the two
     agree when q_l = 0, and only the centered form keeps |eta_l| = 1 on
-    gamma_l for off-center circles.  For l = 0 this reproduces eta exactly
-    (phi_0(p) = 1/conj(p) and |eta(1, p)| = 1)."""
+    gamma_l for off-center circles.  For l = 0 this is eta (phi_0(p) =
+    1/conj(p) and |eta(1, p)| = 1)."""
     p = complex(p)
+    if l == 0:
+        return eta(ev, z, p)
     if p == 0:
-        if l == 0:
-            return _eta_center(ev, z)
         raise DomainError("p = 0 is not supported for inner slit maps")
     c = ev.domain.circle(l)
     pl = reflect(ev.domain, l, p)
-    raw_at_1 = ev.omega_ratio(1.0, p, pl)
-    num = ev.omega_ratio(z, p, pl)
     # the prefactor is unimodular after the rotation at z = 1 and cancels in
     # the normalization; only its modulus survives
     scale = c.r / abs(p - c.q)
-    return scale * num * (raw_at_1.conjugate() / abs(raw_at_1))
+    return _with_one(ev, z, p, pl, lambda r, r1: scale * r * (r1.conjugate() / abs(r1)))
+
+
+def _with_one(ev: PrimeEvaluator, z, y1: complex, y2: complex, combine):
+    """combine(r(z), r(1)) for r = omega(., y1) / omega(., y2), with r at
+    the points ``z`` and at 1 from one pass."""
+    def value(z):
+        r = ev.omega_ratio_with_table(np.append(z, 1.0), y1, y2)
+        return combine(r[:-1], r[-1])
+
+    return _pointwise(value, z)
 
 
 def slit_radius(

@@ -31,6 +31,13 @@ def triply_tools():
     return Tools(CircularDomain((Circle(-0.5 + 0j, 0.1), Circle(0.5 + 0j, 0.1))), length=6)
 
 
+@pytest.fixture(scope="session")
+def g3_tools():
+    # a 4-connected domain at L = 5: 2343 half-set words, three word tiles
+    return Tools(CircularDomain((Circle(-0.5 + 0j, 0.12), Circle(0.45 + 0.1j, 0.1),
+                                 Circle(-0.05 - 0.55j, 0.1))), length=5)
+
+
 def interior_points(domain, count, seed, margin=0.05):
     rng = np.random.default_rng(seed)
     out = []

@@ -1,9 +1,11 @@
-"""The library runs on numpy alone; scipy is only the tests' oracle."""
+"""The library runs on numpy alone; scipy is only the tests' oracle.  Its
+modules import nothing they do not use and define nothing no one calls."""
 
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 SCRIPT = """
@@ -64,3 +66,43 @@ def test_every_imported_name_is_used():
               for path in sorted(package.glob("*.py")) if path.name != "__init__.py"
               for line, name in _unused_imports(path)}
     assert not unused, sorted(unused)
+
+
+def _references(tree):
+    """How often each name is read, as a name or an attribute, or imported
+    by name."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def _public_definitions(tree):
+    """The module's public functions and classes and their public methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (item for item in node.body if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_"))
+
+
+def test_every_public_definition_is_used():
+    # a name listed in __all__ alone is no use: it must be read somewhere
+    # outside its own definition, in the library, the tests or the demos
+    root = Path(__file__).resolve().parent.parent
+    trees = {path: ast.parse(path.read_text()) for folder in ("src", "tests", "demos")
+             for path in sorted((root / folder).rglob("*.py"))}
+    refs = Counter()
+    for tree in trees.values():
+        refs.update(_references(tree))
+    unused = [f"{path.name}:{node.lineno} {node.name}"
+              for path in sorted((root / "src" / "schottky").glob("*.py"))
+              for node in _public_definitions(trees[path])
+              if refs[node.name] <= _references(node)[node.name]]
+    assert not unused, unused

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import interior_points
-from schottky.domain import Circle, CircularDomain
+from schottky.domain import INFINITY, Circle, CircularDomain
 from schottky.errors import DomainError, SingularEvaluationError
 from schottky.group import WordEnumeration, enumerate_words
 from schottky.harmonic import integrals_first_kind, solve_harmonic_measures
@@ -213,6 +213,35 @@ def test_ratio_product_matches_per_factor_formula(triply_tools, monkeypatch):
     expected = prefactor * np.exp(logs)
     ratios = RatioProduct(ev, y1, y2)
     assert np.max(np.abs(ratios(z) / expected - 1)) < 1e-12
+
+
+def test_ratio_product_limit_pair(triply_tools, monkeypatch):
+    # a pair (y1, INFINITY) mixed with a finite pair, against its factors
+    # written out (leading z - y1, per word (z - theta(y1)) (y1 - theta(z))
+    # / [(y1 - theta(y1)) (z - a/c)]) over eight word tiles, and against
+    # -Y omega(z, y1) / omega(z, Y) at a large finite Y
+    import schottky.prime as prime_mod
+
+    monkeypatch.setattr(prime_mod, "_LOG_SPACE_THRESHOLD", 100)
+    ev = triply_tools.ev
+    z = interior_points(ev.domain, 40, seed=32)
+    p, y = 0.2 - 0.1j, 0.1 + 0.55j
+    a, _, c, _ = ev._half
+    th_z, tp = _theta_table(ev, z), _theta_table(ev, p)[:, 0]
+    factors = (z - tp[:, None]) * (p - th_z) / ((p - tp)[:, None] * (z - (a / c)[:, None]))
+    finite = RatioProduct(ev, [y], [1 / y.conjugate()])(z)
+    expected = finite * (z - p) * np.exp(np.log(factors).sum(axis=0))
+    limit = RatioProduct(ev, [y, p], [1 / y.conjugate(), INFINITY])(z)
+    assert np.max(np.abs(limit / expected - 1)) < 1e-12
+    big = 1e7 * (1 + 1j)
+    near = -big * RatioProduct(ev, [p], [big])(z)
+    assert np.max(np.abs(near / RatioProduct(ev, [p], [INFINITY])(z) - 1)) < 1e-6
+
+
+def test_ratio_product_refuses_a_limit_pair_when_a_word_fixes_infinity(annulus_tools):
+    # every word of the centred annulus group fixes 0 and infinity (c = 0)
+    with pytest.raises(SingularEvaluationError):
+        RatioProduct(annulus_tools.ev, [0.5], [INFINITY])
 
 
 def test_omega_memory_is_flat_in_the_word_count(triply_tools):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import Tools, interior_points
 from schottky.distance import wang_yin_eval
-from schottky.domain import UNIT_CIRCLE, Circle, CircularDomain
+from schottky.domain import INFINITY, UNIT_CIRCLE, Circle, CircularDomain
 from schottky.errors import (
     AdmissibilityError,
     ConvergenceError,
@@ -32,14 +32,8 @@ from schottky.propermaps import (
     ZeroConfig,
 )
 from schottky.propermaps import _CHART_TOL, _chart_box, _level_depths, _solve_chart
-from schottky.slitmaps import eta
-
-
-@pytest.fixture(scope="module")
-def g3_tools():
-    # a 4-connected domain at L = 5: 2343 half-set words, three word tiles
-    return Tools(CircularDomain((Circle(-0.5 + 0j, 0.12), Circle(0.45 + 0.1j, 0.1),
-                                 Circle(-0.05 - 0.55j, 0.1))), length=5)
+from schottky.slitmaps import eta, eta_l
+from schottky.verify import _assign_circles
 
 
 # -- admissibility -------------------------------------------------------------
@@ -310,12 +304,14 @@ def test_fused_product_matches_per_zero_route(case, annulus_tools, triply_tools,
 def test_fused_product_does_not_depend_on_batch(g3_tools):
     # every product over the word ball, over many point tiles, in batches of
     # 1000, 64, 7 and 1: the fused product of the map's zeros off the
-    # origin, omega and eta(., 0) (three half-set word tiles), and the
-    # Blaschke product over the whole ball (five word tiles)
+    # origin, the same with the origin's limit pair (0, infinity), omega and
+    # eta(., 0) (three half-set word tiles), and the Blaschke product over
+    # the whole ball (five word tiles)
     f = _g3_map(g3_tools)
     ev = g3_tools.ev
     moved = [p for p in f.zeros if p != 0]
     routes = (RatioProduct(ev, moved, [1 / p.conjugate() for p in moved]),
+              RatioProduct(ev, [0j] + moved, [INFINITY] + [1 / p.conjugate() for p in moved]),
               lambda z: ev.omega(z, moved[0]),
               lambda z: eta(ev, z, 0j),
               lambda z: ev.ball_blaschke(moved, z))
@@ -330,6 +326,32 @@ def test_fused_product_does_not_depend_on_batch(g3_tools):
     # the map as a whole adds the first-kind integrals, contracted per point
     whole = f(pts)
     assert max(abs(f(complex(pts[i])) - whole[i]) for i in range(0, 1000, 37)) < 1e-15
+
+
+@pytest.mark.parametrize("case", ["triply", "g3"])
+def test_slit_form_map_matches_per_pair_route(case, triply_tools, g3_tools):
+    # the one ratio product of the slit form against the product of its
+    # eta_l factors, each its own pass, normalized at 1: verify triply's
+    # indexing, and the g3 map with its zero at the origin on circle 0
+    if case == "triply":
+        tools = triply_tools
+        fixed = [0.1 + 0.55j]
+        zeros = fixed + complete_zeros(tools.model, fixed, (1, 1, 1), [-0.3 - 0.2j, 0.3 - 0.2j])
+        indexed = list(zip(_assign_circles(tools.domain, zeros), zeros))
+    else:
+        tools = g3_tools
+        indexed = list(zip((0, 0, 1, 2, 3), _g3_map(tools).zeros))
+    f = build_proper_map_alt(tools.ev, indexed)
+
+    def route(z):
+        acc = np.ones(len(z), dtype=complex)
+        for l, p in indexed:
+            acc = acc * eta_l(tools.ev, l, z, p)
+        return acc
+
+    pts = interior_points(tools.domain, 50, seed=25)
+    ref = route(pts) / route(np.array([1.0 + 0j]))[0]
+    assert np.max(np.abs(f(pts) / ref - 1)) < 1e-12
 
 
 def test_build_guards_zeros_at_fixed_points(annulus_tools):

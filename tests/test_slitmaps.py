@@ -72,6 +72,16 @@ def test_eta_center_zero(disk_tools, triply_tools):
     assert np.max(np.abs(lim - tiny)) < 1e-7
 
 
+@pytest.mark.parametrize("case", ["triply", "g3"])
+def test_eta_center_matches_group_averaged_blaschke(case, triply_tools, g3_tools):
+    # eta(., 0) through the limit pair (0, infinity) against the product of
+    # z -> theta(z) / theta(1) over the whole ball
+    tools = triply_tools if case == "triply" else g3_tools
+    pts = interior_points(tools.domain, 200, seed=29)
+    ref = tools.ev.ball_blaschke([0j], pts)
+    assert np.max(np.abs(eta(tools.ev, pts, 0.0) - ref)) < 1e-12
+
+
 def test_eta_l_zero_index_equals_eta(triply_tools):
     pts = interior_points(triply_tools.domain, 20, seed=3)
     p = -0.15 + 0.1j
