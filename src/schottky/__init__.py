@@ -37,7 +37,6 @@ from .harmonic import (
     PeriodMatrix,
     har_relation_residual,
     integrals_first_kind,
-    period_matrix,
     solve_harmonic_measures,
 )
 from .prime import PrimeEvaluator

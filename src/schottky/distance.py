@@ -678,17 +678,20 @@ class Witness:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
+_MIN_DISK_PX = 3  # pixels: the disk each component of a disconnection must hold
+_THRESHOLD_COUNT = 24  # thresholds scanned per witness attempt
+
+
 def disconnection_thresholds(
     raster: BallRaster,
     p_tilde: complex,
     zeta: complex,
     thresholds,
-    min_disk_px: int = 3,
     require_compact: bool = True,
 ):
     """Scan thresholds for a certified disconnection: the base point and the
     probe in different 4-connected components, each containing a disk of
-    ``min_disk_px`` pixels, and (optionally) the whole sublevel set staying
+    ``_MIN_DISK_PX`` pixels, and (optionally) the whole sublevel set staying
     clear of the domain boundary.  Returns (threshold, labels) or None."""
     for r1 in thresholds:
         lab = raster.relabel(r1)
@@ -699,8 +702,8 @@ def disconnection_thresholds(
             continue
         if cp <= 0 or cz <= 0 or cp == cz:
             continue
-        if not (raster.component_has_disk(cp, min_disk_px)
-                and raster.component_has_disk(cz, min_disk_px)):
+        if not (raster.component_has_disk(cp, _MIN_DISK_PX)
+                and raster.component_has_disk(cz, _MIN_DISK_PX)):
             continue
         if require_compact and any(
             raster.touches_domain_boundary(l) for l in range(1, lab.max() + 1)
@@ -720,7 +723,6 @@ def find_disconnected_ball(
     opts: DistanceOptions | None = None,
     order: int = 24,
     max_word_length: int = 4,
-    threshold_count: int = 24,
 ) -> Witness:
     """Search the shrinking-circle family for a disconnected Moebius ball.
 
@@ -781,7 +783,7 @@ def find_disconnected_ball(
                 continue
             raster = ball_raster(model, ev, None, p_tilde, 0.5 * (lo + hi),
                                  resolution=resolution, opts=opts)
-            scan = lo + (hi - lo) * np.linspace(0.0, 1.0, threshold_count)
+            scan = lo + (hi - lo) * np.linspace(0.0, 1.0, _THRESHOLD_COUNT)
             hit = disconnection_thresholds(raster, p_tilde, zeta, scan)
             if hit is None:
                 continue

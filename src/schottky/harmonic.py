@@ -11,8 +11,9 @@ least-squares fit, which converges spectrally in the basis order.
 
 The analytic completions of the fitted measures span the holomorphic
 differentials of the domain; normalizing their circle periods produces the
-integrals of the first kind v_j, and integrating dv_j along a cycle through
-the reflected Schottky double produces the period matrix.
+integrals of the first kind v_j, and the same normalization gives the period
+matrix in closed form, tau = 2C, with C the normalizing combination (see
+``IntegralsFirstKind``).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "PeriodMatrix",
     "solve_harmonic_measures",
     "integrals_first_kind",
-    "period_matrix",
     "har_relation_residual",
 ]
 
@@ -215,17 +215,12 @@ def _block_inverses(r: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
     return [(lo, hi, np.linalg.inv(r[lo:hi, lo:hi])) for lo, hi in spans]
 
 
-def _tri_solve(r: np.ndarray, blocks, y: np.ndarray, trans: bool = False) -> np.ndarray:
-    """x with r x = y (r^T x = y when ``trans``) for the upper triangular r
-    whose diagonal blocks are inverted in ``blocks``; y has shape (n,) or
-    (n, k)."""
+def _tri_solve(r: np.ndarray, blocks, y: np.ndarray) -> np.ndarray:
+    """x with r x = y for the upper triangular r whose diagonal blocks are
+    inverted in ``blocks``; y has shape (n,) or (n, k)."""
     x = np.empty(y.shape, dtype=np.result_type(r, y))
-    if trans:
-        for lo, hi, inv in blocks:
-            x[lo:hi] = inv.T @ (y[lo:hi] - r[:lo, lo:hi].T @ x[:lo])
-    else:
-        for lo, hi, inv in reversed(blocks):
-            x[lo:hi] = inv @ (y[lo:hi] - r[lo:hi, hi:] @ x[hi:])
+    for lo, hi, inv in reversed(blocks):
+        x[lo:hi] = inv @ (y[lo:hi] - r[lo:hi, hi:] @ x[hi:])
     return x
 
 
@@ -411,15 +406,13 @@ def _complexify(d: CircularDomain, order: int, coeffs: np.ndarray) -> np.ndarray
 
 @dataclass(frozen=True)
 class PeriodMatrix:
-    """g x g matrix of b-periods.  The entries of the true matrix are purely
-    imaginary and symmetric; ``max_real`` and ``asymmetry`` report how far the
-    computed one is from that, and ``base_point_spread`` how much the cycle
-    integral varied over different base points (all should be tiny)."""
+    """g x g matrix of b-periods.  The true matrix is purely imaginary and
+    symmetric; the computed one is purely imaginary by construction, and
+    ``asymmetry`` (max |tau - tau^T|) reports the reciprocity of the fitted
+    fluxes (should be tiny)."""
 
     tau: np.ndarray
-    max_real: float
     asymmetry: float
-    base_point_spread: float
 
 
 class IntegralsFirstKind:
@@ -432,9 +425,14 @@ class IntegralsFirstKind:
     while the real part can jump by exact integers across the log cuts --
     harmless everywhere the library uses it, because v_j only ever enters
     through exp(-2 pi i n v_j) with integer n, through its imaginary part,
-    or through path integrals of its derivative.  The period matrix is
-    computed on first use and cached (the one state written after
-    construction; concurrent first calls compute the same value).
+    or through path integrals of its derivative.
+
+    The period matrix is read off the fit.  With cmat the log-term
+    coefficients of the measures and C = inv(cmat) / (2 pi i) the
+    combination above, Im v_j = -(1/2 pi) sum_k inv(cmat)_jk u_k, so the
+    relation 2i Im v = tau u gives tau = 2C: purely imaginary, and
+    symmetric up to the reciprocity of the fitted fluxes.  Immutable after
+    construction.
     """
 
     def __init__(self, model: HarmonicModel):
@@ -454,7 +452,8 @@ class IntegralsFirstKind:
         # product each: a single matrix product rounds differently)
         h = _analytic_basis(self.domain, model.order, np.ones(1, dtype=complex))
         self._offset = self.combination @ np.array([(h @ c)[0] for c in model._complex_coeffs])
-        self._period_cache: PeriodMatrix | None = None
+        tau = 2 * self.combination
+        self._periods = PeriodMatrix(tau=tau, asymmetry=float(np.max(np.abs(tau - tau.T))))
 
     @property
     def domain(self) -> CircularDomain:
@@ -497,114 +496,12 @@ class IntegralsFirstKind:
         return out
 
     def period_matrix(self) -> PeriodMatrix:
-        """b-periods by integrating dv_j along a cycle of the Schottky double:
-        from the reflection of a boundary point of circle i, through the unit
-        circle, to the point itself.  The half outside the unit disk is pulled
-        back by the reflection z -> 1/conj(z), under which dv transforms to
-        -conj(v'(1/conj w)) / w^2 dw, so the integrand is only ever evaluated
-        where the fitted series is accurate.
-
-        The result is averaged over ``_BASE_POINTS`` base points per circle
-        and the spread is reported; for a faithful model it is independent
-        of the base point.
-        """
-        if self._period_cache is not None:
-            return self._period_cache
-        g = self.g
-        taus = []
-        for i in range(1, g + 1):
-            rows = []
-            for zb in _cycle_base_points(self.domain, i, _BASE_POINTS):
-                rows.append(self._cycle_integral(zb))
-            taus.append(rows)
-        taus = np.array(taus)  # (g, base points, g)
-        tau = taus.mean(axis=1)
-        spread = float(np.max(np.abs(taus - tau[:, None, :])))
-        self._period_cache = PeriodMatrix(
-            tau=tau,
-            max_real=float(np.max(np.abs(tau.real))),
-            asymmetry=float(np.max(np.abs(tau - tau.T))),
-            base_point_spread=spread,
-        )
-        return self._period_cache
-
-    def _cycle_integral(self, zb: complex) -> np.ndarray:
-        """Integral of (dv_1, ..., dv_g) along the two-leg cycle through zb."""
-        s = zb / abs(zb)  # crossing point on the unit circle
-        nodes, weights = _gauss_nodes()
-
-        # outer leg: from 1/conj(zb) to s, integrand pulled back into the disk
-        a, b = 1 / zb.conjugate(), s
-        w = a + (b - a) * nodes
-        integrand = -np.conj(self.v_prime_all(1 / np.conj(w))) / (w * w)[:, None]
-        outer = (b - a) * (weights @ integrand)
-
-        # inner leg: from s to zb
-        a, b = s, zb
-        w = a + (b - a) * nodes
-        inner = (b - a) * (weights @ self.v_prime_all(w))
-        return outer + inner
-
-
-# Base points per circle over which the b-periods are averaged.
-_BASE_POINTS = 3
-
-
-def _cycle_base_points(d: CircularDomain, i: int, count: int) -> list[complex]:
-    """Boundary points of circle i whose radial segment to the unit circle
-    stays clear of the other circles (the same is then automatic for the
-    reflected outer leg).  Prefers large |z| (shorter legs) while spreading
-    the picks in angle so the base-point independence check is meaningful."""
-    c = d.circle(i)
-    candidates = sorted(c.samples(64), key=lambda z: -abs(z))
-    picked: list[complex] = []
-    for zb in candidates:
-        if len(picked) >= count:
-            break
-        if abs(zb) < 1e-9:
-            continue
-        if any(abs(np.angle((zb - c.q) / (p - c.q))) < np.pi / 8 for p in picked):
-            continue
-        clear = True
-        for l in range(1, d.g + 1):
-            if l == i:
-                continue
-            other = d.circle(l)
-            margin = max(0.25 * other.r, 0.01)
-            if _segment_circle_distance(zb, zb / abs(zb), other.q, other.r) < margin:
-                clear = False
-                break
-        if clear:
-            picked.append(complex(zb))
-    if not picked:
-        raise ConvergenceError(f"no unobstructed cycle path found for circle {i}")
-    return picked
-
-
-def _segment_circle_distance(a: complex, b: complex, q: complex, r: float) -> float:
-    t = np.linspace(0.0, 1.0, 33)
-    pts = a + (b - a) * t
-    return float(np.min(np.abs(pts - q)) - r)
-
-
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss_nodes(n: int = 96) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GAUSS_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GAUSS_CACHE[n] = ((x + 1.0) / 2.0, w / 2.0)
-    return _GAUSS_CACHE[n]
+        """The b-periods tau = 2 C, read off the fit (see the class)."""
+        return self._periods
 
 
 def integrals_first_kind(model: HarmonicModel) -> IntegralsFirstKind:
     return IntegralsFirstKind(model)
-
-
-def period_matrix(v: IntegralsFirstKind, d: CircularDomain | None = None) -> PeriodMatrix:
-    if d is not None and d is not v.domain:
-        raise DomainError("period_matrix called with a foreign domain")
-    return v.period_matrix()
 
 
 def har_relation_residual(

@@ -168,15 +168,18 @@ def suite_annulus() -> list[CheckResult]:
     return out
 
 
-def random_admissible_config(dom, model, rng, max_extra=1):
+_MAX_EXTRA = 1  # the most a random configuration adds to one boundary degree
+
+
+def random_admissible_config(dom, model, rng):
     """A random admissible zero configuration: random boundary degree close
-    to the minimum, random interior fixed zeros, and one completion point
-    seeded on a random normal of each inner circle (where the measure mass
-    must come from, so the chart lines actually cross the solution)."""
+    to the minimum (at most ``_MAX_EXTRA`` above it, on one circle), random
+    interior fixed zeros, and one completion point seeded on a random normal
+    of each inner circle (where the measure mass must come from, so the
+    chart lines actually cross the solution)."""
     g = dom.g
     nu = [1] * (g + 1)
-    if max_extra:
-        nu[int(rng.integers(0, g + 1))] += int(rng.integers(0, max_extra + 1))
+    nu[int(rng.integers(0, g + 1))] += int(rng.integers(0, _MAX_EXTRA + 1))
     n = sum(nu)
     fixed = []
     while len(fixed) < n - g:
