@@ -149,8 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help='space-separated "circle:re,im" boundary points')
     p.add_argument("--lambdas", default=None,
                    help="comma-separated rates for the extra points")
-    p.add_argument("--horizon", type=float, default=0.05,
-                   help="the t at which the walk down in t starts")
 
     p = sub.add_parser("cball-dist", help="Moebius/Caratheodory distance")
     common(p, "basis", "seed", "output")
@@ -169,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--res", type=int, default=300)
     p.add_argument("--radii", default="0.1,0.05,0.02")
     p.add_argument("--depths", default="0.05,0.02")
-    p.add_argument("--length", type=int, default=4)
     p.add_argument("--basis", type=int, default=24)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None)
@@ -283,7 +280,7 @@ def _dispatch(args) -> int:
         if args.lambdas:
             lambdas = [float(x) for x in args.lambdas.split(",")]
         f = from_boundary_data(model, ev, v, _parse_complex(args.interior),
-                               points, lambdas, horizon=args.horizon)
+                               points, lambdas)
         res = f.diagnostics["prescribed_point_residual"]
         print(f"prescribed-point residual = {_fmt(res)}")
         print(f"continuation t = {_fmt(f.diagnostics['t'])}")
@@ -342,8 +339,7 @@ def _dispatch(args) -> int:
         depths = tuple(float(x) for x in args.depths.split(","))
         witness = find_disconnected_ball(
             shrink_radii=radii, p_depths=depths, resolution=args.res,
-            opts=DistanceOptions(seed=args.seed),
-            order=args.basis, max_word_length=args.length,
+            opts=DistanceOptions(seed=args.seed), order=args.basis,
         )
         print(f"witness found: {witness.found}")
         for attempt in witness.diagnostics.get("attempts", []):

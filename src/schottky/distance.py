@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import CircularDomain, _pointwise
+from .domain import Circle, CircularDomain, _pointwise
 from .errors import (
     AdmissibilityError,
     ConvergenceError,
@@ -37,7 +37,6 @@ from .errors import (
 from .harmonic import GreenFunction, HarmonicModel, IntegralsFirstKind, solve_harmonic_measures
 from .prime import PrimeEvaluator
 from .propermaps import _CHART_TOL, _chart_box, _level_depths, _solve_chart
-from .slitmaps import eta, eta_l
 
 __all__ = [
     "DistanceOptions",
@@ -722,7 +721,6 @@ def find_disconnected_ball(
     resolution: int = 300,
     opts: DistanceOptions | None = None,
     order: int = 24,
-    max_word_length: int = 4,
 ) -> Witness:
     """Search the shrinking-circle family for a disconnected Moebius ball.
 
@@ -740,10 +738,10 @@ def find_disconnected_ball(
 
     On failure returns a Witness with found=False carrying the attained
     proximity proxies of the sufficient condition, so the parameter sweep
-    can be extended.
+    can be extended.  Everything, the proxies included, comes from the
+    harmonic model of each domain (basis ``order``).
     """
     opts = opts or DistanceOptions()
-    from .domain import Circle  # local import to keep module load light
 
     attempts = []
     for radius in shrink_radii:
@@ -751,7 +749,6 @@ def find_disconnected_ball(
         circles = circles + (Circle(complex(shrink_center), float(radius)),)
         domain = CircularDomain(circles)
         model = solve_harmonic_measures(domain, order=order)
-        ev = PrimeEvaluator(domain, max_word_length=max_word_length)
 
         anchor = circles[0]
         away = (anchor.q - complex(shrink_center))
@@ -760,12 +757,11 @@ def find_disconnected_ball(
         zeta = complex(shrink_center) + (radius + zeta_gap) * toward
 
         shrink_index = len(circles)
-        beta = _beta_proxies(domain, ev, zeta, anchor, shrink_index,
-                             complex(shrink_center), radius)
+        beta = _beta_proxies(model, zeta, anchor, shrink_index, complex(shrink_center), radius)
 
         for depth in p_depths:
             p_tilde = anchor.q + (anchor.r + depth) * away
-            base = mobius_distance(model, ev, None, p_tilde, zeta, opts)
+            base = mobius_distance(model, None, None, p_tilde, zeta, opts)
             # thresholds strictly above c*(p_tilde, zeta) and at most 1, inside
             # the polished band around the raster threshold
             lo = base.value + max(1e-5, 0.05 * opts.refine_margin)
@@ -781,7 +777,7 @@ def find_disconnected_ball(
             if lo >= hi:
                 attempt["scan"] = "empty"
                 continue
-            raster = ball_raster(model, ev, None, p_tilde, 0.5 * (lo + hi),
+            raster = ball_raster(model, None, None, p_tilde, 0.5 * (lo + hi),
                                  resolution=resolution, opts=opts)
             scan = lo + (hi - lo) * np.linspace(0.0, 1.0, _THRESHOLD_COUNT)
             hit = disconnection_thresholds(raster, p_tilde, zeta, scan)
@@ -794,7 +790,7 @@ def find_disconnected_ball(
             far_vals = np.where(far_mask, raster.values, np.inf)
             iy, ix = np.unravel_index(np.argmin(far_vals), far_vals.shape)
             xi = complex(raster.pixel_centers()[iy, ix])
-            r2 = mobius_distance(model, ev, None, p_tilde, xi, opts).value
+            r2 = mobius_distance(model, None, None, p_tilde, xi, opts).value
 
             px, py = raster.pixel_size
             diag = math.hypot(px, py)
@@ -818,28 +814,45 @@ def find_disconnected_ball(
     return Witness(found=False, diagnostics={"attempts": attempts})
 
 
-def _beta_proxies(domain, ev, zeta, anchor, shrink_index, shrink_center, radius):
+def _beta_proxies(model, zeta, anchor, shrink_index, shrink_center, radius):
     """Finite proxies for the sufficient-condition limits: slit-map ratios
-    between the probe point and the anchor circle, with the zero a small
-    distance off the shrinking circle (first) and off the unit circle
-    (second).  Disconnection asymptotically requires proxy1 * proxy2 < 1;
-    reporting both shows how far a failed sweep was from the regime."""
-    w1 = anchor.q + anchor.r * 1j  # a point of the anchor circle
+    |eta_l(zeta, q)| / |eta_l(w, q)| between the probe point and a point w
+    of the anchor circle, with the zero q a small distance off the shrinking
+    circle (first, l = 0) and off the unit circle (second, l = the shrinking
+    circle).  Disconnection asymptotically requires proxy1 * proxy2 < 1;
+    reporting both shows how far a failed sweep was from the regime.
+
+    log|eta_l(., q)| is harmonic off q with a log pole there, vanishes on
+    circle l and is constant on the other circles, so it is
+    -G(., q) + b . (u - e_l): u the measures, e_l their values on circle l
+    (e_0 = 0), and b fixed by the fluxes, cmat^T b = u(q) - e_l, with cmat
+    the measures' log-term coefficients.  -b . e_l cancels in the ratio.
+    """
+    g = model.g
+    cmat = model.coeffs[:, 1 : 1 + g]
+    green = GreenFunction(model)
+    pts = np.array([zeta, anchor.q + anchor.r * 1j])
+    u = model.eval_u_all(pts)
+
+    def log_ratio(l, q):
+        b = np.linalg.solve(cmat.T, model.eval_u_all(q)[0] - np.eye(g + 1)[l, 1:])
+        vals = u @ b - green(pts, [q])[:, 0]
+        return vals[0] - vals[1]
+
     q_probe = shrink_center + (radius + 1e-3) * (zeta - shrink_center) / abs(zeta - shrink_center)
-    beta1 = abs(eta(ev, zeta, q_probe)) / abs(eta(ev, w1, q_probe))
+    beta1 = math.exp(log_ratio(0, q_probe))
     qhat = (1 - 1e-3) * zeta / abs(zeta)
-    beta2 = abs(eta_l(ev, shrink_index, zeta, qhat)) / abs(eta_l(ev, shrink_index, w1, qhat))
-    return {
-        "beta1_proxy": float(beta1),
-        "beta2_proxy": float(beta2),
-        "beta_product": float(beta1 * beta2),
-    }
+    beta2 = math.exp(log_ratio(shrink_index, qhat))
+    return {"beta1_proxy": beta1, "beta2_proxy": beta2, "beta_product": beta1 * beta2}
 
 
 # -- annulus oracle ---------------------------------------------------------------
 
 
-def wang_yin_eval(r: float, zeros, d: int, z, terms: int = 10):
+_WANG_YIN_TERMS = 10  # factor pairs per side of the two-sided product
+
+
+def wang_yin_eval(r: float, zeros, d: int, z):
     """Proper map of the annulus r < |z| < 1 with the given zeros and inner
     boundary degree d, by the classical two-sided Blaschke-type product
     (rotation normalized at z = 1).  Requires |prod zeros| = r^d; used as an
@@ -857,7 +870,7 @@ def wang_yin_eval(r: float, zeros, d: int, z, terms: int = 10):
         acc = w ** (-float(d)) + 0j
         for p in zeros:
             acc = acc * (w - p) / (1 - np.conj(p) * w)
-            for j in range(1, terms + 1):
+            for j in range(1, _WANG_YIN_TERMS + 1):
                 acc = acc * (w - p * r ** (2 * j)) * (w - p * r ** (-2 * j)) / (
                     (1 - np.conj(p) * r ** (2 * j) * w)
                     * (1 - np.conj(p) * r ** (-2 * j) * w)

@@ -73,27 +73,16 @@ class WordEnumeration:
     the word without its last letter (-1 for the identity), that last letter
     ``letter[i]`` (0 for the identity) and the word's ``length[i]``: the
     level structure the realization runs over.  ``enumerate_words`` builds
-    them with the words; an enumeration made by hand from words alone
-    derives them from the words, each of whose prefixes must be listed.
+    them with the words.
     """
 
     g: int
     max_length: int
     words: tuple[GroupWord, ...]
     half_set_mask: np.ndarray
-    parent: np.ndarray | None = None
-    letter: np.ndarray | None = None
-    length: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.parent is None or self.letter is None or self.length is None:
-            index = {w: i for i, w in enumerate(self.words)}
-            n = len(self.words)
-            object.__setattr__(self, "parent", np.fromiter(
-                (index[w[:-1]] if w else -1 for w in self.words), np.intp, n))
-            object.__setattr__(self, "letter", np.fromiter(
-                (w[-1] if w else 0 for w in self.words), np.intp, n))
-            object.__setattr__(self, "length", np.fromiter(map(len, self.words), np.intp, n))
+    parent: np.ndarray
+    letter: np.ndarray
+    length: np.ndarray
 
     def __len__(self) -> int:
         return len(self.words)

@@ -403,6 +403,8 @@ def _complexify(d: CircularDomain, order: int, coeffs: np.ndarray) -> np.ndarray
 
 # -- integrals of the first kind ---------------------------------------------
 
+_PERIOD_SAMPLES = 512  # trapezoid nodes per circle of the period check
+
 
 @dataclass(frozen=True)
 class PeriodMatrix:
@@ -481,18 +483,19 @@ class IntegralsFirstKind:
         gprime = hp @ self.model._complex_coeffs.T
         return gprime @ self.combination.T
 
-    def circle_periods(self, samples: int = 512) -> np.ndarray:
-        """Quadrature check of the defining normalization: entry (i, j) is
-        the period of dv_j around boundary circle i+1; should be delta_ij."""
+    def circle_periods(self) -> np.ndarray:
+        """Quadrature check of the defining normalization, on
+        ``_PERIOD_SAMPLES`` nodes per circle: entry (i, j) is the period of
+        dv_j around boundary circle i+1; should be delta_ij."""
         g = self.g
         out = np.empty((g, g), dtype=complex)
         for i in range(g):
             c = self.domain.circle(i + 1)
-            t = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
+            t = np.linspace(0.0, 2 * np.pi, _PERIOD_SAMPLES, endpoint=False)
             pts = c.q + c.r * np.exp(1j * t)
             dz = 1j * c.r * np.exp(1j * t)
             vp = self.v_prime_all(pts)
-            out[i] = (vp * dz[:, None]).sum(axis=0) * (2 * np.pi / samples)
+            out[i] = (vp * dz[:, None]).sum(axis=0) * (2 * np.pi / _PERIOD_SAMPLES)
         return out
 
     def period_matrix(self) -> PeriodMatrix:

@@ -60,6 +60,7 @@ __all__ = [
 _ADMISSIBLE_TOL = 1e-6  # largest measure-sum residual of an admissible zero set
 _BOUNDARY_TOL = 1e-4  # largest | |f| - 1 | of a built map on the coarse boundary samples
 _CONDITION_TOL = 1e-5  # largest spread of the slit-radius products of an indexing
+_LOOP_SAMPLES = 256  # steps of the single-valuedness loop around each inner circle
 
 
 @dataclass(frozen=True)
@@ -323,14 +324,15 @@ class ProperMap:
 
         return _pointwise(value, z)
 
-    def single_valuedness_residual(self, samples: int = 256) -> float:
+    def single_valuedness_residual(self) -> float:
         """Tracked continuation of the map around a loop just outside each
-        inner circle must return to its start: the product of successive
-        ratios telescopes to 1 unless a branch is mishandled."""
+        inner circle, in ``_LOOP_SAMPLES`` steps, must return to its start:
+        the product of successive ratios telescopes to 1 unless a branch is
+        mishandled."""
         worst = 0.0
         for c in self.domain.inner_circles:
             rr = c.r + 0.25 * self.domain.boundary_distance(c.q + c.r)
-            loop = c.q + rr * np.exp(1j * np.linspace(0, 2 * np.pi, samples + 1))
+            loop = c.q + rr * np.exp(1j * np.linspace(0, 2 * np.pi, _LOOP_SAMPLES + 1))
             vals = self(loop)
             if np.min(np.abs(vals)) < 1e-13:
                 continue  # loop hit a zero; certificate not meaningful there
@@ -569,7 +571,6 @@ def from_boundary_data(
     p: complex,
     boundary_points,
     lambdas=None,
-    horizon: float = 0.05,
 ) -> ProperMap:
     """Build the proper map with f(p) = 0 and f(w) = 1 at prescribed
     boundary points, from zero sets that tend to the prescribed points.
@@ -602,7 +603,7 @@ def from_boundary_data(
     f(p) = 0 and rotated against the prescribed points, converges to the
     desired map as t -> 0.
 
-    One walk down in t builds it.  It starts at t = ``horizon`` with the
+    One walk down in t builds it.  It starts at t = ``_HORIZON`` with the
     tethers seeded cold, at the depths where each alone brings its circle's
     measure to its target, and halves t after each map, each tether solve
     warm-started from the last, until the reported max |f(w) - 1| is below
@@ -705,7 +706,7 @@ def from_boundary_data(
     targets = np.array([w for l in range(g + 1) for w in groups[l]], dtype=complex)
     best: ProperMap | None = None
     best_res = np.inf
-    t, depths = horizon, None
+    t, depths = _HORIZON, None
     while True:
         try:
             depths, zeros_t = tether(t, depths)
@@ -742,6 +743,7 @@ def from_boundary_data(
     return best
 
 
+_HORIZON = 0.05  # the t at which the walk down in t starts
 _TARGET_RESIDUAL = 5e-5  # max |f(w) - 1| at which the walk down in t stops
 _MIN_T = 1e-6  # the walk's floor in t
 

@@ -78,22 +78,24 @@ def _with_one(ev: PrimeEvaluator, z, y1: complex, y2: complex, combine):
     return _pointwise(value, z)
 
 
+_SLIT_SAMPLES = 64  # boundary samples of the image circle in slit_radius
+
+
 def slit_radius(
     ev: PrimeEvaluator,
     l: int,
     i: int,
     p: complex,
-    samples: int = 64,
     tol: float = 1e-6,
 ) -> float:
     """Radius of the circular slit: the common modulus of eta_l(., p) on
-    boundary circle i (i != l).  Computed as the mean over boundary samples;
-    if the sample moduli deviate by more than ``tol`` the truncation is too
-    coarse and a TruncationQualityError is raised."""
+    boundary circle i (i != l).  Computed as the mean over ``_SLIT_SAMPLES``
+    boundary samples; if the sample moduli deviate by more than ``tol`` the
+    truncation is too coarse and a TruncationQualityError is raised."""
     if i == l:
         raise DomainError("slit radius is defined for image circles i != l")
     circle = ev.domain.circle(i)  # raises for out-of-range i (e.g. g = 0)
-    w = circle.samples(samples)
+    w = circle.samples(_SLIT_SAMPLES)
     vals = np.abs(eta_l(ev, l, w, p))
     mean = float(vals.mean())
     dev = float(np.max(np.abs(vals - mean)))

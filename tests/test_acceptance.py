@@ -52,7 +52,7 @@ def test_criterion_2_annulus_oracle(annulus_results):
 def test_criterion_3_cross_formula_consistency(triply_results):
     _assert_all(_select(triply_results, "slit-form builds", "omega ratio",
                         "exchange identity", "shift identity",
-                        "first-kind-integral relation"))
+                        "harmonic-measure boundary misfit"))
 
 
 def test_criterion_4_boundary_behavior(annulus_results, triply_results):

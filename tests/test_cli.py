@@ -155,3 +155,16 @@ def test_unknown_flag_rejected(annulus_file):
     with pytest.raises(SystemExit):
         main(["cball-raster", "--domain", annulus_file, "--center", "0.5,0",
               "--r", "0.4", "--length", "5"])
+    # the witness search and the boundary-data walk have no truncation or
+    # horizon to set
+    with pytest.raises(SystemExit):
+        main(["find-witness", "--length", "4"])
+    with pytest.raises(SystemExit):
+        main(["from-boundary", "--domain", annulus_file, "--interior", "0,0.5",
+              "--points", "0:1,0 1:0.25,0", "--horizon", "0.05"])
+
+
+def test_find_witness_at_a_tiny_hole(capsys):
+    # no witness at this resolution (exit 3), but no numerical failure (2)
+    assert main(["find-witness", "--radii", "1e-6", "--depths", "0.02", "--res", "24"]) == 3
+    assert "beta_product=" in capsys.readouterr().out

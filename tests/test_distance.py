@@ -242,6 +242,54 @@ def test_witness_scans_only_thresholds_above_c_star(monkeypatch):
     assert len(scanned) == 1
 
 
+@pytest.mark.parametrize("radius", [0.1, 0.05, 0.02])
+def test_beta_proxies_match_the_slit_map_products(radius):
+    # the Green's-function moduli against |eta|, |eta_l| from the L = 7
+    # product, on the default witness family
+    from schottky.distance import _beta_proxies
+    from schottky.domain import Circle, CircularDomain
+    from schottky.harmonic import solve_harmonic_measures
+    from schottky.prime import PrimeEvaluator
+    from schottky.slitmaps import eta, eta_l
+
+    anchor, center = Circle(-0.5 + 0j, 0.15), 0.4 + 0j
+    dom = CircularDomain((anchor, Circle(center, radius)))
+    zeta = center + (radius + 0.02)
+    beta = _beta_proxies(solve_harmonic_measures(dom), zeta, anchor, 2, center, radius)
+    ev = PrimeEvaluator(dom, max_word_length=7)
+    pts = [zeta, anchor.q + anchor.r * 1j]
+    a, b = np.abs(eta(ev, pts, center + radius + 1e-3))
+    assert beta["beta1_proxy"] == pytest.approx(a / b, rel=1e-7)
+    a, b = np.abs(eta_l(ev, 2, pts, (1 - 1e-3) * zeta / abs(zeta)))
+    assert beta["beta2_proxy"] == pytest.approx(a / b, rel=1e-7)
+
+
+def test_witness_search_runs_at_a_tiny_hole():
+    # the zero's reflection in a hole of radius 1e-6 lies within about 1e-12
+    # of that generator's fixed point, where a prime-function product is
+    # singular; the Green's-function proxies stay finite
+    import schottky.distance as distance
+
+    attempt = distance.find_disconnected_ball(
+        shrink_radii=(1e-6,), p_depths=(0.02,), resolution=24).diagnostics["attempts"][0]
+    for key in ("beta1_proxy", "beta2_proxy", "beta_product", "c_star_zeta"):
+        assert math.isfinite(attempt[key]) and attempt[key] > 0, key
+    assert attempt["beta1_proxy"] < 1 < attempt["beta2_proxy"]
+
+
+def test_witness_search_needs_no_prime_function(monkeypatch):
+    import schottky.distance as distance
+    from schottky.prime import PrimeEvaluator
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the witness search built a PrimeEvaluator")
+
+    monkeypatch.setattr(PrimeEvaluator, "__init__", refuse)
+    witness = distance.find_disconnected_ball(shrink_radii=(0.05,), p_depths=(0.02,),
+                                              resolution=24)
+    assert not witness.found and witness.diagnostics["attempts"][0]["beta_product"] > 0
+
+
 # -- batched ascent ----------------------------------------------------------------
 
 

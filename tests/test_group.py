@@ -10,7 +10,6 @@ from schottky import group
 from schottky.domain import Circle, CircularDomain, MobiusMap, mobius_compose
 from schottky.errors import DomainError, ResourceLimitError
 from schottky.group import (
-    WordEnumeration,
     adaptive_ball,
     ball_size,
     enumerate_words,
@@ -278,14 +277,6 @@ def test_enumeration_matches_word_loop(g, L):
     assert enum.letter.tolist() == [w[-1] if w else 0 for w in words]
     assert [words[p] if p >= 0 else None for p in enum.parent] == [
         w[:-1] if w else None for w in words]
-
-
-def test_hand_built_enumeration_derives_its_levels():
-    enum = enumerate_words(3, 3)
-    by_hand = WordEnumeration(3, 3, enum.words, ~enum.half_set_mask)
-    for name in ("parent", "letter", "length"):
-        assert np.array_equal(getattr(by_hand, name), getattr(enum, name))
-    assert _same_bits(realize_all(FOUR, by_hand), realize_all(FOUR, enum))
 
 
 @pytest.mark.parametrize("d", [ANNULUS, TRIPLY, FOUR], ids=["annulus", "triply", "four"])

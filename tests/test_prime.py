@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import interior_points
 from schottky.domain import INFINITY, Circle, CircularDomain
 from schottky.errors import DomainError, SingularEvaluationError
-from schottky.group import WordEnumeration, enumerate_words
+from schottky.group import enumerate_words
 from schottky.harmonic import integrals_first_kind, solve_harmonic_measures
 from schottky.prime import PrimeEvaluator, RatioProduct, _combine, _images
 
@@ -140,7 +142,7 @@ def test_half_set_choice_does_not_matter(triply_tools):
     mirrored = ~enum.half_set_mask
     mirrored[0] = False
     ev_m = PrimeEvaluator(triply_tools.domain,
-                          enumeration=WordEnumeration(2, 4, enum.words, mirrored))
+                          enumeration=dataclasses.replace(enum, half_set_mask=mirrored))
     ev_o = PrimeEvaluator(triply_tools.domain, max_word_length=4)
     z, y = 0.3 + 0.2j, -0.4j
     a, b = ev_o.omega(z, y), ev_m.omega(z, y)
