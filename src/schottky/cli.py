@@ -26,7 +26,7 @@ from .distance import (
     mobius_distance,
 )
 from .domain import CircularDomain, validate_domain
-from .errors import DomainError, SchottkyError
+from .errors import DomainError, SchottkyError, TruncationQualityError
 from .harmonic import integrals_first_kind, solve_harmonic_measures
 from .prime import PrimeEvaluator
 from .propermaps import (
@@ -300,6 +300,8 @@ def _dispatch(args) -> int:
         opts = DistanceOptions(seed=args.seed)
         base, target = _parse_complex(args.base), _parse_complex(args.target)
         res = mobius_distance(model, None, None, base, target, opts)
+        if res.value >= 1:
+            raise TruncationQualityError(f"{res.warning}; raise --basis")
         c = math.atanh(res.value)
         print(f"mobius distance c* = {_fmt(res.value)}")
         print(f"caratheodory distance = {_fmt(c)}")

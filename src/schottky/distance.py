@@ -33,6 +33,7 @@ from .errors import (
     ConvergenceError,
     DomainError,
     ResolutionError,
+    TruncationQualityError,
 )
 from .harmonic import GreenFunction, HarmonicModel, IntegralsFirstKind, solve_harmonic_measures
 from .prime import PrimeEvaluator
@@ -122,10 +123,12 @@ class _ExtremalSearch:
 
     def solve_depths(self, angles: np.ndarray, seed_depths: np.ndarray | None = None):
         """Zeros on the chart rays at the foot angles, for one chart (shape
-        (g,)) or a batch of them (shape (B, g)): returns (points, depths, ok),
-        with ok False where the chart solve failed (an invalid chart point).
-        Without seed depths the solve starts where each point alone accounts
-        for its own circle's target measure."""
+        (g,)) or a batch of them (shape (B, g)): returns (points, depths, ok,
+        du), with ok False where the chart solve failed (an invalid chart
+        point) and du[b, k, j] = du_j/dz at point k of row b, from the chart
+        solve's last evaluation (current where ok).  Without seed depths the
+        solve starts where each point alone accounts for its own circle's
+        target measure."""
         d = self.domain
         angles = np.asarray(angles, dtype=float)
         feet = d.centers + d.radii * np.exp(1j * angles.reshape(-1, self.g))
@@ -135,23 +138,23 @@ class _ExtremalSearch:
             seed_depths, evaluations = _level_depths(self.model, range(1, self.g + 1), feet,
                                                      dirs, self.targets, box)
             self.seed_evaluations += evaluations
-        s, res = _solve_chart(self.model, feet, dirs, self.targets, seed_depths, box)
+        s, res, du = _solve_chart(self.model, feet, dirs, self.targets, seed_depths, box,
+                                  grad=True)
         return ((feet + s * dirs).reshape(angles.shape), s.reshape(angles.shape),
-                (res < _CHART_TOL).reshape(angles.shape[:-1]))
+                (res < _CHART_TOL).reshape(angles.shape[:-1]), du)
 
     # -- batched ascent ------------------------------------------------------
 
-    def _objective(self, green, rows, pts, phi, s):
+    def _objective(self, green, rows, pts, phi, s, du):
         """F = sum_k G(zeta, p_k) and its gradient in the foot angles for the
-        solved charts (zeros pts, angles phi, depths s) of the given rows.
+        solved charts (zeros pts, angles phi, depths s) of the given rows,
+        with the measures' gradients du at pts (``solve_depths``).
         The depths follow the angles through the zero condition, so by the
         implicit function theorem dF/dphi = a - J_phi^T J_s^-T b, with a, b
         the derivatives of F along the turn of each zero about its circle
         and along its ray, and J_phi, J_s those of the measures."""
         e = np.exp(1j * phi)  # the ray directions, dp_k/ds_k
         turn = 1j * (self.domain.radii + s) * e  # dp_k/dphi_k
-        _, du = self.model.eval_u_grad(pts.ravel())
-        du = du.reshape(*pts.shape, self.g)  # [b, k, j]: du_j/dz at p_k
         val, dg = green(pts, rows)
         j_s = np.real(du * e[:, :, None])  # [b, k, j] = dsum_u_j/ds_k, transposed
         j_phi = np.real(du * turn[:, :, None])
@@ -179,10 +182,11 @@ class _ExtremalSearch:
         phi = np.asarray(seed_angles, dtype=float).reshape(n, g).copy()
         green = self.green.paired(zetas)
         base = green(np.full((n, 1), self.p))[0][:, 0]  # G(zeta, p_tilde)
-        zeros, s, active = self.solve_depths(phi, seed_depths)
+        zeros, s, active, du = self.solve_depths(phi, seed_depths)
         fval, grad = np.full(n, np.inf), np.zeros((n, g))
         rows = np.flatnonzero(active)
-        fval[rows], grad[rows] = self._objective(green, rows, zeros[rows], phi[rows], s[rows])
+        fval[rows], grad[rows] = self._objective(green, rows, zeros[rows], phi[rows], s[rows],
+                                                 du[rows])
         inv_hess = _first_turn(grad)
         step_len = np.ones(n)
         trials = np.zeros(n, dtype=int)
@@ -202,12 +206,13 @@ class _ExtremalSearch:
             step = step_len[rows, None] * direction
             step *= (_MAX_TURN / np.maximum(np.abs(step).max(axis=1), _MAX_TURN))[:, None]
             trial = phi[rows] + step
-            pts, s_t, ok = self.solve_depths(trial, s[rows])
+            pts, s_t, ok, du = self.solve_depths(trial, s[rows])
             trials[rows] += 1
             iterations += 1
             f_t, g_t = np.full(len(rows), np.inf), np.zeros((len(rows), g))
             if ok.any():
-                f_t[ok], g_t[ok] = self._objective(green, rows[ok], pts[ok], trial[ok], s_t[ok])
+                f_t[ok], g_t[ok] = self._objective(green, rows[ok], pts[ok], trial[ok], s_t[ok],
+                                                   du[ok])
             change = np.abs(np.exp(-(base[rows] + f_t)) - np.exp(-(base[rows] + fval[rows])))
             active[rows[(np.abs(step).max(axis=1) < _XATOL) & (change < _FATOL)]] = False
             accept = f_t <= fval[rows] + 1e-4 * np.einsum("bi,bi->b", step, gr)
@@ -242,11 +247,14 @@ class _ExtremalSearch:
         best = int(np.argmax(run.values))
         if not run.values[best] > 0:
             raise ConvergenceError("extremal search failed at every seed")
-        warning = ("optimizer stagnation: supremum may only be approached"
-                   if run.capped[best] else None)
-        return DistanceResult(float(run.values[best]), tuple(complex(z) for z in run.zeros[best]),
-                              tuple(float(a) for a in run.angles[best]), warning,
-                              int(run.evaluations.sum()))
+        value = float(run.values[best])  # as computed: a value above 1 is flagged, not clamped
+        warnings = [f"1 - c* = {1 - value:.3e} is not positive: the order-{self.model.order} "
+                    "basis cannot resolve c* this close to 1"] if value >= 1 else []
+        if run.capped[best]:
+            warnings.append("optimizer stagnation: supremum may only be approached")
+        return DistanceResult(value, tuple(complex(z) for z in run.zeros[best]),
+                              tuple(float(a) for a in run.angles[best]),
+                              "; ".join(warnings) or None, int(run.evaluations.sum()))
 
 
 _MAX_TURN = 0.5  # radians: the longest step of one foot angle in one trial
@@ -299,7 +307,8 @@ def mobius_distance(
     degree-(g+1) proper maps vanishing at the base point, together with the
     maximizing zero set.  Closed form on the disk (g = 0).  |f| comes from
     the domain's Green's function on the harmonic series basis of ``model``;
-    ``ev`` and ``v`` are kept for API stability and are not used."""
+    ``ev`` and ``v`` are kept for API stability and are not used.  A value
+    of 1 or more is returned as computed, with a warning naming 1 - c*."""
     search = _ExtremalSearch(model, p_tilde)
     return search.optimize(zeta, opts or DistanceOptions())
 
@@ -312,8 +321,12 @@ def caratheodory_distance(
     zeta: complex,
     opts: DistanceOptions | None = None,
 ) -> float:
-    """atanh of the Moebius distance (the two metrics share sublevel sets)."""
-    return math.atanh(mobius_distance(model, ev, v, p_tilde, zeta, opts).value)
+    """atanh of the Moebius distance (the two metrics share sublevel sets).
+    Raises TruncationQualityError where the computed c* is not below 1."""
+    res = mobius_distance(model, ev, v, p_tilde, zeta, opts)
+    if res.value >= 1:
+        raise TruncationQualityError(res.warning)
+    return math.atanh(res.value)
 
 
 def product_distance(c1: float, lam: complex) -> float:
@@ -585,7 +598,7 @@ def _build_family(search: _ExtremalSearch, *n_angles: int) -> list[list]:
     g = search.g
     combos = [np.stack([a.ravel() for a in np.meshgrid(
         *[np.arange(n) * (2 * np.pi / n)] * g, indexing="ij")], axis=1) for n in n_angles]
-    pts, _, ok = search.solve_depths(np.concatenate(combos))
+    pts, _, ok, _ = search.solve_depths(np.concatenate(combos))
     ends = np.cumsum([0] + [len(c) for c in combos])
     return [[tuple(complex(z) for z in row) for row in pts[a:b][ok[a:b]]]
             for a, b in zip(ends, ends[1:])]

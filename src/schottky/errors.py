@@ -27,8 +27,9 @@ class ConvergenceError(SchottkyError):
 
 
 class TruncationQualityError(SchottkyError):
-    """A truncation-quality diagnostic (constant modulus, boundary deviation)
-    exceeded its tolerance; usually cured by a larger word length."""
+    """A truncation-quality diagnostic (constant modulus, boundary deviation,
+    a distance c* not below 1) exceeded its tolerance; usually cured by a
+    larger word length or basis order."""
 
 
 class AdmissibilityError(SchottkyError):

@@ -9,6 +9,10 @@ inner circle and positive powers for the outer circle.  Everything in the
 basis is exactly harmonic, so the only error is the boundary misfit of the
 least-squares fit, which converges spectrally in the basis order.
 
+Every evaluation reads one table of the basis powers, points last: the
+collocation matrix is its real interleaved view, and values, completions
+and derivatives are its contractions with coefficients prepared per fit.
+
 The analytic completions of the fitted measures span the holomorphic
 differentials of the domain; normalizing their circle periods produces the
 integrals of the first kind v_j, and the same normalization gives the period
@@ -67,7 +71,9 @@ class HarmonicModel:
         # u_j has the value 1 on inner circle j and 0 on the other circles
         data = np.repeat(np.eye(domain.g + 1)[:, 1:], colloc, axis=0)
         self.coeffs = self.solve_dirichlet(data).T  # (g, n_basis) real
-        self._complex_coeffs = _complexify(domain, order, self.coeffs)
+        # per circle, the value rows of the measures, then their derivative rows
+        series = _series(domain, order, self.coeffs)  # (g, 2, g+1, order+1)
+        self._table_rows = series.transpose(2, 1, 0, 3).reshape(domain.g + 1, -1, order + 1)
 
     @cached_property
     def residual(self) -> float:
@@ -88,11 +94,8 @@ class HarmonicModel:
     # -- real evaluation ---------------------------------------------------
 
     def eval_u_all(self, z) -> np.ndarray:
-        """Values of (u_1, ..., u_g) at z; shape (..., g)."""
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        if self.g == 0:
-            return np.zeros((len(z), 0))
-        return _basis_matrix(self.domain, self.order, z) @ self.coeffs.T
+        """Values of (u_1, ..., u_g) at z; shape (len(z), g)."""
+        return self.eval_u_grad(z)[0]
 
     def eval_u(self, j: int, z):
         """Harmonic measure u_j; j = 0 returns 1 - sum of the others."""
@@ -105,16 +108,20 @@ class HarmonicModel:
     def eval_u_grad(self, z) -> tuple[np.ndarray, np.ndarray]:
         """The values of (u_1, ..., u_g) at z (``eval_u_all``) and their
         gradients, encoded as du/dx - i du/dy (the complex derivative of
-        each completion), from one table of basis powers; shapes
-        (len(z), g) each.  Every derivative of the measures comes from
-        here."""
+        each completion); shapes (len(z), g) each.  One product of the power
+        table with the value and derivative rows of every circle, then one
+        multiply by r_l/(z - q_l) per inner circle.  Every value and
+        derivative of the measures comes from here."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        if self.g == 0:
+        g = self.g
+        if g == 0:
             return np.zeros((len(z), 0)), np.zeros((len(z), 0), dtype=complex)
-        basis = _basis_matrix(self.domain, self.order, z)
-        powers = _power_block(basis, self.g, self.order)
-        hp = _analytic_basis_derivative(self.domain, self.order, z, powers)
-        return basis @ self.coeffs.T, hp @ self._complex_coeffs.T
+        table = _power_table(self.domain, self.order, z)
+        sums = self._table_rows @ table  # (g+1, 2g, n)
+        w = table[:g, 1]  # r_l / (z - q_l)
+        u = sums[:, :g].real.sum(axis=0) - self.coeffs[:, 1 : 1 + g] @ np.log(np.abs(w))
+        du = (sums[:g, g:] * w[:, None]).sum(axis=0) + sums[g, g:]
+        return u.T, du.T
 
     def eval_normal_derivative(self, j: int, l: int, z):
         """Normal derivative of u_j on boundary circle l, in the direction
@@ -272,30 +279,31 @@ class GreenFunction:
         points paired with pole b alone.  Returns a function of (z, rows):
         z has shape (len(rows), m), rows indexes the poles (default: all, in
         order), and both results have the shape of z.  The poles' fits are
-        solved here, once; an evaluation costs one basis row per point,
-        where ``__call__`` builds the (points, poles) matrix."""
+        solved here, once; an evaluation contracts each point's column of
+        the power table with its pole's value and derivative rows alone
+        (einsum, so a point's result does not depend on its batch), where
+        ``__call__`` builds the (points, poles) matrix."""
         p = np.atleast_1d(np.asarray(poles, dtype=complex))
-        d, order = self.model.domain, self.model.order
+        d, order, g = self.model.domain, self.model.order, self.model.g
         star, coeffs = self._fit(p)
-        coeffs = coeffs.T  # (poles, n_basis)
-        ccoeffs = _complexify(d, order, coeffs)
+        series = _series(d, order, coeffs.T)  # (poles, 2, g+1, order+1)
+        log_coeffs = coeffs[1 : 1 + g].T  # (poles, g)
 
         def green(z, rows=None):
             z = np.asarray(z, dtype=complex)
             rows = np.arange(len(p)) if rows is None else rows
             pb = p[rows, None]
             sb = None if star is None else star[rows, None]
-            basis = _basis_matrix(d, order, z.ravel())
-            hp = _analytic_basis_derivative(d, order, z.ravel(),
-                                            _power_block(basis, d.g, order))
-            shape = (*z.shape, -1)
-            val = _log_part(z, pb, sb) + np.einsum("bmn,bn->bm", basis.reshape(shape),
-                                                   coeffs[rows])
+            table = _power_table(d, order, z.ravel()).reshape(g + 1, order + 1, *z.shape)
+            sums = np.einsum("lkbm,bclk->clbm", table, series[rows])
+            w = table[:g, 1]  # r_l / (z - q_l)
+            val = (_log_part(z, pb, sb) + sums[0].real.sum(axis=0)
+                   - (np.log(np.abs(w)) * log_coeffs[rows].T[:, :, None]).sum(axis=0))
             # d/dz of log|1 - conj(p) z| - log|z - p| (+ the image's pair)
             der = -np.conj(pb) / (1 - np.conj(pb) * z) - 1 / (z - pb)
             if sb is not None:
                 der = der + 1 / (z - sb) + np.conj(sb) / (1 - np.conj(sb) * z)
-            der = der + np.einsum("bmn,bn->bm", hp.reshape(shape), ccoeffs[rows])
+            der = der + (sums[1, :g] * w).sum(axis=0) + sums[1, g]
             return val, der
 
         return green
@@ -321,84 +329,71 @@ def _log_part(z: np.ndarray, p: np.ndarray, star: np.ndarray | None) -> np.ndarr
 
 # -- basis ------------------------------------------------------------------
 #
-# Real basis columns, in order:
-#   [0]                 constant 1
-#   [1 .. g]            log(|z - q_l| / r_l)                (inner circles)
-#   per inner circle l, k = 1..N:  Re s_lk, Im s_lk with
-#                       s_lk = ((z - q_l)/r_l)^(-k)
-#   outer, k = 1..N:    Re z^k, Im z^k
-#
-# Every column is the real part of an analytic (or log) function, so the
-# complexified coefficients give the analytic completion directly.
+# The power table at n points, complex, shape (g+1, order+1, n), points last:
+#   table[l, k] = w_l^k, w_l = r_l / (z - q_l)    inner circle l + 1 (l < g)
+#   table[g, k] = z^k                             outer circle
+# with row 0 equal to 1.  The real basis (``_basis_matrix``) is the constant,
+# the logs log(|z - q_l| / r_l) = -log|w_l|, then Re, Im of the table's rows
+# 1..N, circle by circle.  Every column is the real part of an analytic (or
+# log) function, so Re, Im coefficients b, b' give the completion's
+# coefficient b - i b'; as d/dz w^k = -(k / r) w^k w and d/dz z^k =
+# k z^(k-1), derivatives contract the same table (``_series``).
 
 
-def _basis_size(g: int, order: int) -> int:
-    return 1 + g + 2 * order * (g + 1)
-
-
-def _powers(d: CircularDomain, order: int, z: np.ndarray, out: np.ndarray) -> None:
-    """Fill ``out`` (n, g+1, order) with the basis powers: (r_l / (z - q_l))^k
-    for each inner circle l, then z^k for the outer circle, k = 1..order."""
-    g = d.g
-    out[:, :g] = (d.radii / (z[:, None] - d.centers))[:, :, None]
-    out[:, g] = z[:, None]
-    for lo in range(0, len(z), 128):  # row blocks small enough to stay in cache
-        np.cumprod(out[lo : lo + 128], axis=2, out=out[lo : lo + 128])
-
-
-def _power_block(basis: np.ndarray, g: int, order: int) -> np.ndarray:
-    """The power columns of a basis matrix as a complex (n, g+1, order) view;
-    in the real basis each Re, Im column pair is one complex number."""
-    return basis[:, 1 + g :].view(complex).reshape(len(basis), g + 1, order)
+def _power_table(d: CircularDomain, order: int, z: np.ndarray) -> np.ndarray:
+    """The power table (g+1, order+1, len(z)) of the points z, filled by
+    block doubling: rows h+1 .. 2h are rows 1 .. h times row h.  One point
+    is built as two: alone, a multiply would loop across the circles, whose
+    interleaved input and output ranges send numpy to its scalar loop, which
+    rounds unlike the vector loop of any larger batch."""
+    g, n = d.g, len(z)
+    if n == 1:
+        z = np.repeat(z, 2)
+    table = np.empty((g + 1, order + 1, len(z)), dtype=complex)
+    table[:, 0] = 1.0
+    table[:g, 1] = d.radii[:, None] / (z - d.centers[:, None])
+    table[g, 1] = z
+    h = 1
+    while h < order:
+        top = min(2 * h, order)
+        np.multiply(table[:, 1 : top - h + 1], table[:, h : h + 1],
+                    out=table[:, h + 1 : top + 1])
+        h = top
+    return table[..., :n]
 
 
 def _basis_matrix(d: CircularDomain, order: int, z: np.ndarray) -> np.ndarray:
-    g = d.g
-    out = np.empty((len(z), _basis_size(g, order)), dtype=float)
+    """The real basis at the points z, shape (n, 1 + g + 2 order (g+1)): the
+    constant, the log columns, then the power table's real interleaved view."""
+    g, n = d.g, len(z)
+    table = _power_table(d, order, z)
+    out = np.empty((n, 1 + g + 2 * order * (g + 1)))
     out[:, 0] = 1.0
-    out[:, 1 : 1 + g] = np.log(np.abs(z[:, None] - d.centers) / d.radii)
-    _powers(d, order, z, _power_block(out, g, order))
+    out[:, 1 : 1 + g] = -np.log(np.abs(table[:g, 1])).T
+    out[:, 1 + g :].view(complex).reshape(n, g + 1, order)[:] = table[:, 1:].transpose(2, 0, 1)
     return out
 
 
-def _analytic_basis(d: CircularDomain, order: int, z: np.ndarray) -> np.ndarray:
-    g = d.g
-    out = np.empty((len(z), 1 + g + order * (g + 1)), dtype=complex)
-    out[:, 0] = 1.0
-    out[:, 1 : 1 + g] = np.log((z[:, None] - d.centers) / d.radii)
-    _powers(d, order, z, _power_block(out, g, order))
+def _series(d: CircularDomain, order: int, coeffs: np.ndarray) -> np.ndarray:
+    """Complex coefficients over the power table for real basis coefficients
+    (m, n_basis): shape (m, 2, g+1, order+1), value rows then derivative
+    rows.  Re of a value row's contraction plus the log terms is the value
+    (the constant sits in the outer circle's row 0); a derivative row's
+    contraction, times w_l on inner circle l, is d/dz of that circle's part
+    of the completion (k c_k shifted down a row on the outer circle; -k c_k
+    / r_l, and the log coefficient a_l / r_l in row 0, on the inner ones)."""
+    g, m = d.g, len(coeffs)
+    ks = np.arange(order + 1)
+    out = np.zeros((m, 2, g + 1, order + 1), dtype=complex)
+    val, der = out[:, 0], out[:, 1]
+    pairs = coeffs[:, 1 + g :].reshape(m, g + 1, order, 2)
+    val[:, :, 1:] = pairs[..., 0] - 1j * pairs[..., 1]
+    val[:, g, 0] = coeffs[:, 0]
+    der[:, :g] = -ks * val[:, :g]
+    der[:, :g, 0] = coeffs[:, 1 : 1 + g]
+    der[:, :g] /= d.radii[:, None]
+    der[:, g, :-1] = ks[1:] * val[:, g, 1:]
     return out
-
-
-def _analytic_basis_derivative(d: CircularDomain, order: int, z: np.ndarray,
-                               powers: np.ndarray | None = None) -> np.ndarray:
-    g = d.g
-    ks = np.arange(1, order + 1)
-    shifted = z[:, None] - d.centers
-    out = np.empty((len(z), 1 + g + order * (g + 1)), dtype=complex)
-    out[:, 0] = 0.0
-    out[:, 1 : 1 + g] = 1.0 / shifted
-    block = _power_block(out, g, order)
-    if powers is None:
-        _powers(d, order, z, block)
-    else:
-        block[:] = powers
-    block[:, :g] = block[:, :g] * -ks / shifted[:, :, None]
-    # d/dz z^k = k z^(k-1): the outer powers shifted by one
-    block[:, g, 1:] = block[:, g, :-1].copy()
-    block[:, g, 0] = 1.0
-    block[:, g] *= ks
-    return out
-
-
-def _complexify(d: CircularDomain, order: int, coeffs: np.ndarray) -> np.ndarray:
-    """Turn the fitted real coefficients into complex coefficients over the
-    analytic basis: Re-column beta and Im-column beta' combine into the
-    coefficient beta - i beta' of the analytic function."""
-    if coeffs.size == 0:
-        return np.zeros((0, 1), dtype=complex)
-    pairs = coeffs[:, 1 + d.g :].reshape(len(coeffs), (d.g + 1) * order, 2)
-    return np.concatenate([coeffs[:, : 1 + d.g], pairs[..., 0] - 1j * pairs[..., 1]], axis=1)
 
 
 # -- integrals of the first kind ---------------------------------------------
@@ -450,10 +445,10 @@ class IntegralsFirstKind:
                 "singular period system; harmonic model is degenerate"
             ) from exc
         self.combination = inv / (2j * np.pi)  # (g, g): v_j = sum_k C[j,k] G_k
-        # the completions at 1, subtracted so v_j(1) = 0 (one matrix-vector
-        # product each: a single matrix product rounds differently)
-        h = _analytic_basis(self.domain, model.order, np.ones(1, dtype=complex))
-        self._offset = self.combination @ np.array([(h @ c)[0] for c in model._complex_coeffs])
+        self._values = _series(self.domain, model.order, model.coeffs)[:, 0].reshape(g, -1)
+        # v_j(1) = 0: the offset is v_j(1) before it, in eval_v_all's arithmetic
+        self._offset = 0.0
+        self._offset = self.eval_v_all(1.0)[0]
         tau = 2 * self.combination
         self._periods = PeriodMatrix(tau=tau, asymmetry=float(np.max(np.abs(tau - tau.T))))
 
@@ -466,22 +461,24 @@ class IntegralsFirstKind:
         return self.model.g
 
     def eval_v_all(self, z) -> np.ndarray:
-        """All v_j at z, shape (..., g); principal branches.  Each point is
-        contracted on its own row (einsum, not a BLAS product), so its value
-        does not depend on the batch it came in."""
+        """All v_j at z, shape (len(z), g); principal branches.  Each point
+        is contracted with its own column of the power table (einsum, not a
+        BLAS product), so its value does not depend on the batch it came in."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        h = _analytic_basis(self.domain, self.model.order, z)
-        gvals = np.einsum("nb,jb->nj", h, self.model._complex_coeffs)  # completions
-        return np.einsum("nk,jk->nj", gvals, self.combination) - self._offset[None, :]
+        d = self.domain
+        table = _power_table(d, self.model.order, z).reshape(-1, len(z))
+        logs = np.log((z[:, None] - d.centers) / d.radii)
+        completions = (np.einsum("bn,jb->nj", table, self._values)
+                       + np.einsum("nl,jl->nj", logs, self.model.coeffs[:, 1 : 1 + self.g]))
+        return np.einsum("nk,jk->nj", completions, self.combination) - self._offset
 
     def eval_v(self, j: int, z):
         return _pointwise(lambda z: self.eval_v_all(z)[..., j - 1], z)
 
     def v_prime_all(self, z) -> np.ndarray:
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        hp = _analytic_basis_derivative(self.domain, self.model.order, z)
-        gprime = hp @ self.model._complex_coeffs.T
-        return gprime @ self.combination.T
+        """All v_j' at z, shape (len(z), g): the combination of the
+        completions' derivatives (``HarmonicModel.eval_u_grad``)."""
+        return self.model.eval_u_grad(z)[1] @ self.combination.T
 
     def circle_periods(self) -> np.ndarray:
         """Quadrature check of the defining normalization, on

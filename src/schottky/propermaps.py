@@ -216,10 +216,11 @@ _SEED_STEPS = 100  # evaluations: a backstop above any seed seen (7 to 25)
 
 
 def _solve_chart(model: HarmonicModel, feet: np.ndarray, dirs: np.ndarray, target,
-                 seed, box=None) -> tuple[np.ndarray, np.ndarray]:
+                 seed, box=None, *, grad: bool = False) -> tuple:
     """Depths s, shape (B, g), with sum_k u(feet + s dirs) = target for each
     row of g rays, and the max-norm residual of each row at its last
-    evaluation.
+    evaluation; with ``grad``, also its gradients du[b, k, j] = du_j/dz at
+    point k of row b, current on the rows below ``_CHART_TOL``.
 
     Plain Newton from the seed depths with every iterate clipped to the
     chart box, at most 40 evaluations.  A row counts as solved once its
@@ -232,20 +233,21 @@ def _solve_chart(model: HarmonicModel, feet: np.ndarray, dirs: np.ndarray, targe
     b, g = feet.shape
     s = np.clip(seed, lo, hi)
     for _ in range(40):
-        u, grad = model.eval_u_grad((feet + s * dirs).ravel())
+        u, du = model.eval_u_grad((feet + s * dirs).ravel())
         fval = u.reshape(b, g, g).sum(axis=1) - target
         res = np.abs(fval).max(axis=1, initial=0.0)
         done = res < _CHART_TOL
         if done.all():
             break
         # d(sum_k u_j)/ds_k = Re(grad_k u_j * dir_k): row j, column k
-        jac = np.real(grad.reshape(b, g, g) * dirs[:, :, None]).transpose(0, 2, 1)
+        jac = np.real(du.reshape(b, g, g) * dirs[:, :, None]).transpose(0, 2, 1)
         try:
             step = np.linalg.solve(jac, -fval[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             break
+        # solved rows keep their depths, so their gradients stay current
         s = np.clip(s + np.where(done[:, None], 0.0, step), lo, hi)
-    return s, res
+    return (s, res, du.reshape(b, g, g)) if grad else (s, res)
 
 
 def complete_zeros(model: HarmonicModel, fixed, nu, guess) -> list[complex]:

@@ -109,6 +109,16 @@ def test_cball_dist(annulus_file, tmp_path):
     assert 0.99 < payload["c_star"] < 1.0
 
 
+def test_cball_dist_above_one_is_a_numerical_failure(tmp_path, capsys):
+    path = tmp_path / "near.json"
+    path.write_text('{"inner_circles":[{"q":[-0.5,0.0],"r":0.3},{"q":[0.7,0.0],"r":0.01}]}')
+    code = main(["cball-dist", "--domain", str(path), "--base=-0.8001,0",
+                 "--target=0.7101,0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: 1 - c* = -3.") and "raise --basis" in err
+
+
 def test_cball_raster_deterministic(annulus_file, tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     args = ["cball-raster", "--domain", annulus_file, "--center", "0.5,0",

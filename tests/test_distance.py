@@ -15,7 +15,9 @@ from schottky.distance import (
     wang_yin_eval,
 )
 from schottky.distance import _FOUR_CONN, _label_components, _shifts
-from schottky.errors import AdmissibilityError, DomainError
+from schottky.domain import Circle, CircularDomain
+from schottky.errors import AdmissibilityError, DomainError, TruncationQualityError
+from schottky.harmonic import solve_harmonic_measures
 from schottky.propermaps import build_proper_map, make_zero_config
 
 FAST = DistanceOptions(n_starts=4)
@@ -143,7 +145,7 @@ def test_raster_nesting_and_intersection(annulus_tools):
     from schottky.distance import _ExtremalSearch
 
     search = _ExtremalSearch(t.model, 0.5)
-    pts, _, ok = search.solve_depths(np.array([2.0]))
+    pts, _, ok, _ = search.solve_depths(np.array([2.0]))
     assert ok
     f = build_proper_map(t.ev, t.v, make_zero_config(t.model, [0.5, *pts], (1, 1)))
     centers = raster.pixel_centers().ravel()
@@ -161,7 +163,7 @@ def test_family_equals_per_row_solves(triply_tools):
     rows = []
     for a1 in grid:
         for a2 in grid:
-            pts, _, ok = search.solve_depths(np.array([a1, a2]))
+            pts, _, ok, _ = search.solve_depths(np.array([a1, a2]))
             if ok:
                 rows.append(pts)
     assert len(family) == len(rows) == 36
@@ -294,9 +296,9 @@ def test_witness_search_needs_no_prime_function(monkeypatch):
 
 
 def _chart_objective(search, green, angles):
-    pts, s, ok = search.solve_depths(angles[None, :])
+    pts, s, ok, du = search.solve_depths(angles[None, :])
     assert ok.all()
-    return search._objective(green, np.array([0]), pts, angles[None, :], s)
+    return search._objective(green, np.array([0]), pts, angles[None, :], s, du)
 
 
 def test_ascent_gradient_matches_central_difference(triply_tools):
@@ -312,6 +314,23 @@ def test_ascent_gradient_matches_central_difference(triply_tools):
                  - _chart_objective(search, green, angles - h * e)[0])[0] / (2 * h)
                 for e in np.eye(2)]
         assert np.max(np.abs(grad[0] - diff)) < 1e-6 * np.max(np.abs(grad[0]))
+
+
+def test_objective_reads_the_chart_solves_gradients(triply_tools):
+    from schottky.distance import _ExtremalSearch
+
+    search = _ExtremalSearch(triply_tools.model, 0.3j)
+    zetas = np.array([-0.2 - 0.4j, 0.1 + 0.6j, 0.7 + 0j])
+    green = search.green.paired(zetas)
+    angles = np.random.default_rng(5).uniform(0, 2 * np.pi, size=(3, 2))
+    pts, s, ok, du = search.solve_depths(angles)
+    assert ok.all()
+    fresh = triply_tools.model.eval_u_grad(pts.ravel())[1].reshape(3, 2, 2)
+    assert np.array_equal(du, fresh)
+    rows = np.arange(3)
+    read = search._objective(green, rows, pts, angles, s, du)
+    evaluated = search._objective(green, rows, pts, angles, s, fresh)
+    assert all(np.array_equal(a, b) for a, b in zip(read, evaluated))
 
 
 def test_ascent_batch_equals_rows(triply_tools):
@@ -336,9 +355,11 @@ def test_raster_band_pixels_reach_mobius_distance(triply_tools):
     band = np.argwhere(np.abs(raster.values - 0.6) < opts.refine_margin)
     assert len(band) == raster.diagnostics["polished"] > 0
     # 6^2 + 12^2 family charts, all solved, from one batched seed that
-    # needs fewer evaluations than the 40 of a bisection
-    assert raster.diagnostics["family_charts"] == [180, 180]
-    assert 0 < raster.diagnostics["seed_evaluations"] < 40
+    # needs fewer evaluations than the 40 of a bisection; the polish reads
+    # the gradients of each chart solve (this is the benchmark's raster-g2)
+    assert raster.diagnostics == {"family_charts": [180, 180], "seed_evaluations": 7,
+                                  "polished": 8, "ascent_iterations": 9, "chart_solves": 10,
+                                  "capped": 0}
     centers = raster.pixel_centers()
     for iy, ix in band:
         exact = mobius_distance(t.model, t.ev, t.v, 0.3j, complex(centers[iy, ix])).value
@@ -402,3 +423,19 @@ def test_raster_labels_match_ndimage(triply_tools):
                 disk = xx**2 + yy**2 <= radius**2
                 assert raster.component_has_disk(label, radius) == bool(
                     ndimage.binary_erosion(mask, structure=disk).any())
+
+
+# -- values above 1 ------------------------------------------------------------------
+
+# the basis at order 24 puts c* 3.1e-10 above 1 here: a base point 1e-4 off the
+# anchor circle and a probe 1e-4 off the tiny hole
+_ABOVE_ONE = CircularDomain((Circle(-0.5 + 0j, 0.3), Circle(0.7 + 0j, 0.01)))
+
+
+def test_mobius_distance_flags_a_value_above_one():
+    model = solve_harmonic_measures(_ABOVE_ONE, order=24)
+    res = mobius_distance(model, None, None, -0.8001, 0.7101)
+    assert res.value > 1  # as computed, not clamped
+    assert f"1 - c* = {1 - res.value:.3e}" in res.warning
+    with pytest.raises(TruncationQualityError, match="order-24 basis"):
+        caratheodory_distance(model, None, None, -0.8001, 0.7101)

@@ -8,8 +8,8 @@ from schottky.propermaps import build_proper_map, complete_zeros, make_zero_conf
 from schottky.distance import wang_yin_eval
 from schottky.harmonic import (
     GreenFunction,
-    _analytic_basis,
     _basis_matrix,
+    _power_table,
     _tri_solve,
     har_relation_residual,
     integrals_first_kind,
@@ -264,17 +264,34 @@ def test_har_relation(annulus_tools, triply_tools):
 
 
 def test_real_basis_is_interleaved_analytic_basis(triply_tools):
+    # the collocation matrix is the power table in its real interleaved view
     d = triply_tools.domain
     z = interior_points(d, 40, seed=2, margin=0.0)
     real = _basis_matrix(d, 24, z)
-    analytic = _analytic_basis(d, 24, z)
+    table = _power_table(d, 24, z)
     g = d.g
-    assert np.array_equal(real[:, 0], analytic[:, 0].real)
-    # power columns bit for bit; the log columns agree to rounding, since
-    # log|w| and Re log(w) round differently
-    assert np.array_equal(real[:, 1 + g :: 2], analytic[:, 1 + g :].real)
-    assert np.array_equal(real[:, 2 + g :: 2], analytic[:, 1 + g :].imag)
-    assert np.max(np.abs(real[:, 1 : 1 + g] - analytic[:, 1 : 1 + g].real)) < 1e-15
+    assert table.shape == (g + 1, 25, len(z)) and np.all(table[:, 0] == 1)
+    assert np.array_equal(real[:, 0], np.ones(len(z)))
+    powers = table[:, 1:].transpose(2, 0, 1).reshape(len(z), -1)
+    assert np.array_equal(real[:, 1 + g :: 2], powers.real)
+    assert np.array_equal(real[:, 2 + g :: 2], powers.imag)
+    logs = np.log(np.abs(z[:, None] - d.centers) / d.radii)
+    assert np.max(np.abs(real[:, 1 : 1 + g] - logs)) < 1e-15
+
+
+@pytest.mark.parametrize("order", [24, 64])
+def test_power_table_rows_are_the_basis_powers(triply_tools, order):
+    d = triply_tools.domain
+    # interior points, and points 1e-3 off every boundary circle
+    near = [c.q + (c.r + 1e-3) * np.exp(1j * np.linspace(0, 2 * np.pi, 16, endpoint=False))
+            for c in d.inner_circles]
+    near.append((1 - 1e-3) * np.exp(1j * np.linspace(0.1, 2 * np.pi, 16, endpoint=False)))
+    z = np.concatenate([interior_points(d, 40, seed=3, margin=0.0), *near])
+    table = _power_table(d, order, z)
+    ks = np.arange(order + 1)[:, None]
+    direct = [(c.r / (z - c.q)) ** ks for c in d.inner_circles] + [z**ks]
+    for row, ref in zip(table, direct):
+        assert np.max(np.abs(row - ref) / np.abs(ref)) < 1e-14
 
 
 def test_fused_values_and_gradients(triply_tools):
@@ -286,6 +303,17 @@ def test_fused_values_and_gradients(triply_tools):
     dx = (m.eval_u_all(z + h) - m.eval_u_all(z - h)) / (2 * h)
     dy = (m.eval_u_all(z + 1j * h) - m.eval_u_all(z - 1j * h)) / (2 * h)
     assert np.max(np.abs(grad - (dx - 1j * dy))) < 1e-6
+
+
+def test_gradients_match_central_differences_at_order_64(triply_tools):
+    m = solve_harmonic_measures(triply_tools.domain, order=64)
+    z = interior_points(m.domain, 15, seed=4)
+    u, grad = m.eval_u_grad(z)
+    assert np.array_equal(u, m.eval_u_all(z))
+    h = 1e-5
+    dx = (m.eval_u_all(z + h) - m.eval_u_all(z - h)) / (2 * h)
+    dy = (m.eval_u_all(z + 1j * h) - m.eval_u_all(z - 1j * h)) / (2 * h)
+    assert np.max(np.abs(grad - (dx - 1j * dy))) < 1e-7
 
 
 def test_green_function_symmetric(triply_tools):
