@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import verify as verify_mod
 from .distance import (
     DistanceOptions,
+    _atanh_checked,
     ball_raster,
     find_disconnected_ball,
     mobius_distance,
@@ -297,12 +297,12 @@ def _dispatch(args) -> int:
     if cmd == "cball-dist":
         domain = _load_domain(args.domain)
         model = solve_harmonic_measures(domain, order=args.basis)
-        opts = DistanceOptions(seed=args.seed)
         base, target = _parse_complex(args.base), _parse_complex(args.target)
-        res = mobius_distance(model, None, None, base, target, opts)
-        if res.value >= 1:
-            raise TruncationQualityError(f"{res.warning}; raise --basis")
-        c = math.atanh(res.value)
+        res = mobius_distance(model, None, None, base, target, DistanceOptions(seed=args.seed))
+        try:
+            c = _atanh_checked(res)
+        except TruncationQualityError as exc:
+            raise TruncationQualityError(f"{exc}; raise --basis") from None
         print(f"mobius distance c* = {_fmt(res.value)}")
         print(f"caratheodory distance = {_fmt(c)}")
         if res.warning:

@@ -138,8 +138,7 @@ class _ExtremalSearch:
             seed_depths, evaluations = _level_depths(self.model, range(1, self.g + 1), feet,
                                                      dirs, self.targets, box)
             self.seed_evaluations += evaluations
-        s, res, du = _solve_chart(self.model, feet, dirs, self.targets, seed_depths, box,
-                                  grad=True)
+        s, res, du = _solve_chart(self.model, feet, dirs, self.targets, seed_depths, box)
         return ((feet + s * dirs).reshape(angles.shape), s.reshape(angles.shape),
                 (res < _CHART_TOL).reshape(angles.shape[:-1]), du)
 
@@ -323,7 +322,11 @@ def caratheodory_distance(
 ) -> float:
     """atanh of the Moebius distance (the two metrics share sublevel sets).
     Raises TruncationQualityError where the computed c* is not below 1."""
-    res = mobius_distance(model, ev, v, p_tilde, zeta, opts)
+    return _atanh_checked(mobius_distance(model, ev, v, p_tilde, zeta, opts))
+
+
+def _atanh_checked(res: DistanceResult) -> float:
+    """atanh of c*; TruncationQualityError (the result's warning) where c* >= 1."""
     if res.value >= 1:
         raise TruncationQualityError(res.warning)
     return math.atanh(res.value)

@@ -216,11 +216,10 @@ _SEED_STEPS = 100  # evaluations: a backstop above any seed seen (7 to 25)
 
 
 def _solve_chart(model: HarmonicModel, feet: np.ndarray, dirs: np.ndarray, target,
-                 seed, box=None, *, grad: bool = False) -> tuple:
+                 seed, box=None) -> tuple:
     """Depths s, shape (B, g), with sum_k u(feet + s dirs) = target for each
-    row of g rays, and the max-norm residual of each row at its last
-    evaluation; with ``grad``, also its gradients du[b, k, j] = du_j/dz at
-    point k of row b, current on the rows below ``_CHART_TOL``.
+    row of g rays; and, from the last evaluation, each row's max-norm residual
+    and the gradients du[b, k, j] = du_j/dz at point k of row b.
 
     Plain Newton from the seed depths with every iterate clipped to the
     chart box, at most 40 evaluations.  A row counts as solved once its
@@ -247,7 +246,7 @@ def _solve_chart(model: HarmonicModel, feet: np.ndarray, dirs: np.ndarray, targe
             break
         # solved rows keep their depths, so their gradients stay current
         s = np.clip(s + np.where(done[:, None], 0.0, step), lo, hi)
-    return (s, res, du.reshape(b, g, g)) if grad else (s, res)
+    return s, res, du.reshape(b, g, g)
 
 
 def complete_zeros(model: HarmonicModel, fixed, nu, guess) -> list[complex]:
@@ -284,7 +283,7 @@ def complete_zeros(model: HarmonicModel, fixed, nu, guess) -> list[complex]:
     target = np.asarray(nu[1:], dtype=float)
     if fixed:
         target = target - model.eval_u_all(np.asarray(fixed)).sum(axis=0)
-    s, res = _solve_chart(model, feet, dirs, target, np.array([depths]))
+    s, res, _ = _solve_chart(model, feet, dirs, target, np.array([depths]))
     if res[0] >= _CHART_TOL:
         raise ConvergenceError("chart solve did not converge", residual=float(res[0]))
     return [complex(z) for z in (feet + s * dirs)[0]]
@@ -696,7 +695,7 @@ def from_boundary_data(
         target = np.asarray(nu[1:], dtype=float) - model.eval_u_all(np.asarray(driven)).sum(axis=0)
         if seed is None:
             seed, _ = _level_depths(model, range(1, g + 1), feet, dirs, target)
-        s, res = _solve_chart(model, feet, dirs, target, seed)
+        s, res, _ = _solve_chart(model, feet, dirs, target, seed)
         if res[0] >= _CHART_TOL:
             raise ConvergenceError(f"tether chart solve did not converge at t = {t:.3g}",
                                    residual=float(res[0]))

@@ -292,6 +292,9 @@ def test_power_table_rows_are_the_basis_powers(triply_tools, order):
     direct = [(c.r / (z - c.q)) ** ks for c in d.inner_circles] + [z**ks]
     for row, ref in zip(table, direct):
         assert np.max(np.abs(row - ref) / np.abs(ref)) < 1e-14
+    # a point's column does not depend on the batch it is built in
+    for k in range(len(z)):
+        assert np.array_equal(_power_table(d, order, z[k : k + 1])[..., 0], table[..., k])
 
 
 def test_fused_values_and_gradients(triply_tools):

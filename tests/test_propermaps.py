@@ -144,10 +144,10 @@ def test_chart_batch_equals_rows(triply_tools):
     feet, dirs = _random_charts(m.domain, 12, seed=7)
     target = 1.0 - m.eval_u_all(0.3j)[0]  # the extremal search's charts
     seed, _ = _level_depths(m, [1, 2], feet, dirs, target)
-    s, res = _solve_chart(m, feet, dirs, target, seed)
+    s, res, _ = _solve_chart(m, feet, dirs, target, seed)
     assert np.all(res < _CHART_TOL)
     for k in range(len(feet)):
-        row, row_res = _solve_chart(m, feet[k : k + 1], dirs[k : k + 1], target, seed[k : k + 1])
+        row, row_res, _ = _solve_chart(m, feet[k : k + 1], dirs[k : k + 1], target, seed[k : k + 1])
         assert row_res[0] < _CHART_TOL
         assert np.max(np.abs(row[0] - s[k])) < 1e-12
 
@@ -158,7 +158,7 @@ def test_chart_depths_stay_in_box(triply_tools, annulus_tools):
     rng = np.random.default_rng(9)
     target = rng.uniform(-1.0, 2.0, (40, 2))  # many of these cannot be met
     seed = rng.uniform(-1.0, 3.0, (40, 2))  # many of these lie outside the box
-    s, res = _solve_chart(m, feet, dirs, target, seed)
+    s, res, _ = _solve_chart(m, feet, dirs, target, seed)
     assert np.all(s > 0) and np.all(s < _exits(m.domain, feet, dirs))
     assert np.any(res >= _CHART_TOL) and np.any(res < _CHART_TOL)
     # complete_zeros' failing chart above: from the foot 1 toward the inner
@@ -166,7 +166,7 @@ def test_chart_depths_stay_in_box(triply_tools, annulus_tools):
     am = annulus_tools.model
     target = -am.eval_u_all(0.95)[0]
     feet, dirs = np.array([[1.0 + 0j]]), np.array([[-1.0 + 0j]])
-    s, res = _solve_chart(am, feet, dirs, target, np.array([[0.1]]))
+    s, res, _ = _solve_chart(am, feet, dirs, target, np.array([[0.1]]))
     exit_depth = _exits(am.domain, feet, dirs)[0, 0]
     assert exit_depth == pytest.approx(0.75)
     assert res[0] >= _CHART_TOL
@@ -224,7 +224,7 @@ def test_level_depths_match_bisection(case):
     assert np.all(np.abs(newton - reference) <= 2.0**-40 * exits)
     assert evaluations <= _SEED_EVALUATIONS[case]
     # the same family members as the reference-seeded chart solves
-    solved, res = _solve_chart(model, feet, dirs, search.targets, reference)
+    solved, res, _ = _solve_chart(model, feet, dirs, search.targets, reference)
     ok = res < _CHART_TOL
     coarse, fine = _build_family(search, 6, 12)
     family = np.array(coarse + fine)
