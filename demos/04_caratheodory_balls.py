@@ -41,7 +41,7 @@ print(f"disk lower bound       = {abs((-0.5 - 0.5) / (1 + 0.25)):.6f}")
 print(f"\nproduct rule: max(0.8, atanh 0.5) = {product_distance(0.8, 0.5):.6f}")
 
 # raster a ball and label its components
-opts = DistanceOptions(refine_cap=300, coarse_angles=6, family_angles=8)
+opts = DistanceOptions(refine_cap=300)
 raster = ball_raster(model, ev, v, 0.5, 0.6, resolution=100, opts=opts)
 print(f"\nannulus ball at r=0.6: {raster.component_count()} component(s)")
 

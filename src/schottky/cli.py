@@ -262,10 +262,12 @@ def _dispatch(args) -> int:
         print(f"degree = {f.degree}, windings = {degrees}")
         print(f"boundary deviation = {_fmt(dev)}")
         if cmd == "proper-eval":
+            # one call per point: a batched call may round differently
             pts = _parse_zeros(args.at)
-            payload["values"] = [[complex(f(z)).real, complex(f(z)).imag] for z in pts]
-            for z in pts:
-                print(f"f({_fmt_c(z)}) = {_fmt_c(complex(f(z)))}")
+            values = [complex(f(z)) for z in pts]
+            payload["values"] = [[w.real, w.imag] for w in values]
+            for z, w in zip(pts, values):
+                print(f"f({_fmt_c(z)}) = {_fmt_c(w)}")
         _write_artifact(args, payload)
         return EXIT_OK
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -71,21 +72,18 @@ _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 @dataclass(frozen=True)
 class DistanceOptions:
-    """Knobs for the extremal search.  The seed fixes every multi-start
-    draw, so identical inputs give identical outputs.  One distance is an
-    ascent of ``n_starts`` rows capped at ``nm_maxiter`` trial steps each
-    (default 100 g); the band polish of a raster caps its rows at
-    ``refine_maxiter``.
+    """The extremal search's settings that callers choose.  The seed fixes
+    every multi-start draw, so identical inputs give identical outputs.  The
+    band polish of a raster takes at most ``refine_cap`` pixels, those
+    within ``refine_margin`` of the threshold (a constant), and caps each
+    row at ``refine_maxiter`` trial steps.  One distance is an ascent of
+    ``_N_STARTS`` rows capped at ``_TRIALS_PER_ANGLE`` g trial steps each.
     """
 
     seed: int = 0
-    n_starts: int = 8
-    nm_maxiter: int | None = None
-    family_angles: int = 12
-    coarse_angles: int = 6
-    refine_margin: float = 0.025
     refine_cap: int = 4000
     refine_maxiter: int = 40
+    refine_margin: ClassVar[float] = 0.025
 
 
 @dataclass(frozen=True)
@@ -161,8 +159,7 @@ class _ExtremalSearch:
         grad = np.real(dg * turn) - np.einsum("bkj,bj->bk", j_phi, x)
         return val.sum(axis=1), grad
 
-    def ascend(self, zetas, seed_angles, opts: DistanceOptions, maxiter: int,
-               seed_depths=None) -> _Ascent:
+    def ascend(self, zetas, seed_angles, maxiter: int, seed_depths=None) -> _Ascent:
         """Maximize |f(zeta)| over the chart, one row per (point, start):
         minimize F = sum_k G(zeta, p_k) over the g foot angles.
 
@@ -239,10 +236,10 @@ class _ExtremalSearch:
             math.atan2((self.p - c.q).imag, (self.p - c.q).real)
             for c in self.domain.inner_circles
         ])]
-        while len(seeds) < opts.n_starts:
+        while len(seeds) < _N_STARTS:
             seeds.append(rng.uniform(0.0, 2 * np.pi, size=g))
-        seeds = np.array(seeds[: opts.n_starts])
-        run = self.ascend(np.full(len(seeds), zeta), seeds, opts, opts.nm_maxiter or 100 * g)
+        seeds = np.array(seeds[:_N_STARTS])
+        run = self.ascend(np.full(len(seeds), zeta), seeds, _TRIALS_PER_ANGLE * g)
         best = int(np.argmax(run.values))
         if not run.values[best] > 0:
             raise ConvergenceError("extremal search failed at every seed")
@@ -256,6 +253,8 @@ class _ExtremalSearch:
                               "; ".join(warnings) or None, int(run.evaluations.sum()))
 
 
+_N_STARTS = 8  # rows of the multi-start ascent of one distance
+_TRIALS_PER_ANGLE = 100  # trial steps per foot angle a row of one distance may take
 _MAX_TURN = 0.5  # radians: the longest step of one foot angle in one trial
 _XATOL = 1e-4  # radians: a row stops once its angle step is below this
 _FATOL = 1e-10  # ... and the change of |f| that step made is below this
@@ -562,7 +561,7 @@ def ball_raster(
         pz = zs[idx]
         vals = np.abs((pz - search.p) / (1 - np.conj(search.p) * pz))
     else:
-        coarse, fine = _build_family(search, opts.coarse_angles, opts.family_angles)
+        coarse, fine = _build_family(search, _COARSE_ANGLES, _FINE_ANGLES)
         family = coarse + fine
         for lo in range(0, len(idx), _RASTER_CHUNK):
             zchunk = zs[idx[lo : lo + _RASTER_CHUNK]]
@@ -585,7 +584,7 @@ def ball_raster(
     raster.values = flat.reshape(ny, nx)
 
     if search.g:  # the disk's values are exact: nothing to polish
-        charts = opts.coarse_angles**search.g + opts.family_angles**search.g
+        charts = _COARSE_ANGLES**search.g + _FINE_ANGLES**search.g
         raster.diagnostics = {"family_charts": [charts, len(family)],
                               "seed_evaluations": search.seed_evaluations,
                               **_refine_band(raster, search, opts, idx, argmax_member,
@@ -640,8 +639,8 @@ def _refine_band(raster, search, opts, idx, argmax_member, family, zs) -> dict:
     offsets = np.asarray(family)[argmax_member[np.searchsorted(idx, order)]] - d.centers
     for lo in range(0, len(order), _ASCENT_ROWS):
         part = slice(lo, lo + _ASCENT_ROWS)
-        run = search.ascend(zs[order[part]], np.angle(offsets[part]), opts,
-                            opts.refine_maxiter, np.abs(offsets[part]) - d.radii)
+        run = search.ascend(zs[order[part]], np.angle(offsets[part]), opts.refine_maxiter,
+                            np.abs(offsets[part]) - d.radii)
         flat[order[part]] = np.fmax(flat[order[part]], run.values)
         stats["ascent_iterations"] += run.iterations
         stats["chart_solves"] += run.iterations + 1
@@ -650,6 +649,8 @@ def _refine_band(raster, search, opts, idx, argmax_member, family, zs) -> dict:
     return stats
 
 
+_COARSE_ANGLES = 6  # foot angles per circle of the coarse family, swept everywhere
+_FINE_ANGLES = 12  # ... and of the fine family, swept near the threshold
 _ASCENT_ROWS = 512  # band pixels per ascent batch, to bound its memory
 _RASTER_CHUNK = 8192  # pixels per family sweep, to bound its memory
 _BAND_MARGIN = 0.06  # the fine family runs where the coarse value is this near r

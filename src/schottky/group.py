@@ -93,7 +93,7 @@ def word_cap() -> int:
     return int(env) if env else DEFAULT_WORD_CAP
 
 
-def enumerate_words(g: int, max_length: int, cap: int | None = None) -> WordEnumeration:
+def enumerate_words(g: int, max_length: int) -> WordEnumeration:
     """Enumerate all reduced words of length <= ``max_length``.
 
     The ball is built level by level as arrays of letter ranks (the position
@@ -105,18 +105,17 @@ def enumerate_words(g: int, max_length: int, cap: int | None = None) -> WordEnum
     each rank ^ 1); the two differ, since no reduced word is its own inverse.
 
     Raises ResourceLimitError, before allocating anything, when the ball
-    size would exceed the cap (default 200,000, overridable via
-    SCHOTTKY_MAX_WORDS).
+    size would exceed ``word_cap()`` (200,000 unless the environment
+    variable SCHOTTKY_MAX_WORDS sets another).
     """
     if g < 0 or max_length < 0:
         raise DomainError("g and max_length must be nonnegative")
-    _check_cap(g, max_length, cap)
+    _check_cap(g, max_length)
     return _assemble(g, max_length, islice(_levels(g), max_length))
 
 
-def _check_cap(g: int, max_length: int, cap: int | None = None) -> None:
-    cap = word_cap() if cap is None else cap
-    n = ball_size(g, max_length)
+def _check_cap(g: int, max_length: int) -> None:
+    n, cap = ball_size(g, max_length), word_cap()
     if n > cap:
         raise ResourceLimitError(
             f"word ball of size {n} exceeds cap {cap} (g={g}, L={max_length})"
@@ -294,18 +293,20 @@ def _max_diameter(d: CircularDomain, maps: np.ndarray) -> float:
     return worst
 
 
-def adaptive_ball(
-    d: CircularDomain, tol: float = 1e-10, max_len: int = 8
-) -> tuple[int, float, WordEnumeration, np.ndarray]:
-    """The smallest word length whose tail estimate is below ``tol``, capped
-    at ``max_len`` and at the largest length whose word ball fits
+_TAIL_TOL = 1e-10  # the adaptive word length is the smallest whose tail is below this
+_MAX_LENGTH = 8  # ... and at most this
+
+
+def adaptive_ball(d: CircularDomain) -> tuple[int, float, WordEnumeration, np.ndarray]:
+    """The smallest word length whose tail estimate is below ``_TAIL_TOL``,
+    capped at ``_MAX_LENGTH`` and at the largest length whose word ball fits
     ``word_cap()``: returns (length, achieved tail estimate, the word ball at
     that length, its ``realize_all`` table).  The ball is grown one level
     per length tried: each level is enumerated and realized once, and its
     tail estimate read off its half-set columns."""
     if d.g == 0:
         return 0, 0.0, enumerate_words(0, 0), _IDENTITY.copy()
-    top = max((L for L in range(1, max_len + 1)
+    top = max((L for L in range(1, _MAX_LENGTH + 1)
                if L == 1 or ball_size(d.g, L) <= word_cap()), default=0)
     _check_cap(d.g, top)
     gens = _generator_table(d)
@@ -316,6 +317,6 @@ def adaptive_ball(
         tables.append(_compose(tables[-1][:, parent], gens[:, ranks[:, -1]]))
         levels.append(level)
         est = _max_diameter(d, tables[-1][:, half])
-        if est < tol:
+        if est < _TAIL_TOL:
             break
     return length, est, _assemble(d.g, length, levels), np.concatenate(tables, axis=1)

@@ -77,9 +77,8 @@ class HarmonicModel:
 
     @cached_property
     def residual(self) -> float:
-        """Boundary misfit of the measures on twice the collocation sample
-        (``boundary_misfit``), computed on first read."""
-        return self.boundary_misfit(2 * self.colloc)
+        """``boundary_misfit``, computed on first read."""
+        return self.boundary_misfit()
 
     def solve_dirichlet(self, values: np.ndarray) -> np.ndarray:
         """Basis coefficients, shape (n_basis, k), of the least-squares fits
@@ -139,27 +138,28 @@ class HarmonicModel:
 
         return _pointwise(derivative, z, float)
 
-    def normal_derivative_matrix(self, feet=None) -> tuple[np.ndarray, float]:
+    def normal_derivative_matrix(self) -> tuple[np.ndarray, float]:
         """The g x g matrix of inward normal derivatives of the measures at
-        one point per inner circle, with its condition number.  This matrix
-        is nonsingular for every valid domain; the Newton completions rely
-        on that, so it is surfaced as a checkable invariant."""
+        the point of angle 0 on each inner circle, with its condition
+        number.  This matrix is nonsingular for every valid domain; the
+        Newton completions rely on that, so it is surfaced as a checkable
+        invariant."""
         g = self.g
-        if feet is None:
-            feet = [self.domain.circle(j).point(0.0) for j in range(1, g + 1)]
         mat = np.empty((g, g))
-        for k, w in enumerate(feet):
+        for k in range(g):
+            w = self.domain.circle(k + 1).point(0.0)
             for j in range(1, g + 1):
-                mat[j - 1, k] = self.eval_normal_derivative(j, k + 1, complex(w))
+                mat[j - 1, k] = self.eval_normal_derivative(j, k + 1, w)
         cond = float(np.linalg.cond(mat)) if g else 1.0
         return mat, cond
 
-    def boundary_misfit(self, samples: int = 512) -> float:
+    def boundary_misfit(self) -> float:
         """Max deviation of the fitted measures from their boundary data,
-        evaluated on a fresh sample set."""
+        evaluated on a fresh sample of twice the collocation points per
+        circle."""
         worst = 0.0
         for l in range(self.g + 1):
-            pts = self.domain.circle(l).samples(samples)
+            pts = self.domain.circle(l).samples(2 * self.colloc)
             vals = self.eval_u_all(pts)
             target = np.zeros(self.g)
             if l >= 1:
@@ -168,27 +168,21 @@ class HarmonicModel:
         return worst
 
 
-def solve_harmonic_measures(
-    d: CircularDomain, order: int = 24, colloc: int | None = None,
-    cond_limit: float = 1e14,
-) -> HarmonicModel:
+def solve_harmonic_measures(d: CircularDomain, order: int = 24) -> HarmonicModel:
     """Fit all harmonic measures of the domain by boundary least squares.
 
-    ``colloc`` is the number of collocation points per circle (default
-    max(4*order, 64)).  The collocation matrix is factored once (reduced
-    QR), the diagonal blocks of its triangular factor are inverted once,
-    and the model keeps both for every later fit on its basis.  Raises
-    ConvergenceError when the factor's 1-norm condition number
-    ||r||_1 ||r^-1||_1 exceeds ``cond_limit``, which usually means the
-    circles are too close together for this basis order.
+    Each circle carries max(4*order, 64) collocation points.  The
+    collocation matrix is factored once (reduced QR), the diagonal blocks
+    of its triangular factor are inverted once, and the model keeps both
+    for every later fit on its basis.  Raises ConvergenceError when the
+    factor's 1-norm condition number ||r||_1 ||r^-1||_1 exceeds
+    ``_COND_LIMIT``, which usually means the circles are too close together
+    for this basis order.
     """
     report = validate_domain(d)
     if not report.is_valid:
         raise DomainError("invalid domain: " + "; ".join(report.messages))
-    if colloc is None:
-        colloc = max(4 * order, 64)
-    if colloc < 4 * order:
-        raise DomainError("need at least 4*order collocation points per circle")
+    colloc = max(4 * order, 64)
     points = np.concatenate([d.circle(l).samples(colloc) for l in range(d.g + 1)])
     q, r = np.linalg.qr(_basis_matrix(d, order, points))
     try:
@@ -197,12 +191,15 @@ def solve_harmonic_measures(
             cond = _cond_1norm(r, blocks)
     except np.linalg.LinAlgError:  # an exact zero on the diagonal
         cond = np.inf
-    if cond > cond_limit:
+    if cond > _COND_LIMIT:
         raise ConvergenceError(
-            f"collocation system condition {cond:.2e} exceeds {cond_limit:.0e}; "
+            f"collocation system condition {cond:.2e} exceeds {_COND_LIMIT:.0e}; "
             "increase the circle separation or reduce the basis order"
         )
     return HarmonicModel(d, order, colloc, points, q, r, blocks, cond)
+
+
+_COND_LIMIT = 1e14  # largest condition number of a collocation factor
 
 
 # -- the triangular factor --------------------------------------------------------

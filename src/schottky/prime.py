@@ -34,6 +34,7 @@ import numpy as np
 from .domain import CircularDomain, _pointwise, validate_domain
 from .errors import DomainError, SingularEvaluationError
 from .group import (
+    _TAIL_TOL,
     WordEnumeration,
     adaptive_ball,
     enumerate_words,
@@ -53,8 +54,6 @@ _LOG_SPACE_THRESHOLD = 1000
 # 2-core Xeon with 2 MB of L2 per core, 32 ran a 64-point degree-4 map call
 # about 10% faster than 64 and 1024-point calls about 20% faster than 128.
 _POINT_TILE = 32
-# The adaptive word length is the smallest whose tail estimate is below this.
-_TAIL_TOL = 1e-10
 # A point within this distance of a Moebius fixed point of a word is refused.
 _SINGULAR_TOL = 1e-8
 
@@ -79,7 +78,7 @@ class PrimeEvaluator:
         A validated circular domain.
     max_word_length:
         Truncation level L.  When omitted, the smallest L <= 8 whose tail
-        estimate is below 1e-10 (``_TAIL_TOL``) is chosen; a warning is
+        estimate is below 1e-10 (``group._TAIL_TOL``) is chosen; a warning is
         issued if no L up to 8 whose word ball fits the word cap reaches it.
     enumeration:
         Optional explicit word enumeration (used e.g. to test independence
@@ -108,7 +107,7 @@ class PrimeEvaluator:
         elif domain.g == 0:
             enumeration = enumerate_words(0, 0)
         elif max_word_length is None:
-            max_word_length, tail, enumeration, table = adaptive_ball(domain, tol=_TAIL_TOL)
+            max_word_length, tail, enumeration, table = adaptive_ball(domain)
             if tail >= _TAIL_TOL:
                 warnings.warn(
                     f"tail estimate {tail:.2e} above {_TAIL_TOL:.1e} at L={max_word_length}",

@@ -76,8 +76,8 @@ class ZeroConfig:
     def max_residual(self) -> float:
         return max(self.residual) if self.residual else 0.0
 
-    def admissible(self, tol: float = _ADMISSIBLE_TOL) -> bool:
-        return self.max_residual < tol
+    def admissible(self) -> bool:
+        return self.max_residual < _ADMISSIBLE_TOL
 
     # JSON schema: {"zeros":[[re,im],...], "nu":[n0,...,ng]}
 

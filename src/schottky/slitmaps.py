@@ -79,19 +79,15 @@ def _with_one(ev: PrimeEvaluator, z, y1: complex, y2: complex, combine):
 
 
 _SLIT_SAMPLES = 64  # boundary samples of the image circle in slit_radius
+_SLIT_TOL = 1e-6  # largest deviation of those samples' moduli from their mean
 
 
-def slit_radius(
-    ev: PrimeEvaluator,
-    l: int,
-    i: int,
-    p: complex,
-    tol: float = 1e-6,
-) -> float:
+def slit_radius(ev: PrimeEvaluator, l: int, i: int, p: complex) -> float:
     """Radius of the circular slit: the common modulus of eta_l(., p) on
     boundary circle i (i != l).  Computed as the mean over ``_SLIT_SAMPLES``
-    boundary samples; if the sample moduli deviate by more than ``tol`` the
-    truncation is too coarse and a TruncationQualityError is raised."""
+    boundary samples; if the sample moduli deviate by more than
+    ``_SLIT_TOL`` the truncation is too coarse and a TruncationQualityError
+    is raised."""
     if i == l:
         raise DomainError("slit radius is defined for image circles i != l")
     circle = ev.domain.circle(i)  # raises for out-of-range i (e.g. g = 0)
@@ -99,9 +95,9 @@ def slit_radius(
     vals = np.abs(eta_l(ev, l, w, p))
     mean = float(vals.mean())
     dev = float(np.max(np.abs(vals - mean)))
-    if dev > tol:
+    if dev > _SLIT_TOL:
         raise TruncationQualityError(
-            f"slit modulus deviation {dev:.2e} exceeds {tol:.0e} on circle {i}; "
+            f"slit modulus deviation {dev:.2e} exceeds {_SLIT_TOL:.0e} on circle {i}; "
             "increase the word length"
         )
     return mean
@@ -116,22 +112,15 @@ def eta_via_mobius_product(ev: PrimeEvaluator, z, p: complex):
     return ev.ball_blaschke([p], z)
 
 
-def eta_j_relation_residual(
-    ev: PrimeEvaluator,
-    v,
-    j: int,
-    z,
-    p: complex,
-    z0: complex | None = None,
-) -> float:
+def eta_j_relation_residual(ev: PrimeEvaluator, v, j: int, z, p: complex) -> float:
     """Residual of the identity linking the two slit-map families:
     exp(-2 pi i v_j(z)) eta(z, p) = k(p) eta_j(z, p) for a z-independent
-    constant k.  The constant is measured at the reference point z0 and the
-    residual is reported at the probe z.  Vacuous (0) for g = 0."""
+    constant k.  The constant is measured at the evaluator's reference point
+    z0 (0.9 where the domain holds it) and the residual is reported at the
+    probe z.  Vacuous (0) for g = 0."""
     if ev.domain.g == 0:
         return 0.0
-    if z0 is None:
-        z0 = ev._reference_point()
+    z0 = ev._reference_point()
     k = np.exp(-2j * np.pi * v.eval_v(j, z0)) * eta(ev, z0, p) / eta_l(ev, j, z0, p)
     lhs = np.exp(-2j * np.pi * v.eval_v(j, complex(z))) * eta(ev, z, p)
     return float(abs(lhs - k * eta_l(ev, j, z, p)))

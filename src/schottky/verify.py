@@ -11,7 +11,6 @@ Suites:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from .distance import (
     wang_yin_eval,
 )
 from .domain import Circle, CircularDomain
-from .errors import SchottkyError
+from .errors import AdmissibilityError, SchottkyError
 from .harmonic import (
     GreenFunction,
     integrals_first_kind,
@@ -154,23 +153,26 @@ def suite_annulus() -> list[CheckResult]:
         "annulus: boundary windings (1, 1)",
         boundary_degree(f, 0) == 1 and boundary_degree(f, 1) == 1,
     ))
-    out.extend(_boundary_behavior_checks(dom, model, v, ev, seed=23, count=10,
-                                         label="annulus"))
+    out.extend(_boundary_behavior_checks(model, v, ev, seed=23, count=10, label="annulus"))
     points = [(0, 1.0), (1, 0.25)]
-    out.extend(_boundary_data_checks(dom, model, v, ev, "annulus", 0.5j, points,
-                                     points[::-1], seed=8))
+    out.extend(_boundary_data_checks(model, v, ev, "annulus", 0.5j, points, points[::-1],
+                                     seed=8))
     return out
 
 
 _MAX_EXTRA = 1  # the most a random configuration adds to one boundary degree
 
 
-def random_admissible_config(dom, model, rng):
+def random_admissible_config(model, rng):
     """A random admissible zero configuration: random boundary degree close
     to the minimum (at most ``_MAX_EXTRA`` above it, on one circle), random
     interior fixed zeros, and one completion point seeded on a random normal
     of each inner circle (where the measure mass must come from, so the
-    chart lines actually cross the solution)."""
+    chart lines actually cross the solution).  After the draws, a chart
+    target nu_j - sum u_j(fixed) outside (0, 1) raises AdmissibilityError:
+    at or below 0 it is out of reach (the measures are positive), and no
+    draw of the suites with a target at or above 1 has completed."""
+    dom = model.domain
     g = dom.g
     nu = [1] * (g + 1)
     nu[int(rng.integers(0, g + 1))] += int(rng.integers(0, _MAX_EXTRA + 1))
@@ -184,15 +186,19 @@ def random_admissible_config(dom, model, rng):
     for c in dom.inner_circles:
         ang = rng.uniform(0, 2 * np.pi)
         guess.append(c.q + (c.r + 0.3 * dom.boundary_distance(c.q + c.r)) * np.exp(1j * ang))
+    target = np.asarray(nu[1:], dtype=float) - model.eval_u_all(np.asarray(fixed)).sum(axis=0)
+    if np.any(target <= 0) or np.any(target >= 1):
+        raise AdmissibilityError(f"chart targets {target} lie outside (0, 1)")
     zeros = fixed + complete_zeros(model, fixed, nu, guess)
     return make_zero_config(model, zeros, tuple(nu))
 
 
-def _boundary_behavior_checks(dom, model, v, ev, seed, count, label, green=None):
+def _boundary_behavior_checks(model, v, ev, seed, count, label, green=None):
     """Criterion 4: random admissible configurations have unimodular
     boundary values and the prescribed windings.  With a Green's function,
     also the cross-route identity |f| = exp(-sum_k G(., p_k)) between the
     product-built maps and the harmonic series basis."""
+    dom = model.domain
     rng = np.random.default_rng(seed)
     out = []
     pts = _interior_points(dom, 20, seed=seed)
@@ -204,7 +210,7 @@ def _boundary_behavior_checks(dom, model, v, ev, seed, count, label, green=None)
     while built < count and attempts < 3 * count:
         attempts += 1
         try:
-            config = random_admissible_config(dom, model, rng)
+            config = random_admissible_config(model, rng)
             f = build_proper_map(ev, v, config)
         except SchottkyError:
             continue
@@ -226,7 +232,7 @@ def _boundary_behavior_checks(dom, model, v, ev, seed, count, label, green=None)
     return out
 
 
-def _boundary_data_checks(dom, model, v, ev, label, p, points, permuted, seed):
+def _boundary_data_checks(model, v, ev, label, p, points, permuted, seed):
     """Criterion 5: the boundary-data map through ``points`` vanishes at p
     and hits its points, and the same data in the ``permuted`` order gives
     the same map at 20 interior points drawn with ``seed``."""
@@ -236,7 +242,7 @@ def _boundary_data_checks(dom, model, v, ev, label, p, points, permuted, seed):
     out.append(_check(f"{label}: boundary-data map hits prescribed points", res, 1e-4))
     out.append(_check(f"{label}: boundary-data map vanishes at p", abs(f(p)), 1e-8))
     f2 = from_boundary_data(model, ev, v, p, permuted)
-    pts = _interior_points(dom, 20, seed=seed)
+    pts = _interior_points(model.domain, 20, seed=seed)
     out.append(_check(f"{label}: permuted boundary data gives the same map",
                       float(np.max(np.abs(f(pts) - f2(pts)))), 1e-6))
     return out
@@ -295,12 +301,12 @@ def suite_triply() -> list[CheckResult]:
 
     out.append(_check("triply: harmonic-measure boundary misfit", model.residual, 1e-6))
 
-    out.extend(_boundary_behavior_checks(dom, model, v, ev, seed=31, count=10,
-                                         label="triply", green=GreenFunction(model)))
+    out.extend(_boundary_behavior_checks(model, v, ev, seed=31, count=10, label="triply",
+                                         green=GreenFunction(model)))
     points = [(0, complex(np.exp(0.4j))), (1, -0.5 + 0.1j), (2, 0.5 + 0.1j)]
-    out.extend(_boundary_data_checks(dom, model, v, ev, "triply", 0.1 + 0.55j, points,
+    out.extend(_boundary_data_checks(model, v, ev, "triply", 0.1 + 0.55j, points,
                                      [points[2], points[0], points[1]], seed=97))
-    out.extend(_semigroup_checks(dom, model, v, ev))
+    out.extend(_semigroup_checks(model, v, ev))
     return out
 
 
@@ -321,7 +327,8 @@ def _assign_circles(dom, zeros):
     return labels
 
 
-def _semigroup_checks(dom, model, v, ev):
+def _semigroup_checks(model, v, ev):
+    dom = model.domain
     out = []
     pts = _interior_points(dom, 25, seed=71)
 
@@ -379,11 +386,9 @@ def suite_witness() -> list[CheckResult]:
     out.append(_check_true("witness: annulus negative control (no disconnection)",
                            hit is None))
 
-    full = os.environ.get("SCHOTTKY_WITNESS_FULL", "") == "1"
-    radii = (0.1, 0.05, 0.02) if full else (0.05,)
-    depths = (0.05, 0.02) if full else (0.02,)
+    # one attempt of the family; `schottky find-witness` runs the full schedule
     witness = find_disconnected_ball(
-        shrink_radii=radii, p_depths=depths, resolution=300,
+        shrink_radii=(0.05,), p_depths=(0.02,), resolution=300,
         opts=DistanceOptions(refine_cap=1500, refine_maxiter=30),
     )
     detail_parts = []

@@ -4,8 +4,9 @@ Each test prints one pass/fail line per check (visible with -s or on
 failure) and asserts the lot.  The disconnected-ball reproduction is a soft
 criterion: its negative control (no disconnection on the annulus) is hard,
 while the positive search is allowed to come back empty as long as it
-reports the proximity diagnostics that would guide a wider sweep; set
-SCHOTTKY_WITNESS_FULL=1 for the full parameter schedule.
+reports the proximity diagnostics that would guide a wider sweep.  The
+suite tries one member of the shrinking-circle family; `schottky
+find-witness` runs the full parameter schedule.
 """
 
 import pytest

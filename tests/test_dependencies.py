@@ -1,5 +1,6 @@
 """The library runs on numpy alone; scipy is only the tests' oracle.  Its
-modules import nothing they do not use and define nothing no one calls."""
+modules import nothing they do not use, define nothing no one calls and
+offer no setting that no caller sets."""
 
 import ast
 import os
@@ -106,3 +107,84 @@ def test_every_public_definition_is_used():
               for node in _public_definitions(trees[path])
               if refs[node.name] <= _references(node)[node.name]]
     assert not unused, unused
+
+
+# Settings that no call in the library or the CLI passes, each with the
+# reason it stays settable.  Tests and demos do not count as callers.
+_UNSET_SETTINGS = {
+    "distance.find_disconnected_ball(base_circles)":
+        "witness geometry, kept for a sweep over geometries",
+    "distance.find_disconnected_ball(shrink_center)":
+        "witness geometry, kept for a sweep over geometries",
+    "distance.find_disconnected_ball(zeta_gap)":
+        "witness geometry, kept for a sweep over geometries",
+    "prime.PrimeEvaluator(enumeration)":
+        "lets test_prime substitute a mirrored half set",
+    "distance.caratheodory_distance(opts)": "mirrors mobius_distance(opts)",
+    "propermaps.boundary_degree(samples)":
+        "a pinned map in test_propermaps needs 4096 samples",
+    "env SCHOTTKY_MAX_WORDS": "the word-ball resource limit, set by the environment",
+}
+
+
+def _settings(module, tree):
+    """(key, callee name, how it is called, parameter name, positional
+    index or None) of each defaulted parameter of the module's public functions, public methods and
+    public classes' constructors, and of each field of DistanceOptions.
+    ``how`` is "function" (called as f(...) or mod.f(...)), "method"
+    (obj.m(...), self first) or "class" (Cls(...), self first)."""
+    def defaulted(fn):
+        a = fn.args
+        pos = [p.arg for p in a.posonlyargs + a.args]
+        yield from ((pos[i], i) for i in range(len(pos) - len(a.defaults), len(pos)))
+        yield from ((p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if isinstance(node, ast.FunctionDef) and (module, node.name) != ("cli", "main"):
+            for name, i in defaulted(node):
+                yield f"{module}.{node.name}({name})", node.name, "function", name, i
+        elif isinstance(node, ast.ClassDef) and module != "errors":
+            if node.name == "DistanceOptions":
+                fields = [item.target.id for item in node.body if isinstance(item, ast.AnnAssign)
+                          and not ast.unparse(item.annotation).startswith("ClassVar")]
+                for i, name in enumerate(fields, start=1):
+                    yield f"{module}.{node.name}({name})", node.name, "class", name, i
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    for name, i in defaulted(item):
+                        yield f"{module}.{node.name}({name})", node.name, "class", name, i
+                elif isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    for name, i in defaulted(item):
+                        yield f"{module}.{node.name}.{item.name}({name})", item.name, "method", name, i
+
+
+def _passes(call, how, name, index) -> bool:
+    """Whether the call passes the parameter, by keyword or by position."""
+    if any(k.arg in (name, None) for k in call.keywords):  # None: a ** mapping
+        return True
+    positional = len(call.args) + (how != "function")
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    return index is not None and (index < positional or starred)
+
+
+def test_every_setting_has_a_caller():
+    # a defaulted parameter, a DistanceOptions field or an environment
+    # variable that nothing in the library or the CLI sets is a constant
+    # with extra steps: make it one, or give the reason in _UNSET_SETTINGS
+    package = Path(__file__).resolve().parent.parent / "src" / "schottky"
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    unset = set()
+    for module, tree in trees.items():
+        for key, callee, how, name, index in _settings(module, tree):
+            if not any(_passes(call, how, name, index) for call in calls
+                       if (isinstance(call.func, ast.Name) and how != "method"
+                           and call.func.id == callee)
+                       or (isinstance(call.func, ast.Attribute) and call.func.attr == callee)):
+                unset.add(key)
+    unset |= {f"env {call.args[0].value}" for call in calls
+              if ast.unparse(call.func) in ("os.environ.get", "os.getenv")}
+    assert unset == set(_UNSET_SETTINGS), sorted(unset ^ set(_UNSET_SETTINGS))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import schottky.distance as distance
 from conftest import interior_points
 from schottky.distance import (
     BallRaster,
@@ -20,7 +21,17 @@ from schottky.errors import AdmissibilityError, DomainError, TruncationQualityEr
 from schottky.harmonic import solve_harmonic_measures
 from schottky.propermaps import build_proper_map, make_zero_config
 
-FAST = DistanceOptions(n_starts=4)
+
+@pytest.fixture
+def four_starts(monkeypatch):
+    """Four multi-start rows per distance instead of eight."""
+    monkeypatch.setattr(distance, "_N_STARTS", 4)
+
+
+@pytest.fixture
+def fine_angles_8(monkeypatch):
+    """A fine raster family of 8 foot angles per circle instead of 12."""
+    monkeypatch.setattr(distance, "_FINE_ANGLES", 8)
 
 
 def disk_m(z, p):
@@ -37,10 +48,10 @@ def test_disk_distances(disk_tools):
     assert caratheodory_distance(m, ev, None, 0.0, 0.5) == pytest.approx(math.atanh(0.5))
 
 
-def test_caratheodory_is_atanh_of_mobius(annulus_tools):
+def test_caratheodory_is_atanh_of_mobius(annulus_tools, four_starts):
     t = annulus_tools
-    cs = mobius_distance(t.model, t.ev, t.v, 0.5, -0.4j, FAST).value
-    c = caratheodory_distance(t.model, t.ev, t.v, 0.5, -0.4j, FAST)
+    cs = mobius_distance(t.model, t.ev, t.v, 0.5, -0.4j).value
+    c = caratheodory_distance(t.model, t.ev, t.v, 0.5, -0.4j)
     assert c == pytest.approx(math.atanh(cs))
 
 
@@ -54,21 +65,21 @@ def test_annulus_against_dense_sweep_oracle(annulus_tools):
     assert res.value == pytest.approx(best, abs=1e-5)
 
 
-def test_symmetry(annulus_tools):
+def test_symmetry(annulus_tools, four_starts):
     t = annulus_tools
-    a = mobius_distance(t.model, t.ev, t.v, 0.5, -0.4j, FAST).value
-    b = mobius_distance(t.model, t.ev, t.v, -0.4j, 0.5, FAST).value
+    a = mobius_distance(t.model, t.ev, t.v, 0.5, -0.4j).value
+    b = mobius_distance(t.model, t.ev, t.v, -0.4j, 0.5).value
     assert abs(a - b) < 2e-4
 
 
-def test_triangle_inequality_and_disk_lower_bound(annulus_tools):
+def test_triangle_inequality_and_disk_lower_bound(annulus_tools, four_starts):
     t = annulus_tools
     pts = [complex(z) for z in interior_points(t.domain, 5, seed=42, margin=0.1)]
     n = len(pts)
     dist = {}
     for i in range(n):
         for j in range(i + 1, n):
-            val = mobius_distance(t.model, t.ev, t.v, pts[i], pts[j], FAST).value
+            val = mobius_distance(t.model, t.ev, t.v, pts[i], pts[j]).value
             dist[i, j] = dist[j, i] = math.atanh(val)
             assert val >= disk_m(pts[j], pts[i]) - 1e-6
     count = 0
@@ -88,10 +99,12 @@ def test_base_point_must_be_interior(annulus_tools):
                         0.1, 0.5)
 
 
-def test_stagnation_sets_warning_flag(annulus_tools):
+def test_stagnation_sets_warning_flag(annulus_tools, monkeypatch):
+    # one row of at most 2 trials (g = 1)
+    monkeypatch.setattr(distance, "_N_STARTS", 1)
+    monkeypatch.setattr(distance, "_TRIALS_PER_ANGLE", 2)
     t = annulus_tools
-    res = mobius_distance(t.model, t.ev, t.v, 0.5, -0.4j,
-                          DistanceOptions(n_starts=1, nm_maxiter=2))
+    res = mobius_distance(t.model, t.ev, t.v, 0.5, -0.4j)
     assert res.warning is not None
 
 
@@ -123,20 +136,18 @@ def test_disk_ball_raster_area(disk_tools):
     assert frac == pytest.approx(0.25, abs=0.0075)  # ball is |z| < 0.5
 
 
-def test_annulus_small_ball_single_component(annulus_tools):
+def test_annulus_small_ball_single_component(annulus_tools, fine_angles_8):
     t = annulus_tools
     raster = ball_raster(t.model, t.ev, t.v, 0.5, 0.3, resolution=80,
-                         opts=DistanceOptions(refine_cap=200, coarse_angles=6,
-                                              family_angles=8))
+                         opts=DistanceOptions(refine_cap=200))
     assert raster.component_of(0.5) >= 1
     assert raster.component_count() == 1
 
 
-def test_raster_nesting_and_intersection(annulus_tools):
+def test_raster_nesting_and_intersection(annulus_tools, fine_angles_8):
     t = annulus_tools
     raster = ball_raster(t.model, t.ev, t.v, 0.5, 0.5, resolution=60,
-                         opts=DistanceOptions(refine_cap=100, coarse_angles=6,
-                                              family_angles=8))
+                         opts=DistanceOptions(refine_cap=100))
     small = raster.relabel(0.35) > 0
     big = raster.relabel(0.55) > 0
     assert np.all(big[small])
@@ -193,11 +204,10 @@ def test_raster_csv_round_trip(tmp_path, disk_tools):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_annulus_no_disconnection(annulus_tools):
+def test_annulus_no_disconnection(annulus_tools, fine_angles_8):
     t = annulus_tools
     raster = ball_raster(t.model, t.ev, t.v, 0.5, 0.6, resolution=100,
-                         opts=DistanceOptions(refine_cap=200, coarse_angles=6,
-                                              family_angles=8))
+                         opts=DistanceOptions(refine_cap=200))
     hit = disconnection_thresholds(raster, 0.5, -0.5,
                                    np.linspace(0.15, 0.95, 25),
                                    require_compact=False)
@@ -218,8 +228,6 @@ def test_wang_yin_unimodular_and_condition():
 
 
 def test_witness_scans_only_thresholds_above_c_star(monkeypatch):
-    import schottky.distance as distance
-
     scanned = []
     scan = distance.disconnection_thresholds
 
@@ -270,8 +278,6 @@ def test_witness_search_runs_at_a_tiny_hole():
     # the zero's reflection in a hole of radius 1e-6 lies within about 1e-12
     # of that generator's fixed point, where a prime-function product is
     # singular; the Green's-function proxies stay finite
-    import schottky.distance as distance
-
     attempt = distance.find_disconnected_ball(
         shrink_radii=(1e-6,), p_depths=(0.02,), resolution=24).diagnostics["attempts"][0]
     for key in ("beta1_proxy", "beta2_proxy", "beta_product", "c_star_zeta"):
@@ -280,7 +286,6 @@ def test_witness_search_runs_at_a_tiny_hole():
 
 
 def test_witness_search_needs_no_prime_function(monkeypatch):
-    import schottky.distance as distance
     from schottky.prime import PrimeEvaluator
 
     def refuse(*args, **kwargs):
@@ -339,9 +344,9 @@ def test_ascent_batch_equals_rows(triply_tools):
     search = _ExtremalSearch(triply_tools.model, 0.3j)
     zetas = np.array([-0.2 - 0.4j, 0.1 + 0.6j, 0.7 + 0j, -0.3 + 0.2j, 0.05 - 0.05j])
     seeds = np.random.default_rng(3).uniform(0, 2 * np.pi, size=(len(zetas), 2))
-    batch = search.ascend(zetas, seeds, FAST, 200)
+    batch = search.ascend(zetas, seeds, 200)
     for k in range(len(zetas)):
-        row = search.ascend(zetas[k : k + 1], seeds[k : k + 1], FAST, 200)
+        row = search.ascend(zetas[k : k + 1], seeds[k : k + 1], 200)
         assert abs(row.values[0] - batch.values[k]) < 1e-12
         assert np.max(np.abs(row.zeros[0] - batch.zeros[k])) < 1e-12
         assert row.evaluations[0] == batch.evaluations[k]

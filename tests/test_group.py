@@ -146,13 +146,14 @@ def test_tail_estimate_monotone_on_triply():
     assert all(a > b for a, b in zip(estimates, estimates[1:]))
 
 
-def test_adaptive_word_length():
+def test_adaptive_word_length(monkeypatch):
     # annulus tails decay like 2 r^(2L): the 1e-10 target needs L = 9, so
     # the adaptive search stops at the cap
-    L, est, _, _ = adaptive_ball(ANNULUS, tol=1e-10)
+    L, est, _, _ = adaptive_ball(ANNULUS)
     assert L == 8
     assert est == pytest.approx(2 * 0.25**16, rel=1e-14)
-    L, est, _, _ = adaptive_ball(ANNULUS, tol=1e-8)
+    monkeypatch.setattr(group, "_TAIL_TOL", 1e-8)
+    L, est, _, _ = adaptive_ball(ANNULUS)
     assert L == 7 and est < 1e-8
     assert adaptive_ball(CircularDomain())[:2] == (0, 0.0)
 
@@ -286,14 +287,15 @@ def test_realize_all_is_the_scalar_chain_bit_for_bit(d):
         assert _same_bits(realize_all(d, enum), _chain_table(d, enum.words)), L
 
 
-def test_word_cap_raises_before_allocating():
+def test_word_cap_raises_before_allocating(monkeypatch):
     # the ball at g = 3, L = 12 has about 3.7e8 words: refused from its size
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError):
             enumerate_words(3, 12)
+        monkeypatch.setenv("SCHOTTKY_MAX_WORDS", "100")
         with pytest.raises(ResourceLimitError):
-            enumerate_words(2, 6, cap=100)
+            enumerate_words(2, 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -3,7 +3,6 @@ import pytest
 
 from conftest import interior_points
 from schottky.domain import Circle, CircularDomain
-from schottky.errors import DomainError
 from schottky.propermaps import build_proper_map, complete_zeros, make_zero_config
 from schottky.distance import wang_yin_eval
 from schottky.harmonic import (
@@ -125,17 +124,13 @@ def test_mean_value_property(triply_tools):
             assert mean == pytest.approx(m.eval_u(j, complex(z)), abs=1e-8)
 
 
-def test_collocation_requires_enough_points():
-    with pytest.raises(DomainError):
-        solve_harmonic_measures(CircularDomain((Circle(0j, 0.25),)), order=24, colloc=60)
-
-
-def test_conditioning_limit_raises():
+def test_conditioning_limit_raises(monkeypatch):
+    import schottky.harmonic as harmonic
     from schottky.errors import ConvergenceError
 
+    monkeypatch.setattr(harmonic, "_COND_LIMIT", 1.0)
     with pytest.raises(ConvergenceError, match="separation"):
-        solve_harmonic_measures(CircularDomain((Circle(0j, 0.25),)),
-                                order=24, cond_limit=1.0)
+        solve_harmonic_measures(CircularDomain((Circle(0j, 0.25),)), order=24)
 
 
 def test_normal_derivative_matrix_nonsingular(triply_tools):
@@ -473,7 +468,7 @@ def test_cond_of_a_singular_factor_stops_the_fit(monkeypatch):
 def test_residual_is_a_first_use_memo():
     model = solve_harmonic_measures(_ONE_FACTORIZATION_DOMAINS["triply"])
     assert "residual" not in vars(model)
-    assert model.residual == model.boundary_misfit(2 * model.colloc)
+    assert model.residual == model.boundary_misfit()
     assert "residual" in vars(model)
 
 

@@ -114,14 +114,17 @@ def test_slit_radius_annulus(annulus_tools):
     assert 0 < rho2 < 1
 
 
-def test_slit_radius_errors(annulus_tools, disk_tools):
+def test_slit_radius_errors(annulus_tools, disk_tools, monkeypatch):
+    import schottky.slitmaps as slitmaps
+
     with pytest.raises(DomainError):
         slit_radius(annulus_tools.ev, 0, 0, 0.5)
     with pytest.raises(DomainError):
         slit_radius(disk_tools.ev, 0, 1, 0.3)  # no inner circle to image
     coarse = PrimeEvaluator(annulus_tools.domain, max_word_length=1)
+    monkeypatch.setattr(slitmaps, "_SLIT_TOL", 1e-12)
     with pytest.raises(TruncationQualityError):
-        slit_radius(coarse, 0, 1, 0.5, tol=1e-12)
+        slit_radius(coarse, 0, 1, 0.5)
 
 
 def test_eta_via_mobius_product_disk(disk_tools):
