@@ -398,7 +398,7 @@ class BallRaster:
         return int(self.labels[iy, ix])
 
     def component_count(self) -> int:
-        return int(self.labels.max())
+        return int(self.labels.max(initial=0))
 
     def component_has_disk(self, label: int, radius_px: int = 3) -> bool:
         """Whether the component contains a full L2 disk of the given pixel
@@ -528,8 +528,8 @@ def ball_raster(
     from its pixel's family argmax and capped at ``refine_maxiter`` trial
     steps; a polished value only replaces a lower one.  Every |f| comes
     from the domain's Green's function on the harmonic series basis of
-    ``model``: a family sweep is one product of the pixel basis with the
-    fits of all the family's zeros.
+    ``model``: a family sweep is one (pixels, zeros) Green matrix from one
+    fit of its smaller side, by G(z, p) = G(p, z) (``_member_min``).
     ``raster.diagnostics`` counts the families' charts (solved, ok) and
     the batched evaluations of their seeds, and the polish: pixels
     polished, ascent iterations, batched chart solves and rows stopped at
@@ -608,11 +608,15 @@ def _build_family(search: _ExtremalSearch, *n_angles: int) -> list[list]:
 
 def _member_min(search: _ExtremalSearch, z: np.ndarray, members, base: np.ndarray):
     """base + the smallest sum_k G(z, p_k) over the members' zero sets, with
-    the index of the member attaining it; one fit for all the members' zeros."""
+    the index of the member attaining it.  One fit serves the whole (pixels,
+    zeros) Green matrix: by G(z, p) = G(p, z) it fits the smaller side, the
+    pixels when they are fewer than the zeros (as ``GreenFunction.paired``
+    fits the polish's pixels), else the zeros."""
     if not members:
         return np.full(len(z), np.inf), np.zeros(len(z), dtype=np.int32)
-    zeros = np.asarray(members, dtype=complex)  # (members, g)
-    sums = search.green(z, zeros.ravel()).reshape(len(z), *zeros.shape).sum(axis=2)
+    zeros = np.asarray(members, dtype=complex).ravel()  # (members, g), flattened
+    green = search.green(zeros, z).T if len(z) < len(zeros) else search.green(z, zeros)
+    sums = green.reshape(len(z), len(members), -1).sum(axis=2)
     best = np.argmin(sums, axis=1).astype(np.int32)
     return base + sums[np.arange(len(z)), best], best
 

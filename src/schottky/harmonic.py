@@ -252,7 +252,10 @@ class GreenFunction:
 
     The fits reuse the model's collocation points and QR factors (no
     factorization here): each pole costs one projection and one triangular
-    solve.  Immutable after construction.
+    solve.  By the symmetry a caller fits the smaller side of a (points,
+    poles) matrix: ``paired`` fits the polish's points, and the raster's
+    family sweep fits its pixels when they are fewer than the zeros.
+    Immutable after construction.
     """
 
     def __init__(self, model: HarmonicModel):

@@ -18,7 +18,7 @@ from schottky.distance import (
 from schottky.distance import _FOUR_CONN, _label_components, _shifts
 from schottky.domain import Circle, CircularDomain
 from schottky.errors import AdmissibilityError, DomainError, TruncationQualityError
-from schottky.harmonic import solve_harmonic_measures
+from schottky.harmonic import GreenFunction, solve_harmonic_measures
 from schottky.propermaps import build_proper_map, make_zero_config
 
 
@@ -369,6 +369,63 @@ def test_raster_band_pixels_reach_mobius_distance(triply_tools):
     for iy, ix in band:
         exact = mobius_distance(t.model, t.ev, t.v, 0.3j, complex(centers[iy, ix])).value
         assert abs(raster.values[iy, ix] - exact) < 1e-8
+
+
+def _fine_band(triply_tools, resolution):
+    """The raster-g2 search (p_tilde = 0.3i, r = 0.6), its fine family and the
+    pixels the fine family sweeps at this resolution, as ``ball_raster``
+    picks them from the coarse envelope."""
+    search = distance._ExtremalSearch(triply_tools.model, 0.3j)
+    coarse, fine = distance._build_family(search, distance._COARSE_ANGLES,
+                                          distance._FINE_ANGLES)
+    raster = BallRaster((-1.0, -1.0, 1.0, 1.0), resolution, resolution, 0.3j, 0.6, None)
+    zs = raster.pixel_centers().ravel()
+    zs = zs[triply_tools.domain.contains(zs)]
+    total, _ = distance._member_min(search, zs, coarse, search.green(zs, search.p)[:, 0])
+    return search, fine, zs[np.abs(np.exp(-total) - 0.6) < distance._BAND_MARGIN]
+
+
+@pytest.mark.parametrize("resolution, count", [(20, 22), (100, 590)])
+def test_member_min_is_the_same_from_either_side(triply_tools, resolution, count):
+    # 22 band pixels fit the pixels, 590 fit the 288 zeros: either way gives
+    # the envelope and argmin of both orientations
+    search, fine, z = _fine_band(triply_tools, resolution)
+    zeros = np.asarray(fine).ravel()
+    assert (len(z), len(zeros)) == (count, 288)
+    base = search.green(z, search.p)[:, 0]
+    total, best = distance._member_min(search, z, fine, base)
+    for green in (search.green(z, zeros), search.green(zeros, z).T):
+        sums = green.reshape(len(z), len(fine), 2).sum(axis=2)
+        assert np.max(np.abs(base + sums.min(axis=1) - total)) < 1e-12
+        assert np.array_equal(np.argmin(sums, axis=1), best)
+
+
+def test_raster_fits_the_smaller_side(triply_tools, monkeypatch):
+    fits = []
+    fit = GreenFunction._fit
+
+    def counted(self, poles):
+        fits.append(len(poles))
+        return fit(self, poles)
+
+    monkeypatch.setattr(GreenFunction, "_fit", counted)
+    t = triply_tools
+    ball_raster(t.model, t.ev, t.v, 0.3j, 0.6, resolution=20)
+    # the center's pole, the coarse family's 36 x 2 zeros, the fine sweep's
+    # 22 band pixels (not the fine family's 144 x 2 zeros), the 8 polished
+    assert fits == [1, 72, 22, 8]
+    fits.clear()
+    ball_raster(t.model, t.ev, t.v, 0.3j, 0.6, resolution=100)
+    # more band pixels than zeros: the fine sweep fits the zeros
+    assert fits[:3] == [1, 72, 288]
+
+
+def test_component_count_without_inside_pixels(tmp_path):
+    path = tmp_path / "outside.csv"
+    BallRaster((-1.0, -1.0, 1.0, 1.0), 3, 2, 0j, 0.5, np.full((2, 3), np.nan)).to_csv(path)
+    raster = BallRaster.from_csv(path)
+    assert np.all(raster.labels == -1)
+    assert raster.component_count() == 0
 
 
 # -- raster morphology against scipy.ndimage (a test-only oracle) -------------------

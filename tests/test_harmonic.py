@@ -315,8 +315,14 @@ def test_gradients_match_central_differences_at_order_64(triply_tools):
 
 
 def test_green_function_symmetric(triply_tools):
+    d = triply_tools.domain
     green = GreenFunction(triply_tools.model)
-    z = interior_points(triply_tools.domain, 12, seed=6)
+    # interior points, and points on chart rays of both inner circles 0.2 to
+    # 0.002 from the circle, where the family zeros of a raster sit
+    angles = np.array([0.0, 1.0, np.pi / 2, 2.5, np.pi])
+    depths = np.array([0.2, 0.05, 0.02, 0.005, 0.002])
+    z = np.concatenate([interior_points(d, 12, seed=6)] + [
+        d.circle(l).q + (d.circle(l).r + depths) * np.exp(1j * angles) for l in (1, 2)])
     vals = green(z, z)
     off = ~np.eye(len(z), dtype=bool)
     assert np.all(vals[off] > 0)
