@@ -28,7 +28,7 @@ print(f"v_1(0.25) = {v.eval_v(1, 0.25):.10g}   (log z/(2 pi i))")
 pm = v.period_matrix()
 print(f"tau_11 = {pm.tau[0, 0]:.10g}   (log r^2/(2 pi i) = 0.4412712i)")
 print(f"har relation residual at z=0.5: "
-      f"{har_relation_residual(model, v, pm, [0.5]):.2e}")
+      f"{har_relation_residual(v, [0.5]):.2e}")
 
 # 3-connected domain: tau = 2C is read off the fit, purely imaginary by
 # construction; its asymmetry is the reciprocity of the fitted fluxes.

@@ -62,7 +62,7 @@ lift = lift_blaschke(ev, v, [0.5, -0.5])
 print(f"Blaschke lift agrees:     {np.max(np.abs(f(pts) - lift(pts))):.2e}")
 
 # Boundary data: f(p) = 0, f(1) = 1, f(0.25) = 1 pins the map uniquely.
-fb = from_boundary_data(model, ev, v, 0.5j, [(0, 1.0), (1, 0.25)])
+fb = from_boundary_data(ev, v, 0.5j, [(0, 1.0), (1, 0.25)])
 print(f"\nboundary-data map: |f(p)| = {abs(fb(0.5j)):.1e}, "
       f"f(1) = {fb(1.0):.8g}, f(0.25) = {fb(0.25):.8g}")
 print(f"reported residual: {fb.diagnostics['prescribed_point_residual']:.2e}")
@@ -73,7 +73,7 @@ m3 = solve_harmonic_measures(triply, order=24)
 v3 = integrals_first_kind(m3)
 ev3 = PrimeEvaluator(triply, max_word_length=6)
 p = 0.1 + 0.55j
-f3 = from_boundary_data(m3, ev3, v3, p,
+f3 = from_boundary_data(ev3, v3, p,
                         [(0, np.exp(0.4j)), (1, -0.5 + 0.1j), (2, 0.5 + 0.1j)])
 print(f"\n3-connected Grunsky instance: residual "
       f"{f3.diagnostics['prescribed_point_residual']:.2e}, "

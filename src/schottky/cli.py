@@ -73,10 +73,9 @@ def _load_domain(path: str) -> CircularDomain:
 
 
 def _toolchain(domain: CircularDomain, args):
-    model = solve_harmonic_measures(domain, order=args.basis)
-    v = integrals_first_kind(model) if domain.g else None
+    v = integrals_first_kind(solve_harmonic_measures(domain, order=args.basis))
     ev = PrimeEvaluator(domain, max_word_length=args.length)
-    return model, v, ev
+    return v, ev
 
 
 def _write_artifact(args, payload: dict):
@@ -232,7 +231,7 @@ def _dispatch(args) -> int:
 
     if cmd in ("proper-build", "proper-eval"):
         domain = _load_domain(args.domain)
-        model, v, ev = _toolchain(domain, args)
+        v, ev = _toolchain(domain, args)
         if args.config:
             from .propermaps import ZeroConfig
 
@@ -246,7 +245,7 @@ def _dispatch(args) -> int:
             nu = tuple(int(x) for x in args.nu.split(","))
         else:
             raise DomainError("provide either --config or both --zeros and --nu")
-        config = make_zero_config(model, zeros, nu)
+        config = make_zero_config(v.model, zeros, nu)
         f = build_proper_map(ev, v, config)
         dev = boundary_modulus_deviation(f, args.samples)
         degrees = [boundary_degree(f, l) for l in range(domain.g + 1)]
@@ -273,7 +272,7 @@ def _dispatch(args) -> int:
 
     if cmd == "from-boundary":
         domain = _load_domain(args.domain)
-        model, v, ev = _toolchain(domain, args)
+        v, ev = _toolchain(domain, args)
         points = []
         for tok in args.points.split():
             circle, pt = tok.split(":")
@@ -281,8 +280,7 @@ def _dispatch(args) -> int:
         lambdas = None
         if args.lambdas:
             lambdas = [float(x) for x in args.lambdas.split(",")]
-        f = from_boundary_data(model, ev, v, _parse_complex(args.interior),
-                               points, lambdas)
+        f = from_boundary_data(ev, v, _parse_complex(args.interior), points, lambdas)
         res = f.diagnostics["prescribed_point_residual"]
         print(f"prescribed-point residual = {_fmt(res)}")
         print(f"continuation t = {_fmt(f.diagnostics['t'])}")

@@ -105,17 +105,15 @@ class _ExtremalSearch:
     def __init__(self, model: HarmonicModel, p_tilde: complex):
         self.model = model
         self.p = complex(p_tilde)
-        d = model.domain
-        self.domain = d
+        d = self.domain = model.domain
         self.g = d.g
         self.seed_evaluations = 0
         if not d.contains(self.p):
             raise DomainError("base point is not in the domain")
-        if d.g:
-            self.targets = 1.0 - model.eval_u_all(self.p)[0]  # (g,)
-            if np.any(self.targets <= 0) or np.any(self.targets >= 1):
-                raise DomainError("base point measures out of range")
-            self.green = GreenFunction(model)
+        self.targets = 1.0 - model.eval_u_all(self.p)[0]  # (g,)
+        if np.any(self.targets <= 0) or np.any(self.targets >= 1):
+            raise DomainError("base point measures out of range")
+        self.green = GreenFunction(model)
 
     # -- chart ---------------------------------------------------------------
 

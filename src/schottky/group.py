@@ -59,8 +59,6 @@ def is_reduced(w: GroupWord) -> bool:
 def ball_size(g: int, max_length: int) -> int:
     """Number of reduced words of length <= max_length in the free group on
     g generators: 1 + sum_k 2g (2g-1)^(k-1)."""
-    if g == 0 or max_length == 0:
-        return 1
     return 1 + sum(2 * g * (2 * g - 1) ** (k - 1) for k in range(1, max_length + 1))
 
 
@@ -159,13 +157,11 @@ def _assemble(g: int, max_length: int, levels) -> WordEnumeration:
 
 
 def generators(d: CircularDomain) -> list[MobiusMap]:
-    """The Schottky generators: each is the reflection in an inner circle
-    composed with the reflection in the unit circle,
+    """The Schottky generators (none on the disk): each is the reflection
+    in an inner circle composed with the reflection in the unit circle,
 
         theta_j(z) = q_j + r_j^2 z / (1 - conj(q_j) z).
     """
-    if d.g < 1:
-        raise DomainError("generators need at least one inner circle")
     gens = []
     for c in d.inner_circles:
         a = c.r**2 - abs(c.q) ** 2
@@ -178,7 +174,7 @@ def realize(d: CircularDomain, w: GroupWord) -> MobiusMap:
     realize(u) o realize(v).  The identity word gives the identity map."""
     if not is_reduced(w):
         raise DomainError(f"word {w} is not reduced")
-    gens = generators(d) if d.g else []
+    gens = generators(d)
     m = MobiusMap.identity()
     for letter in w:
         gen = gens[abs(letter) - 1]
@@ -213,7 +209,7 @@ _IDENTITY = np.array([[1.0], [0.0], [0.0], [1.0]], dtype=complex)
 def _generator_table(d: CircularDomain) -> np.ndarray:
     """Coefficients of the letters' maps by rank, shape (4, 2g): generator j
     and its inverse, normalized as ``realize`` takes them."""
-    gens = [g.normalized() for g in generators(d)] if d.g else []
+    gens = [g.normalized() for g in generators(d)]
     return np.array([[m.a, m.b, m.c, m.d] for g in gens
                      for m in (g, g.inverse().normalized())], dtype=complex).reshape(-1, 4).T
 
@@ -249,11 +245,9 @@ def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def tail_estimate(d: CircularDomain, length: int) -> float:
     """Truncation control: the largest Euclidean diameter of w(closure of the
     domain) over the half-set words w of exactly the given length, in closed
-    form (``_max_diameter``).  For g = 0 there are no words and the estimate
-    is 0.
+    form (``_max_diameter``).  For g = 0 or length 0 there are no such
+    words and the estimate is 0.
     """
-    if d.g == 0 or length == 0:
-        return 0.0
     enum = enumerate_words(d.g, length)
     table = realize_all(d, enum)
     return _max_diameter(d, table[:, (enum.length == length) & enum.half_set_mask])

@@ -113,8 +113,6 @@ class HarmonicModel:
         derivative of the measures comes from here."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         g = self.g
-        if g == 0:
-            return np.zeros((len(z), 0)), np.zeros((len(z), 0), dtype=complex)
         table = _power_table(self.domain, self.order, z)
         sums = self._table_rows @ table  # (g+1, 2g, n)
         w = table[:g, 1]  # r_l / (z - q_l)
@@ -263,16 +261,23 @@ class GreenFunction:
 
     def _fit(self, poles: np.ndarray):
         """Images of the poles (None on the disk) and the coefficients of their
-        fits, shape (n_basis, len(poles)): one projection, one triangular solve."""
-        d = self.model.domain
-        star = None
-        if d.g:
-            offset = poles[:, None] - d.centers
-            near = np.argmin(np.abs(offset) - d.radii, axis=1)
-            star = d.centers[near] + d.radii[near] ** 2 / np.conj(
-                offset[np.arange(len(poles)), near])
+        fits, shape (n_basis, len(poles)): one projection, one triangular solve.
+        On its own circle a pole's data take |z - p*| / |z - p| as the constant
+        r / |p - q|, not as two moduli that vanish near a collocation point."""
         m = self.model
-        return star, m.solve_dirichlet(-_log_part(m.points[:, None], poles, star))
+        d = m.domain
+        if d.g == 0:
+            return None, m.solve_dirichlet(-_log_part(m.points[:, None], poles, None))
+        cols = np.arange(len(poles))
+        offset = poles[:, None] - d.centers
+        near = np.argmin(np.abs(offset) - d.radii, axis=1)
+        star = d.centers[near] + d.radii[near] ** 2 / np.conj(offset[cols, near])
+        data = _log_part(m.points[:, None], poles, star)
+        rows = (near + 1) * m.colloc + np.arange(m.colloc)[:, None]  # circle near + 1
+        z = m.points[rows]
+        data[rows, cols] = np.log(np.abs(1 - np.conj(poles) * z) * d.radii[near]
+                                  / np.abs(offset[cols, near]) / np.abs(1 - np.conj(star) * z))
+        return star, m.solve_dirichlet(-data)
 
     def paired(self, poles):
         """G(z, p_b) and its z-derivative dG/dx - i dG/dy, with row b of the
@@ -413,7 +418,8 @@ class PeriodMatrix:
 
 
 class IntegralsFirstKind:
-    """The g holomorphic integrals v_j with unit circle periods.
+    """The g holomorphic integrals v_j with unit circle periods (none on the
+    disk: values of shape (n, 0), a 0 x 0 period matrix).
 
     Each v_j is a fixed complex-linear combination of the analytic
     completions of the fitted measures, normalized so v_j(1) = 0 (hence
@@ -435,8 +441,6 @@ class IntegralsFirstKind:
     def __init__(self, model: HarmonicModel):
         self.model = model
         g = model.g
-        if g == 0:
-            raise DomainError("integrals of the first kind need g >= 1")
         cmat = model.coeffs[:, 1 : 1 + g]  # log-term coefficient of measure j at circle l
         try:
             inv = np.linalg.inv(cmat)
@@ -445,12 +449,14 @@ class IntegralsFirstKind:
                 "singular period system; harmonic model is degenerate"
             ) from exc
         self.combination = inv / (2j * np.pi)  # (g, g): v_j = sum_k C[j,k] G_k
-        self._values = _series(self.domain, model.order, model.coeffs)[:, 0].reshape(g, -1)
+        self._values = _series(self.domain, model.order, model.coeffs)[:, 0].reshape(
+            g, (g + 1) * (model.order + 1))
         # v_j(1) = 0: the offset is v_j(1) before it, in eval_v_all's arithmetic
         self._offset = 0.0
         self._offset = self.eval_v_all(1.0)[0]
         tau = 2 * self.combination
-        self._periods = PeriodMatrix(tau=tau, asymmetry=float(np.max(np.abs(tau - tau.T))))
+        asymmetry = float(np.max(np.abs(tau - tau.T), initial=0.0))
+        self._periods = PeriodMatrix(tau=tau, asymmetry=asymmetry)
 
     @property
     def domain(self) -> CircularDomain:
@@ -504,12 +510,10 @@ def integrals_first_kind(model: HarmonicModel) -> IntegralsFirstKind:
     return IntegralsFirstKind(model)
 
 
-def har_relation_residual(
-    model: HarmonicModel, v: IntegralsFirstKind, tau: np.ndarray | PeriodMatrix, z
-) -> float:
-    """Max-norm residual of the identity 2i Im(v(z)) = tau u(z)."""
-    t = tau.tau if isinstance(tau, PeriodMatrix) else np.asarray(tau)
+def har_relation_residual(v: IntegralsFirstKind, z) -> float:
+    """Max-norm residual of the identity 2i Im(v(z)) = tau u(z), with the
+    period matrix and the measures of ``v`` (0 on the disk)."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     lhs = 2j * np.imag(v.eval_v_all(z))
-    rhs = model.eval_u_all(z) @ t.T
-    return float(np.max(np.abs(lhs - rhs)))
+    rhs = v.model.eval_u_all(z) @ v.period_matrix().tau.T
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))

@@ -95,7 +95,6 @@ class PrimeEvaluator:
         if not report.is_valid:
             raise DomainError("invalid domain: " + "; ".join(report.messages))
         self.domain = domain
-        self.validation = report
 
         table = None
         if enumeration is not None:
@@ -119,7 +118,7 @@ class PrimeEvaluator:
         self.max_word_length = enumeration.max_length
         self.mobius_table = realize_all(domain, enumeration) if table is None else table
         self._half = self.mobius_table[:, enumeration.half_set_mask]
-        self._gens = generators(domain) if domain.g else []
+        self._gens = generators(domain)
 
     @property
     def half_set_size(self) -> int:

@@ -74,7 +74,7 @@ class ZeroConfig:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residual) if self.residual else 0.0
+        return max(self.residual, default=0.0)
 
     def admissible(self) -> bool:
         return self.max_residual < _ADMISSIBLE_TOL
@@ -116,8 +116,6 @@ def condition1_residual(model: HarmonicModel, zeros, nu) -> np.ndarray:
         raise AdmissibilityError(
             f"{len(zeros)} zeros cannot realize boundary degree {nu} (needs {sum(nu)})"
         )
-    if model.g == 0:
-        return np.zeros(0)
     sums = model.eval_u_all(zeros).sum(axis=0)
     return np.abs(sums - np.asarray(nu[1:], dtype=float))
 
@@ -344,7 +342,7 @@ class ProperMap:
 
 def build_proper_map(
     ev: PrimeEvaluator,
-    v: IntegralsFirstKind | None,
+    v: IntegralsFirstKind,
     config: ZeroConfig,
     check_boundary: bool = True,
 ) -> ProperMap:
@@ -352,10 +350,10 @@ def build_proper_map(
     admissible configuration (product-of-slit-maps form, rotation fixing
     f(1) = 1).
 
-    ``v`` may be None only for the disk (g = 0), where the exponential
-    factor is empty and the map is a normalized Blaschke product.  With
-    ``check_boundary`` a deviation of |f| from 1 above ``_BOUNDARY_TOL`` on
-    64 samples per boundary circle raises TruncationQualityError.
+    On the disk (g = 0) ``v`` is empty, the exponential factor is 1 and the
+    map is the normalized Blaschke product.  With ``check_boundary`` a
+    deviation of |f| from 1 above ``_BOUNDARY_TOL`` on 64 samples per
+    boundary circle raises TruncationQualityError.
     """
     if not config.admissible():
         raise AdmissibilityError(
@@ -375,10 +373,7 @@ def build_proper_map(
     norm = ratios(np.array([1.0 + 0j]))[0]
 
     def base(z: np.ndarray) -> np.ndarray:
-        acc = ratios(z) / norm
-        if d.g:
-            acc = acc * np.exp(-2j * np.pi * (v.eval_v_all(z) @ nvec))
-        return acc
+        return ratios(z) / norm * np.exp(-2j * np.pi * (v.eval_v_all(z) @ nvec))
 
     rotation = 1.0 / base(np.array([1.0 + 0j]))[0]
     f = ProperMap(
@@ -420,8 +415,6 @@ def condition3_residual(ev: PrimeEvaluator, indexed_zeros) -> float:
     """Reindexed admissibility: the product over the zeros of the slit radii
     of circle i must not depend on i.  Returns the max pairwise difference
     of the per-circle products (0 vacuously on the disk)."""
-    if ev.domain.g == 0:
-        return 0.0
     prods = _radius_products(ev, _group_indexed(indexed_zeros))
     return float(np.max(prods) - np.min(prods))
 
@@ -449,14 +442,13 @@ def build_proper_map_alt(
     if any(l < 0 or l > d.g for l in groups):
         raise DomainError("circle index out of range in indexed zeros")
     nu = tuple(len(groups.get(l, ())) for l in range(d.g + 1))
-    if d.g:
-        prods = _radius_products(ev, groups)
-        spread = float(np.max(prods) - np.min(prods))
-        if spread > _CONDITION_TOL:
-            raise AdmissibilityError(
-                f"slit-radius products differ across circles by {spread:.2e} "
-                f"(> {_CONDITION_TOL:.0e}): indexing is not admissible"
-            )
+    prods = _radius_products(ev, groups)
+    spread = float(np.max(prods) - np.min(prods))
+    if spread > _CONDITION_TOL:
+        raise AdmissibilityError(
+            f"slit-radius products differ across circles by {spread:.2e} "
+            f"(> {_CONDITION_TOL:.0e}): indexing is not admissible"
+        )
 
     pairs = [(l, p) for l in sorted(groups) for p in groups[l]]
     zeros = tuple(p for _, p in pairs)
@@ -518,7 +510,7 @@ def boundary_degree(f, l: int, samples: int = 1024, domain: CircularDomain | Non
 
 def lift_blaschke(
     ev: PrimeEvaluator,
-    v: IntegralsFirstKind | None,
+    v: IntegralsFirstKind,
     zeros,
 ) -> ProperMap:
     """Lift a finite Blaschke product to the proper map of the domain with
@@ -527,33 +519,26 @@ def lift_blaschke(
 
     Defined only when the zero set is admissible in the domain (the boundary
     degrees are read off from the measure sums, which must lie within
-    ``_ADMISSIBLE_TOL`` of integers).
+    ``_ADMISSIBLE_TOL`` of integers).  On the disk (g = 0) ``v`` is empty
+    and the lift is the normalized Blaschke product itself.
     """
     d = ev.domain
     zeros = [complex(p) for p in zeros]
-    if d.g == 0:
-        bd = ()
-        nu = (len(zeros),)
-    else:
-        model = v.model
-        sums = model.eval_u_all(np.asarray(zeros)).sum(axis=0)
-        njs = np.round(sums).astype(int)
-        if np.max(np.abs(sums - njs)) > _ADMISSIBLE_TOL:
-            raise AdmissibilityError(
-                f"zero set is not admissible: measure sums {sums} are not integers"
-            )
-        if np.any(njs < 0):
-            raise AdmissibilityError("negative boundary degree implied by the zeros")
-        nu = (len(zeros) - int(njs.sum()),) + tuple(int(x) for x in njs)
-        if nu[0] < 0:
-            raise AdmissibilityError("negative outer boundary degree implied by the zeros")
+    sums = v.model.eval_u_all(np.asarray(zeros)).sum(axis=0)
+    njs = np.round(sums).astype(int)
+    if np.max(np.abs(sums - njs), initial=0.0) > _ADMISSIBLE_TOL:
+        raise AdmissibilityError(
+            f"zero set is not admissible: measure sums {sums} are not integers"
+        )
+    if np.any(njs < 0):
+        raise AdmissibilityError("negative boundary degree implied by the zeros")
+    nu = (len(zeros) - int(njs.sum()),) + tuple(int(x) for x in njs)
+    if nu[0] < 0:
+        raise AdmissibilityError("negative outer boundary degree implied by the zeros")
     nvec = np.asarray(nu[1:], dtype=float)
 
     def base(z: np.ndarray) -> np.ndarray:
-        prod = ev.ball_blaschke(zeros, z)
-        if d.g:
-            prod = prod * np.exp(-2j * np.pi * (v.eval_v_all(z) @ nvec))
-        return prod
+        return ev.ball_blaschke(zeros, z) * np.exp(-2j * np.pi * (v.eval_v_all(z) @ nvec))
 
     rotation = 1.0 / base(np.array([1.0 + 0j]))[0]
     return ProperMap(
@@ -566,9 +551,8 @@ def lift_blaschke(
 
 
 def from_boundary_data(
-    model: HarmonicModel,
     ev: PrimeEvaluator,
-    v: IntegralsFirstKind | None,
+    v: IntegralsFirstKind,
     p: complex,
     boundary_points,
     lambdas=None,
@@ -615,6 +599,7 @@ def from_boundary_data(
     measures, nonsingular for any valid domain.  Raises ConvergenceError
     when t would fall below ``_MIN_T`` with the tether still failing.
     """
+    model = v.model
     d = model.domain
     g = d.g
     p = complex(p)
@@ -622,7 +607,6 @@ def from_boundary_data(
         raise DomainError("interior point p is not in the domain")
 
     groups: dict[int, list[complex]] = {}
-    order = []
     for l, w in boundary_points:
         l = int(l)
         c = d.circle(l)
@@ -631,7 +615,6 @@ def from_boundary_data(
             raise DomainError(f"point {w} is not on boundary circle {l}")
         w = c.q + c.r * (w - c.q) / abs(w - c.q)  # project exactly
         groups.setdefault(l, []).append(w)
-        order.append((l, len(groups[l]) - 1))
     missing = [l for l in range(g + 1) if l not in groups]
     if missing:
         raise DomainError(f"need at least one point on every circle; missing {missing}")
@@ -640,7 +623,6 @@ def from_boundary_data(
     ):
         raise DomainError("boundary points must be distinct")
     nu = tuple(len(groups.get(l, ())) for l in range(g + 1))
-    n = sum(nu)
 
     free = [(l, k) for l in range(g + 1) for k in range(1, nu[l])]
     if lambdas is None:

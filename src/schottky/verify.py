@@ -90,6 +90,7 @@ def suite_disk() -> list[CheckResult]:
     disk = CircularDomain()
     ev = PrimeEvaluator(disk)
     model = solve_harmonic_measures(disk)
+    v = integrals_first_kind(model)  # empty on the disk
     out = []
 
     def m(z, p):
@@ -107,14 +108,14 @@ def suite_disk() -> list[CheckResult]:
 
     zeros = [0.2, -0.3j]
     config = make_zero_config(model, zeros, (2,))
-    f = build_proper_map(ev, None, config)
+    f = build_proper_map(ev, v, config)
     worst = float(np.max(np.abs(f(pts) - blaschke_eval(zeros, pts))))
     out.append(_check("disk: proper map is the normalized Blaschke product", worst, 1e-12))
     out.append(_check("disk: boundary modulus exact", boundary_modulus_deviation(f), 1e-12))
 
-    res = mobius_distance(model, ev, None, 0.2, 0.5)
+    res = mobius_distance(model, ev, v, 0.2, 0.5)
     out.append(_check("disk: c*(0.2, 0.5) = 1/3", abs(res.value - 1 / 3), 1e-12))
-    res = mobius_distance(model, ev, None, 0.0, 0.5)
+    res = mobius_distance(model, ev, v, 0.0, 0.5)
     out.append(_check("disk: c*(0, 0.5) = 1/2 (Schwarz-Pick)", abs(res.value - 0.5), 1e-12))
     return out
 
@@ -153,10 +154,9 @@ def suite_annulus() -> list[CheckResult]:
         "annulus: boundary windings (1, 1)",
         boundary_degree(f, 0) == 1 and boundary_degree(f, 1) == 1,
     ))
-    out.extend(_boundary_behavior_checks(model, v, ev, seed=23, count=10, label="annulus"))
+    out.extend(_boundary_behavior_checks(v, ev, seed=23, count=10, label="annulus"))
     points = [(0, 1.0), (1, 0.25)]
-    out.extend(_boundary_data_checks(model, v, ev, "annulus", 0.5j, points, points[::-1],
-                                     seed=8))
+    out.extend(_boundary_data_checks(v, ev, "annulus", 0.5j, points, points[::-1], seed=8))
     return out
 
 
@@ -193,12 +193,12 @@ def random_admissible_config(model, rng):
     return make_zero_config(model, zeros, tuple(nu))
 
 
-def _boundary_behavior_checks(model, v, ev, seed, count, label, green=None):
+def _boundary_behavior_checks(v, ev, seed, count, label, green=None):
     """Criterion 4: random admissible configurations have unimodular
     boundary values and the prescribed windings.  With a Green's function,
     also the cross-route identity |f| = exp(-sum_k G(., p_k)) between the
     product-built maps and the harmonic series basis."""
-    dom = model.domain
+    model, dom = v.model, v.domain
     rng = np.random.default_rng(seed)
     out = []
     pts = _interior_points(dom, 20, seed=seed)
@@ -232,17 +232,17 @@ def _boundary_behavior_checks(model, v, ev, seed, count, label, green=None):
     return out
 
 
-def _boundary_data_checks(model, v, ev, label, p, points, permuted, seed):
+def _boundary_data_checks(v, ev, label, p, points, permuted, seed):
     """Criterion 5: the boundary-data map through ``points`` vanishes at p
     and hits its points, and the same data in the ``permuted`` order gives
     the same map at 20 interior points drawn with ``seed``."""
     out = []
-    f = from_boundary_data(model, ev, v, p, points)
+    f = from_boundary_data(ev, v, p, points)
     res = f.diagnostics["prescribed_point_residual"]
     out.append(_check(f"{label}: boundary-data map hits prescribed points", res, 1e-4))
     out.append(_check(f"{label}: boundary-data map vanishes at p", abs(f(p)), 1e-8))
-    f2 = from_boundary_data(model, ev, v, p, permuted)
-    pts = _interior_points(model.domain, 20, seed=seed)
+    f2 = from_boundary_data(ev, v, p, permuted)
+    pts = _interior_points(v.domain, 20, seed=seed)
     out.append(_check(f"{label}: permuted boundary data gives the same map",
                       float(np.max(np.abs(f(pts) - f2(pts)))), 1e-6))
     return out
@@ -301,12 +301,12 @@ def suite_triply() -> list[CheckResult]:
 
     out.append(_check("triply: harmonic-measure boundary misfit", model.residual, 1e-6))
 
-    out.extend(_boundary_behavior_checks(model, v, ev, seed=31, count=10, label="triply",
+    out.extend(_boundary_behavior_checks(v, ev, seed=31, count=10, label="triply",
                                          green=GreenFunction(model)))
     points = [(0, complex(np.exp(0.4j))), (1, -0.5 + 0.1j), (2, 0.5 + 0.1j)]
-    out.extend(_boundary_data_checks(model, v, ev, "triply", 0.1 + 0.55j, points,
+    out.extend(_boundary_data_checks(v, ev, "triply", 0.1 + 0.55j, points,
                                      [points[2], points[0], points[1]], seed=97))
-    out.extend(_semigroup_checks(model, v, ev))
+    out.extend(_semigroup_checks(v, ev))
     return out
 
 
@@ -327,8 +327,8 @@ def _assign_circles(dom, zeros):
     return labels
 
 
-def _semigroup_checks(model, v, ev):
-    dom = model.domain
+def _semigroup_checks(v, ev):
+    model, dom = v.model, v.domain
     out = []
     pts = _interior_points(dom, 25, seed=71)
 

@@ -12,7 +12,7 @@ class Tools:
     def __init__(self, domain, order=24, length=None):
         self.domain = domain
         self.model = solve_harmonic_measures(domain, order=order)
-        self.v = integrals_first_kind(self.model) if domain.g else None
+        self.v = integrals_first_kind(self.model)
         self.ev = PrimeEvaluator(domain, max_word_length=length)
 
 

@@ -1,6 +1,7 @@
 """The library runs on numpy alone; scipy is only the tests' oracle.  Its
-modules import nothing they do not use, define nothing no one calls and
-offer no setting that no caller sets."""
+modules import nothing they do not use, define nothing no one calls, assign
+no local they do not read, offer no setting that no caller sets and branch
+on the disk only where the general code cannot serve it."""
 
 import ast
 import os
@@ -188,3 +189,101 @@ def test_every_setting_has_a_caller():
     unset |= {f"env {call.args[0].value}" for call in calls
               if ast.unparse(call.func) in ("os.environ.get", "os.getenv")}
     assert unset == set(_UNSET_SETTINGS), sorted(unset ^ set(_UNSET_SETTINGS))
+
+
+def _own_nodes(fn):
+    """The nodes of a function's body outside its nested scopes."""
+    todo = list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def test_every_local_is_read():
+    # a name a function assigns and nothing in it (nested functions
+    # included) reads is dead; throwaway names start with "_"
+    package = Path(__file__).resolve().parent.parent / "src" / "schottky"
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            stored = {n.id for n in _own_nodes(fn)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                    and isinstance(n.ctx, ast.Load)}
+            read |= {n.target.id for n in ast.walk(fn)
+                     if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name)}
+            unread += [f"{path.stem}.{fn.name}.{name}" for name in sorted(stored - read)
+                       if not name.startswith("_")]
+    assert not unread, unread
+
+
+# Every test of the genus g on zero in the library, by function and
+# expression, with the reason the general code does not serve the disk
+# there.  On the disk the first-kind integrals are empty, there are no
+# generators and the word ball is the identity, so the general code covers
+# everything else.
+_DISK_BRANCHES = {
+    "distance._ExtremalSearch.optimize: g == 0": "the disk's c* is an exact closed form",
+    "distance.ball_raster: search.g == 0": "the disk's values are the closed form",
+    "distance.ball_raster: search.g": "the disk's chart has no foot angles to polish",
+    "harmonic.GreenFunction._fit: d.g == 0": "no inner circle to reflect the pole in",
+    "harmonic.HarmonicModel.normal_derivative_matrix: g":
+        "the condition number of an empty matrix",
+    "group.enumerate_words: g < 0": "the input check",
+    "group.adaptive_ball: d.g == 0": "the disk's ball is the identity at L = 0",
+    "prime.PrimeEvaluator.__init__: domain.g == 0": "the disk's ball is the identity at L = 0",
+    "prime.PrimeEvaluator.functional_equation_residual: self.domain.g == 0":
+        "vacuous: there is no generator j",
+    "slitmaps.eta_j_relation_residual: ev.domain.g == 0": "vacuous: there is no circle j",
+    "propermaps.from_boundary_data: g": "alpha on the disk, with no inner measure",
+    "propermaps.from_boundary_data: g and best is not None":
+        "no derivative ratios on the disk",
+}
+
+
+def _is_genus(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "g") or (
+        isinstance(node, ast.Attribute) and node.attr == "g")
+
+
+def _disk_branches(module, tree):
+    """The site, as "module.qualified.function: expression", of each
+    comparison of g (a name or an attribute) with 0 or 1 and of each truth
+    test of g (if, conditional expression, while, and/or, not)."""
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = [*scope, node.name]
+        hit = None
+        if isinstance(node, ast.Compare):
+            ops = [node.left, *node.comparators]
+            if any(_is_genus(a) and isinstance(b, ast.Constant) and b.value in (0, 1)
+                   for x, y in zip(ops, ops[1:]) for a, b in ((x, y), (y, x))):
+                hit = node
+        elif isinstance(node, (ast.If, ast.IfExp, ast.While)) and _is_genus(node.test):
+            hit = node.test
+        elif isinstance(node, ast.BoolOp) and any(map(_is_genus, node.values)):
+            hit = node
+        elif (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not)
+              and _is_genus(node.operand)):
+            hit = node
+        if hit is not None:
+            yield f"{module}.{'.'.join(scope)}: {ast.unparse(hit)}"
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+
+    return visit(tree, [])
+
+
+def test_disk_branches_are_listed():
+    # a new disk branch needs a reason here; a listed one that is gone
+    # leaves the list
+    package = Path(__file__).resolve().parent.parent / "src" / "schottky"
+    found = Counter(site for path in sorted(package.glob("*.py"))
+                    for site in _disk_branches(path.stem, ast.parse(path.read_text())))
+    listed = Counter(_DISK_BRANCHES.keys())
+    assert found == listed, {"unlisted": sorted(found - listed),
+                             "stale": sorted(listed - found)}

@@ -93,6 +93,11 @@ def test_realize_identity_and_powers():
     assert ident(0.3 + 0.1j) == pytest.approx(0.3 + 0.1j)
 
 
+def test_the_disk_has_no_generators():
+    assert generators(CircularDomain()) == []
+    assert realize(CircularDomain(), ()) == MobiusMap.identity()
+
+
 def test_realize_rejects_unreduced_word():
     with pytest.raises(DomainError):
         realize(ANNULUS, (1, -1))
@@ -193,7 +198,7 @@ def _loop_enumeration(g, L):
 def _chain_maps(d, words):
     """Reference: every word's map by one scalar ``mobius_compose`` onto its
     parent's, with the generators normalized as ``realize_all`` takes them."""
-    gens = [g.normalized() for g in generators(d)] if d.g else []
+    gens = [g.normalized() for g in generators(d)]
     invs = [g.inverse().normalized() for g in gens]
     out = {(): MobiusMap.identity()}
     for w in words:

@@ -237,10 +237,21 @@ def test_level_depths_match_bisection(case):
 
 def test_disk_proper_map_is_blaschke(disk_tools):
     config = make_zero_config(disk_tools.model, [0.2, -0.3j], (2,))
-    f = build_proper_map(disk_tools.ev, None, config)
+    f = build_proper_map(disk_tools.ev, disk_tools.v, config)
     pts = interior_points(disk_tools.domain, 20, seed=5)
     assert np.max(np.abs(f(pts) - blaschke_eval([0.2, -0.3j], pts))) < 1e-14
     assert boundary_modulus_deviation(f) < 1e-12
+
+
+def test_disk_lift_is_the_blaschke_product(disk_tools):
+    zeros = [0.2, -0.3j, 0.5 + 0.1j]
+    lift = lift_blaschke(disk_tools.ev, disk_tools.v, zeros)
+    f = build_proper_map(disk_tools.ev, disk_tools.v,
+                         make_zero_config(disk_tools.model, zeros, (3,)))
+    pts = interior_points(disk_tools.domain, 20, seed=12)
+    assert lift.nu == (3,)
+    assert np.max(np.abs(lift(pts) - blaschke_eval(zeros, pts))) < 1e-12
+    assert np.max(np.abs(lift(pts) - f(pts))) < 1e-12
 
 
 def test_annulus_map_against_wang_yin(annulus_tools):
@@ -419,14 +430,13 @@ def test_condition3_disk_vacuous(disk_tools):
 
 
 def test_from_boundary_data_disk(disk_tools):
-    f = from_boundary_data(disk_tools.model, disk_tools.ev, None, 0j, [(0, 1.0)])
+    f = from_boundary_data(disk_tools.ev, disk_tools.v, 0j, [(0, 1.0)])
     pts = interior_points(disk_tools.domain, 10, seed=9)
     assert np.max(np.abs(f(pts) - pts)) < 1e-10
 
 
 def test_from_boundary_data_annulus(annulus_tools):
-    f = from_boundary_data(annulus_tools.model, annulus_tools.ev, annulus_tools.v,
-                           0.5j, [(0, 1.0), (1, 0.25)])
+    f = from_boundary_data(annulus_tools.ev, annulus_tools.v, 0.5j, [(0, 1.0), (1, 0.25)])
     assert abs(f(0.5j)) < 1e-10
     assert abs(f(1.0) - 1) < 1e-5
     assert abs(f(0.25) - 1) < 1e-5
@@ -436,8 +446,7 @@ def test_from_boundary_data_annulus(annulus_tools):
 def test_from_boundary_data_higher_degree(annulus_tools):
     # nu = (2, 1): one extra unit-circle point with a rate parameter
     pts_spec = [(0, 1.0), (0, np.exp(2.4j)), (1, 0.25j)]
-    f = from_boundary_data(annulus_tools.model, annulus_tools.ev, annulus_tools.v,
-                           0.5j, pts_spec, lambdas=[1.3])
+    f = from_boundary_data(annulus_tools.ev, annulus_tools.v, 0.5j, pts_spec, lambdas=[1.3])
     assert f.nu == (2, 1)
     assert f.diagnostics["prescribed_point_residual"] < 1e-4
     degs = [boundary_degree(f, l) for l in (0, 1)]
@@ -463,7 +472,7 @@ FAILED_TETHER_CASES = [
 def test_from_boundary_data_builds_after_a_failed_tether(name, p, angles, samples, request):
     tools = request.getfixturevalue(f"{name}_tools")
     points = [(l, tools.domain.circle(l).point(a)) for l, a in angles]
-    f = from_boundary_data(tools.model, tools.ev, tools.v, p, points)
+    f = from_boundary_data(tools.ev, tools.v, p, points)
     assert f.diagnostics["prescribed_point_residual"] < 1e-4
     assert abs(f(p)) < 1e-8
     sizes = [sum(1 for l, _ in angles if l == k) for k in range(tools.domain.g + 1)]
@@ -492,7 +501,7 @@ def test_from_boundary_data_random_sweep(triply_tools, g3_tools):
         rng = np.random.default_rng(1)
         for _ in range(6):
             p, points = _random_boundary_data(tools.domain, rng)
-            f = from_boundary_data(tools.model, tools.ev, tools.v, p, points)
+            f = from_boundary_data(tools.ev, tools.v, p, points)
             assert f.diagnostics["prescribed_point_residual"] < 1e-4
             assert abs(f(p)) < 1e-8
 
@@ -500,20 +509,20 @@ def test_from_boundary_data_random_sweep(triply_tools, g3_tools):
 def test_from_boundary_data_pins_the_verify_triply_map(triply_tools):
     tools = triply_tools
     points = [(0, complex(np.exp(0.4j))), (1, -0.5 + 0.1j), (2, 0.5 + 0.1j)]
-    f = from_boundary_data(tools.model, tools.ev, tools.v, 0.1 + 0.55j, points)
+    f = from_boundary_data(tools.ev, tools.v, 0.1 + 0.55j, points)
     assert f.diagnostics["t"] == 3.90625e-4
     assert f.diagnostics["prescribed_point_residual"] == pytest.approx(4.3597766801e-05,
                                                                        rel=1e-9)
 
 
 def test_from_boundary_data_input_validation(annulus_tools):
-    m, ev, v = annulus_tools.model, annulus_tools.ev, annulus_tools.v
+    ev, v = annulus_tools.ev, annulus_tools.v
     with pytest.raises(DomainError):
-        from_boundary_data(m, ev, v, 0.5j, [(0, 1.0)])  # missing circle 1
+        from_boundary_data(ev, v, 0.5j, [(0, 1.0)])  # missing circle 1
     with pytest.raises(DomainError):
-        from_boundary_data(m, ev, v, 0.5j, [(0, 0.5), (1, 0.25)])  # not on circle
+        from_boundary_data(ev, v, 0.5j, [(0, 0.5), (1, 0.25)])  # not on circle
     with pytest.raises(DomainError):
-        from_boundary_data(m, ev, v, 0.1, [(0, 1.0), (1, 0.25)])  # p not interior
+        from_boundary_data(ev, v, 0.1, [(0, 1.0), (1, 0.25)])  # p not interior
 
 
 # -- Blaschke bridge --------------------------------------------------------------
