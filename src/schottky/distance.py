@@ -304,8 +304,11 @@ def mobius_distance(
     maximizing zero set.  Closed form on the disk (g = 0).  |f| comes from
     the domain's Green's function on the harmonic series basis of ``model``;
     ``ev`` and ``v`` are kept for API stability and are not used.  A value
-    of 1 or more is returned as computed, with a warning naming 1 - c*."""
+    of 1 or more is returned as computed, with a warning naming 1 - c*.
+    Raises DomainError when p_tilde or zeta is not in the domain."""
     search = _ExtremalSearch(model, p_tilde)
+    if not model.domain.contains(complex(zeta)):
+        raise DomainError("target point is not in the domain")
     return search.optimize(zeta, opts or DistanceOptions())
 
 

@@ -263,20 +263,25 @@ class GreenFunction:
         """Images of the poles (None on the disk) and the coefficients of their
         fits, shape (n_basis, len(poles)): one projection, one triangular solve.
         On its own circle a pole's data take |z - p*| / |z - p| as the constant
-        r / |p - q|, not as two moduli that vanish near a collocation point."""
+        r / |p - q|, not as two moduli that vanish near a collocation point,
+        and on the unit circle, where the log part is exactly 0, they are 0."""
         m = self.model
         d = m.domain
+        star = None
         if d.g == 0:
-            return None, m.solve_dirichlet(-_log_part(m.points[:, None], poles, None))
-        cols = np.arange(len(poles))
-        offset = poles[:, None] - d.centers
-        near = np.argmin(np.abs(offset) - d.radii, axis=1)
-        star = d.centers[near] + d.radii[near] ** 2 / np.conj(offset[cols, near])
-        data = _log_part(m.points[:, None], poles, star)
-        rows = (near + 1) * m.colloc + np.arange(m.colloc)[:, None]  # circle near + 1
-        z = m.points[rows]
-        data[rows, cols] = np.log(np.abs(1 - np.conj(poles) * z) * d.radii[near]
-                                  / np.abs(offset[cols, near]) / np.abs(1 - np.conj(star) * z))
+            data = _log_part(m.points[:, None], poles, None)
+        else:
+            cols = np.arange(len(poles))
+            offset = poles[:, None] - d.centers
+            near = np.argmin(np.abs(offset) - d.radii, axis=1)
+            star = d.centers[near] + d.radii[near] ** 2 / np.conj(offset[cols, near])
+            data = _log_part(m.points[:, None], poles, star)
+            rows = (near + 1) * m.colloc + np.arange(m.colloc)[:, None]  # circle near + 1
+            z = m.points[rows]
+            data[rows, cols] = np.log(np.abs(1 - np.conj(poles) * z) * d.radii[near]
+                                      / np.abs(offset[cols, near])
+                                      / np.abs(1 - np.conj(star) * z))
+        data[: m.colloc] = 0.0  # the unit circle's rows
         return star, m.solve_dirichlet(-data)
 
     def paired(self, poles):

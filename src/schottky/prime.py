@@ -23,10 +23,21 @@ per (point, word) to one tiled reducer, ``_reduce``.  It runs over tiles of
 of the points per tile, multiplies plainly within a tile and in log space
 across word tiles.  No product forms a (words x points) array, and each
 point's value depends only on that point, not on the batch it came in.
+
+On a boundary circle a ``RatioProduct`` has a second route, ``routed``: the
+circle's Laurent series in w = (z - q) / r (``_CircleSeries``), whose
+coefficients are power sums of the image points of the pairs over the
+whole ball.  A circle's series is built on its first point, once, to the
+order where each image point's tail bound falls below 2^-53, and a circle
+that would need more than ``_SERIES_MAX_ORDER`` terms, or more terms than
+the direct pass forms factors per point, keeps the direct pass.  The proper
+maps evaluate through ``routed``; their normalizations at z = 1, the slit
+maps and the Blaschke lift take the direct pass.
 """
 
 from __future__ import annotations
 
+import threading
 import warnings
 
 import numpy as np
@@ -246,10 +257,15 @@ class RatioProduct:
 
     with theta(inf) = a/c, the factors (y2 - theta(y2)) / (y2 - theta(z))
     tending to 1.  Such pairs are multiplied in after the finite ones.
+
+    ``routed`` evaluates points on a boundary circle from that circle's
+    Laurent series instead (``_CircleSeries``), built on first use.
     """
 
     def __init__(self, ev: PrimeEvaluator, y1, y2):
         self.ev = ev
+        self._series: dict[int, _CircleSeries | None] = {}
+        self._series_lock = threading.Lock()
         y1 = np.atleast_1d(np.asarray(y1, dtype=complex))
         y2 = np.atleast_1d(np.asarray(y2, dtype=complex))
         if y1.shape != y2.shape or y1.ndim != 1:
@@ -304,6 +320,178 @@ class RatioProduct:
 
         out *= _reduce(self.ev._half, z, factor)
         return out
+
+    def routed(self, z: np.ndarray) -> np.ndarray:
+        """Values at the 1-d points ``z``: a point on a boundary circle, to
+        rounding (``_ON_CIRCLE_TOL``), from that circle's series, every
+        other point, and every point of a circle without a series, by the
+        direct pass.  Which route a point takes depends only on the product
+        and the point."""
+        d = self.ev.domain
+        centers, radii = np.append(0j, d.centers), np.append(1.0, d.radii)
+        gap = np.abs(np.abs(z[:, None] - centers) - radii)
+        on = gap <= _ON_CIRCLE_TOL * (np.abs(centers) + radii)
+        circle = np.where(on.any(axis=1), on.argmax(axis=1), -1)
+        out = np.empty(len(z), dtype=complex)
+        direct = circle < 0
+        for l in range(len(radii)):
+            on_l = circle == l
+            if not on_l.any():
+                continue
+            series = self._circle_series(l)
+            if series is None:
+                direct |= on_l
+            else:
+                out[on_l] = series(z[on_l])
+        if direct.any():
+            out[direct] = self(z[direct])
+        return out
+
+    def _circle_series(self, l: int) -> _CircleSeries | None:
+        """The series of boundary circle l, built at most once; None when
+        the direct pass is the cheaper route there (``_CircleSeries.build``)."""
+        with self._series_lock:
+            if l not in self._series:
+                self._series[l] = _CircleSeries.build(self, l)
+            return self._series[l]
+
+
+# A point is on boundary circle (q, r) when | |z - q| - r | is at most this
+# times |q| + r: some hundred ulps of the circle's coordinates, above the
+# rounding of the samples q + r exp(i t).  Off the circle by delta r, the
+# series' tail bound grows by the factor (1 + delta)^N, below 1 + 1e-4 at
+# this tolerance and N <= 1024 for every circle with r >= 1e-6 |q|.
+_ON_CIRCLE_TOL = 2.0**-44
+# Each image point's Laurent terms are summed until its tail bound falls
+# below this: the unit roundoff of a double.
+_SERIES_TOL = 2.0**-53
+# The highest series order built.  A circle that needs more (a zero or pole
+# of the product within about 4e-2 r of it) keeps the direct pass.  At this
+# order a 64-point Horner evaluation takes about 3 ms where the L = 6
+# direct pass of a degree-3 map on the triply connected domain takes about
+# 3.9 ms (one BLAS thread), so beyond it a build would not pay for itself.
+_SERIES_MAX_ORDER = 1024
+# Image points per tile of a series build: a tile's arrays stay near 256 KB
+# each, so a build needs no more memory than a ``_reduce`` tile, whatever
+# the ball and the number of pairs (one tile on the triply connected
+# domain at L = 6, three for a degree-4 map at L = 5 with g = 3).
+_SERIES_TILE = 2**14
+
+
+class _CircleSeries:
+    """The product of a ``RatioProduct`` on one boundary circle (q, r), as
+    the Laurent series in w = (z - q) / r
+
+        C w^k exp(sum_n alpha_n w^-n + beta_n w^n).
+
+    By y - theta(z) = (c y - a)(z - theta^-1(y)) / (c z + d), each half-set
+    word's factor equals, up to a constant, the product over theta and
+    theta^-1 of (z - theta(y1_k)) / (z - theta(y2_k)); the (c z + d) cancel.
+    So the product is a constant times the product over the whole ball
+    (``mobius_table``, identity included) of (z - a_num) / (z - a_den), the
+    a_num the images of the y1_k and the a_den those of the finite y2_k and,
+    for each limit pair, theta(inf) = a/c of every word but the identity.
+    With every image point a in w-coordinates, a point inside the circle
+    contributes log(1 - a/w) = -sum_n a^n w^-n / n and one power of w, a
+    point outside it log(1 - w/a) = -sum_n a^-n w^n / n.  So alpha_n and
+    beta_n are -1/n times the signed power sums of the points inside and of
+    the reciprocals of those outside, and k counts inside numerator points
+    less inside denominator points.  C is set by the direct pass at z = q + r,
+    where w = 1 and the exponent is the sum of the coefficients.
+
+    A point with ratio rho = min(|a|, 1/|a|) leaves the sums after N terms
+    once its tail bound rho^(N+1) / (1 - rho) is below ``_SERIES_TOL``, and
+    the largest such N is the circle's order.
+    """
+
+    def __init__(self, q: complex, r: float, k: int, scale: complex, coef: np.ndarray):
+        self.q, self.r, self.k, self.scale = q, r, k, scale
+        # (N, 2, 1): per order n, from the highest, alpha_n and beta_n
+        self._steps = coef[:, ::-1].T[:, :, None]
+
+    @classmethod
+    def build(cls, product: RatioProduct, l: int) -> _CircleSeries | None:
+        """The series of boundary circle l, or None when an image point lies
+        on it or needs more terms than the cap: ``_SERIES_MAX_ORDER``, or
+        fewer where the direct pass forms fewer word-pair factors per point
+        (a Horner step costs less than one such factor; a small ball, like
+        the annulus's, is cheaper direct).  The image points are formed and
+        summed in tiles of the words, at most ``_SERIES_TILE`` points each."""
+        circle = product.ev.domain.circle(l)
+        a, b, c, d = product.ev.mobius_table
+        # every word followed by z -> (z - q) / r, so the images come out in w
+        table = np.stack([(a - circle.q * c) / circle.r, (b - circle.q * d) / circle.r, c, d])
+        ys = np.concatenate([product._y1, product._y2])
+        weights = np.repeat([1.0, -1.0], [len(product._y1), len(product._y2)])
+        limits = len(product._y1) - product._finite
+        cap = min(_SERIES_MAX_ORDER, product.ev.half_set_size * len(product._y1))
+        sums = np.zeros((2, cap), dtype=complex)  # alpha, beta
+        order, k = 0, 0.0
+        step = max(1, _SERIES_TILE // (len(ys) + 1))
+        for w0 in range(0, table.shape[1], step):
+            words = slice(w0, w0 + step)
+            w = _images(table, words, ys).ravel()
+            weight = np.repeat(weights, len(w) // len(ys))
+            if limits:
+                ta, _, tc, _ = table[:, words]
+                finite = tc != 0  # theta(inf) of every word but the identity
+                w = np.append(w, ta[finite] / tc[finite])
+                weight = np.append(weight, np.full(finite.sum(), -float(limits)))
+            tile = _laurent_terms(w, weight, cap)
+            if tile is None:
+                return None
+            k += tile[0]
+            for row, coef in enumerate(tile[1:]):
+                sums[row, :len(coef)] += coef
+                order = max(order, len(coef))
+        coef = sums[:, :order]
+        scale = product(np.array([circle.q + circle.r]))[0] / np.exp(coef.sum())
+        return cls(circle.q, circle.r, round(k), scale, coef)
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        """Values at the 1-d points ``z``, by Horner's rule in 1/w and in w
+        at once.  Every step is an out-of-place elementwise operation, so a
+        point's value does not depend on the batch it came in."""
+        w = (z - self.q) / self.r
+        x = np.stack([1.0 / w, w])
+        acc = np.zeros(x.shape, dtype=complex)
+        for c in self._steps:
+            acc = (acc + c) * x
+        return self.scale * w**self.k * np.exp(acc[0] + acc[1])
+
+
+def _laurent_terms(w: np.ndarray, weight: np.ndarray, cap: int):
+    """(k, alpha, beta) of the image points ``w`` with their weights (+1 a
+    numerator point, -m a denominator point of m pairs), or None when a
+    point lies on the circle or needs more than ``cap`` terms."""
+    size = np.abs(w)
+    inside = size < 1.0
+    rho = np.where(inside, size, 1.0 / np.maximum(size, 1.0))
+    if not rho.max() < 1.0:
+        return None
+    with np.errstate(divide="ignore"):  # an image point at the circle's centre
+        terms = np.ceil(np.log(_SERIES_TOL * (1.0 - rho)) / np.log(rho)) - 1.0
+    if terms.max() > cap:
+        return None
+    inner, outer = inside & (terms >= 1), ~inside & (terms >= 1)
+    return (weight[inside].sum(),
+            _power_sums(w[inner], weight[inner], terms[inner]),
+            _power_sums(1.0 / w[outer], weight[outer], terms[outer]))
+
+
+def _power_sums(x: np.ndarray, weight: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """-(1/n) sum_i weight_i x_i^n for n = 1..max(terms), point i taking
+    part while n <= terms_i: the points sorted by their term counts, so
+    those still taking part at each n are a prefix."""
+    order = np.argsort(-terms)
+    x, power, terms = x[order], weight[order] * x[order], terms[order]
+    steps = np.arange(1, int(terms.max(initial=0.0)) + 1)
+    sums = []
+    for m in np.searchsorted(-terms, -steps, side="right").tolist():
+        head = power[:m]
+        sums.append(np.add.reduce(head))
+        head *= x[:m]
+    return -np.array(sums, dtype=complex) / steps
 
 
 def blaschke_eval(zeros, z):

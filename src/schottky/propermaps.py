@@ -296,7 +296,9 @@ class ProperMap:
     ``base`` is the raw analytic product (value 1 at z = 1 up to rounding is
     not assumed); the stored rotation fixes f(1) = 1, and an optional disk
     automorphism is post-composed for maps renormalized via the boundary-data
-    route.  Pure and thread-safe after construction.
+    route.  Thread-safe after construction: a product-built map fills its
+    boundary circles' series on first use, each once, under a lock, and a
+    value never depends on the calls before it.
     """
 
     def __init__(self, domain, zeros, nu, base, rotation=1.0 + 0j, post=None,
@@ -354,6 +356,10 @@ def build_proper_map(
     map is the normalized Blaschke product.  With ``check_boundary`` a
     deviation of |f| from 1 above ``_BOUNDARY_TOL`` on 64 samples per
     boundary circle raises TruncationQualityError.
+
+    The map evaluates its product through ``RatioProduct.routed``: points on
+    a boundary circle from that circle's Laurent series, interior points and
+    the normalization at z = 1 by the direct pass.
     """
     if not config.admissible():
         raise AdmissibilityError(
@@ -368,14 +374,15 @@ def build_proper_map(
     nvec = np.asarray(nu[1:], dtype=float)
 
     # the eta factors of all zeros as one fused ratio product, normalized at
-    # z = 1; a zero at the origin pairs with the point at infinity
+    # z = 1 by the direct pass; a zero at the origin pairs with the point at
+    # infinity
     ratios = RatioProduct(ev, zeros, [INFINITY if p == 0 else 1 / p.conjugate() for p in zeros])
     norm = ratios(np.array([1.0 + 0j]))[0]
 
-    def base(z: np.ndarray) -> np.ndarray:
-        return ratios(z) / norm * np.exp(-2j * np.pi * (v.eval_v_all(z) @ nvec))
+    def base(z: np.ndarray, product=ratios.routed) -> np.ndarray:
+        return product(z) / norm * np.exp(-2j * np.pi * (v.eval_v_all(z) @ nvec))
 
-    rotation = 1.0 / base(np.array([1.0 + 0j]))[0]
+    rotation = 1.0 / base(np.array([1.0 + 0j]), ratios)[0]
     f = ProperMap(
         d, zeros, nu, base, rotation,
         diagnostics={"form": "first_kind_product", "max_word_length": ev.max_word_length,
@@ -435,7 +442,8 @@ def build_proper_map_alt(
     and each eta_l's prefactor and rotation are constants, which the
     rotation at z = 1 cancels.  Agrees with the first-kind-product
     construction up to a unimodular constant, and exactly after both are
-    normalized at z = 1.
+    normalized at z = 1.  Evaluates through ``RatioProduct.routed``, as
+    ``build_proper_map`` does.
     """
     d = ev.domain
     groups = _group_indexed(indexed_zeros)
@@ -452,11 +460,11 @@ def build_proper_map_alt(
 
     pairs = [(l, p) for l in sorted(groups) for p in groups[l]]
     zeros = tuple(p for _, p in pairs)
-    base = RatioProduct(ev, zeros, [INFINITY if (l, p) == (0, 0) else reflect(d, l, p)
-                                    for l, p in pairs])
-    rotation = 1.0 / base(np.array([1.0 + 0j]))[0]
+    ratios = RatioProduct(ev, zeros, [INFINITY if (l, p) == (0, 0) else reflect(d, l, p)
+                                      for l, p in pairs])
+    rotation = 1.0 / ratios(np.array([1.0 + 0j]))[0]
     return ProperMap(
-        d, zeros, nu, base, rotation,
+        d, zeros, nu, ratios.routed, rotation,
         diagnostics={"form": "slit_product", "max_word_length": ev.max_word_length},
     )
 
@@ -516,6 +524,9 @@ def lift_blaschke(
     """Lift a finite Blaschke product to the proper map of the domain with
     the same zeros: the group-averaged product of B over the truncated word
     ball (``ev.ball_blaschke``) times the first-kind exponential factor.
+    It is the truncated product of ``build_proper_map`` written over the
+    whole ball, so the two agree to rounding at any word length.  It
+    evaluates every point by the direct pass.
 
     Defined only when the zero set is admissible in the domain (the boundary
     degrees are read off from the measure sums, which must lie within

@@ -119,6 +119,14 @@ def test_cball_dist_above_one_is_a_numerical_failure(tmp_path, capsys):
     assert err.startswith("numerical failure: 1 - c* = -3.") and "raise --basis" in err
 
 
+def test_cball_dist_target_in_a_hole_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "triply.json"
+    path.write_text('{"inner_circles":[{"q":[-0.5,0.0],"r":0.1},{"q":[0.5,0.0],"r":0.1}]}')
+    code = main(["cball-dist", "--domain", str(path), "--base", "0,0.3", "--target", "0.47,0"])
+    assert code == 1
+    assert "raise --basis" not in capsys.readouterr().err
+
+
 def test_cball_raster_deterministic(annulus_file, tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     args = ["cball-raster", "--domain", annulus_file, "--center", "0.5,0",

@@ -99,6 +99,15 @@ def test_base_point_must_be_interior(annulus_tools):
                         0.1, 0.5)
 
 
+@pytest.mark.parametrize("zeta", [0.47, 1.5, 0.5])
+def test_target_point_must_be_interior(triply_tools, zeta):
+    # in the hole (0.5, 0.1), outside the unit disk, and at the hole's centre:
+    # these used to return c* = 8.82 and 4.4e11 and raise ConvergenceError
+    t = triply_tools
+    with pytest.raises(DomainError):
+        mobius_distance(t.model, t.ev, t.v, 0.3j, zeta)
+
+
 def test_stagnation_sets_warning_flag(annulus_tools, monkeypatch):
     # one row of at most 2 trials (g = 1)
     monkeypatch.setattr(distance, "_N_STARTS", 1)

@@ -353,6 +353,18 @@ def test_green_function_vanishes_on_boundary(triply_tools, depth):
     assert np.max(np.abs(green(bd, poles))) < 1e-8
 
 
+@pytest.mark.parametrize("case", ["disk", "triply"])
+def test_green_function_pole_at_a_unit_circle_collocation_point(case, disk_tools,
+                                                                triply_tools):
+    # a pole within rounding inside the unit circle, next to a collocation
+    # point, where the log part's data cancel to 0 only in exact arithmetic
+    # (on triply the fit read 1.9e-4 and 2.1e-5 here)
+    model = (disk_tools if case == "disk" else triply_tools).model
+    pole = model.points[5] * (1 - 2.2e-16)
+    assert model.domain.contains(pole)
+    assert np.max(np.abs(GreenFunction(model)([0.2 + 0.3j, -0.1 - 0.4j], [pole]))) < 1e-9
+
+
 def test_green_function_pairs_match_kernel_and_derivative(triply_tools):
     green = GreenFunction(triply_tools.model)
     poles = interior_points(triply_tools.domain, 4, seed=9)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,8 +16,9 @@ from schottky.errors import (
     ResolutionError,
     SingularEvaluationError,
 )
+from schottky import prime
 from schottky.harmonic import solve_harmonic_measures
-from schottky.prime import RatioProduct
+from schottky.prime import PrimeEvaluator, RatioProduct
 from schottky.propermaps import (
     blaschke_eval,
     boundary_degree,
@@ -32,7 +35,7 @@ from schottky.propermaps import (
     ZeroConfig,
 )
 from schottky.propermaps import _CHART_TOL, _chart_box, _level_depths, _solve_chart
-from schottky.slitmaps import eta, eta_l
+from schottky.slitmaps import eta, eta_l, eta_via_mobius_product
 from schottky.verify import _assign_circles
 
 
@@ -292,6 +295,13 @@ def _g3_map(tools):
     return build_proper_map(tools.ev, tools.v, make_zero_config(tools.model, zeros, nu))
 
 
+def _triply_map(tools, check_boundary=True):
+    fixed = [0.1 + 0.55j]
+    zeros = fixed + complete_zeros(tools.model, fixed, (1, 1, 1), [-0.3 - 0.2j, 0.3 - 0.2j])
+    return build_proper_map(tools.ev, tools.v, make_zero_config(tools.model, zeros, (1, 1, 1)),
+                            check_boundary=check_boundary)
+
+
 @pytest.mark.parametrize("case", ["annulus", "triply", "g3"])
 def test_fused_product_matches_per_zero_route(case, annulus_tools, triply_tools, g3_tools):
     if case == "annulus":
@@ -300,9 +310,7 @@ def test_fused_product_matches_per_zero_route(case, annulus_tools, triply_tools,
                              make_zero_config(tools.model, [0.5, -0.5], (1, 1)))
     elif case == "triply":  # 728 words: one word tile
         tools = triply_tools
-        fixed = [0.1 + 0.55j]
-        zeros = fixed + complete_zeros(tools.model, fixed, (1, 1, 1), [-0.3 - 0.2j, 0.3 - 0.2j])
-        f = build_proper_map(tools.ev, tools.v, make_zero_config(tools.model, zeros, (1, 1, 1)))
+        f = _triply_map(tools)
     else:  # 2343 words: three word tiles, and a zero at the origin
         tools = g3_tools
         f = _g3_map(tools)
@@ -424,6 +432,128 @@ def test_condition3(annulus_tools):
 
 def test_condition3_disk_vacuous(disk_tools):
     assert condition3_residual(disk_tools.ev, [(0, 0.2), (0, -0.3)]) == 0.0
+
+
+# -- the boundary route: a Laurent series per circle ----------------------------
+
+
+def _map_product(ev, zeros):
+    """The ratio product behind ``build_proper_map`` for these zeros."""
+    return RatioProduct(ev, zeros, [INFINITY if p == 0 else 1 / np.conj(p) for p in zeros])
+
+
+def _counting_reduce(monkeypatch):
+    calls = []
+    original = prime._reduce
+
+    def counted(table, z, factor):
+        calls.append(len(z))
+        return original(table, z, factor)
+
+    monkeypatch.setattr(prime, "_reduce", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["disk", "annulus", "triply", "g3"])
+def test_boundary_route_matches_direct_pass(case, disk_tools, annulus_tools, triply_tools,
+                                            g3_tools):
+    # triply and g3 take the series on every circle (g3's map has a zero at
+    # the origin, a limit pair); the disk's and the annulus's balls are so
+    # small that the direct pass is the cheaper route there
+    if case == "disk":
+        tools, f = disk_tools, build_proper_map(
+            disk_tools.ev, disk_tools.v, make_zero_config(disk_tools.model, [0.3, -0.2 + 0.4j], (2,)))
+    elif case == "annulus":
+        tools, f = annulus_tools, build_proper_map(
+            annulus_tools.ev, annulus_tools.v,
+            make_zero_config(annulus_tools.model, [0.5, -0.5], (1, 1)))
+    elif case == "triply":
+        tools, f = triply_tools, _triply_map(triply_tools)
+    else:
+        tools, f = g3_tools, _g3_map(g3_tools)
+    ratios = _map_product(tools.ev, f.zeros)
+    for l in range(tools.domain.g + 1):
+        w = tools.domain.circle(l).samples(1024)
+        assert np.max(np.abs(ratios.routed(w) / ratios(w) - 1)) < 1e-11
+        assert (ratios._circle_series(l) is None) == (case in ("disk", "annulus"))
+        assert boundary_degree(f, l) == f.nu[l]
+
+
+def test_boundary_checks_make_no_direct_pass(triply_tools, monkeypatch):
+    f = _triply_map(triply_tools)  # its 64-sample check builds the series
+    calls = _counting_reduce(monkeypatch)
+    assert [boundary_degree(f, l) for l in range(3)] == [1, 1, 1]
+    assert boundary_modulus_deviation(f) < 1e-5
+    assert calls == []
+    f(interior_points(triply_tools.domain, 40, seed=5))
+    assert sum(calls) == 40
+
+
+def test_boundary_route_does_not_depend_on_batch_or_history(triply_tools):
+    f = _triply_map(triply_tools)
+    fresh = _triply_map(triply_tools, check_boundary=False)  # no series yet
+    for l in range(3):
+        w = triply_tools.domain.circle(l).samples(1024)
+        if l == 1:
+            fresh(interior_points(triply_tools.domain, 10, seed=4))
+        first = fresh(w[7:8])  # builds this circle's series
+        whole = f(w)
+        assert np.array_equal(first, whole[7:8])
+        for size in (7, 64):
+            parts = np.concatenate([f(w[i:i + size]) for i in range(0, 1024, size)])
+            assert np.array_equal(parts, whole)
+        assert np.array_equal(fresh(w), whole)
+        assert all(f(complex(w[i])) == whole[i] for i in range(0, 1024, 37))
+
+
+def test_boundary_route_falls_back_near_a_zero(triply_tools, monkeypatch):
+    # a zero 1e-6 from circle 1 would need a series order of about 1e6
+    t = triply_tools
+    fixed = [-0.5 + 0.100001j]
+    zeros = fixed + complete_zeros(t.model, fixed, (1, 1, 1), [0.2 - 0.85j, 0.5 + 0.13j])
+    f = build_proper_map(t.ev, t.v, make_zero_config(t.model, zeros, (1, 1, 1)))
+    w = t.domain.circle(1).samples(64)
+    calls = _counting_reduce(monkeypatch)
+    f(w)
+    assert sum(calls) == 64
+    ratios = _map_product(t.ev, zeros)
+    assert ratios._circle_series(1) is None
+    assert np.array_equal(ratios.routed(w), ratios(w))
+    # the same zero among others far from circles 0 and 2 leaves their series
+    ratios = _map_product(t.ev, [fixed[0], 0.1 + 0.3j])
+    assert ratios._circle_series(1) is None
+    assert ratios._circle_series(0) is not None and ratios._circle_series(2) is not None
+
+
+def test_boundary_series_is_built_once_under_threads(triply_tools, monkeypatch):
+    f = _triply_map(triply_tools, check_boundary=False)
+    built = []
+    build = prime._CircleSeries.build.__func__
+
+    def counted(cls, product, l):
+        built.append(l)
+        return build(cls, product, l)
+
+    monkeypatch.setattr(prime._CircleSeries, "build", classmethod(counted))
+    w = np.concatenate([triply_tools.domain.circle(l).samples(64) for l in range(3)])
+    results = [None] * 8
+
+    def work(k):
+        results[k] = f(w)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(built) == [0, 1, 2]
+    assert all(np.array_equal(r, results[0]) for r in results)
 
 
 # -- boundary data ---------------------------------------------------------------
@@ -548,6 +678,21 @@ def test_lift_blaschke_matches_build(annulus_tools):
     pts = interior_points(annulus_tools.domain, 20, seed=10)
     assert np.max(np.abs(lift(pts) - f(pts))) < 1e-6
     assert lift.nu == (1, 1)
+
+
+@pytest.mark.parametrize("case", ["triply", "g3"])
+def test_blaschke_routes_are_the_same_truncated_product(case, triply_tools, g3_tools):
+    # eta and its group-averaged Blaschke route, and the proper map and its
+    # Blaschke lift, are one truncated product over the ball written two
+    # ways: they agree to rounding, while moving L moves them by far more
+    tools = triply_tools if case == "triply" else g3_tools
+    f = _triply_map(tools) if case == "triply" else _g3_map(tools)
+    z = interior_points(tools.domain, 30, seed=12)
+    p = 0.2 - 0.3j
+    assert np.max(np.abs(eta(tools.ev, z, p) - eta_via_mobius_product(tools.ev, z, p))) < 1e-12
+    assert np.max(np.abs(lift_blaschke(tools.ev, tools.v, f.zeros)(z) - f(z))) < 1e-12
+    coarse = PrimeEvaluator(tools.domain, max_word_length=3)
+    assert np.max(np.abs(eta(coarse, z, p) - eta(tools.ev, z, p))) > 1e-8
 
 
 def test_lift_blaschke_rejects_inadmissible(annulus_tools):
