@@ -21,8 +21,9 @@ products over the whole ball (``ball_blaschke``) -- supplies its own factor
 per (point, word) to one tiled reducer, ``_reduce``.  It runs over tiles of
 ``_POINT_TILE`` points by ``_LOG_SPACE_THRESHOLD`` words, forms the images
 of the points per tile, multiplies plainly within a tile and in log space
-across word tiles.  No product forms a (words x points) array, and each
-point's value depends only on that point, not on the batch it came in.
+across word tiles.  No product forms a (words x points) array, and a
+point's value has the same bits alone as in any batch, but for the one
+exception ``_combine`` names.
 
 On a boundary circle a ``RatioProduct`` has a second route, ``routed``: the
 circle's Laurent series in w = (z - q) / r (``_CircleSeries``), whose
@@ -37,6 +38,7 @@ maps and the Blaschke lift take the direct pass.
 
 from __future__ import annotations
 
+import functools
 import threading
 import warnings
 
@@ -135,9 +137,6 @@ class PrimeEvaluator:
     def half_set_size(self) -> int:
         return self._half.shape[1]
 
-    def _theta_point(self, y: complex) -> np.ndarray:
-        return _images(self._half, slice(None), np.array([complex(y)]))[0]
-
     # -- prime function --------------------------------------------------
 
     def omega(self, z, y: complex):
@@ -146,9 +145,7 @@ class PrimeEvaluator:
         return _pointwise(lambda z: self._omega(z, complex(y)), z)
 
     def _omega(self, z: np.ndarray, y: complex) -> np.ndarray:
-        if self.half_set_size == 0:
-            return z - y
-        th_y = self._theta_point(y)
+        th_y = _images(self._half, slice(None), np.array([y]))[0]
         diag_y = y - th_y
 
         def factor(th, zt, rows):
@@ -274,8 +271,6 @@ class RatioProduct:
         # the finite pairs first, then the finite ends of the limit pairs
         self._y1, self._y2 = np.concatenate([y1[~limit], y1[limit]]), y2[~limit]
         nf = self._finite = len(self._y2)
-        if ev.half_set_size == 0:
-            return
         self._t1 = _images(ev._half, slice(None), self._y1)  # (pairs, words)
         self._t2 = _images(ev._half, slice(None), self._y2)
         d1 = self._y1[:, None] - self._t1
@@ -296,11 +291,10 @@ class RatioProduct:
     def __call__(self, z: np.ndarray) -> np.ndarray:
         """Values at the 1-d points ``z``."""
         y1, y2, nf = self._y1, self._y2, self._finite
-        out = np.prod((z[None, :] - y1[:nf, None]) / (z[None, :] - y2[:, None]), axis=0)
-        for y in y1[nf:]:
-            out *= z - y
-        if self.ev.half_set_size == 0 or len(y1) == 0:
-            return out
+        factors = [(z - a) / (z - b) for a, b in zip(y1, y2)] + [z - y for y in y1[nf:]]
+        if not factors:
+            return np.ones(len(z), dtype=complex)
+        out = functools.reduce(np.multiply, factors)
         t1, t2, col = self._t1, self._t2, self._col
 
         def factor(th, zt, rows):
@@ -318,8 +312,7 @@ class RatioProduct:
             num /= den
             return num
 
-        out *= _reduce(self.ev._half, z, factor)
-        return out
+        return out * _reduce(self.ev._half, z, factor)
 
     def routed(self, z: np.ndarray) -> np.ndarray:
         """Values at the 1-d points ``z``: a point on a boundary circle, to
@@ -524,7 +517,7 @@ def _reduce(table: np.ndarray, z: np.ndarray, factor) -> np.ndarray:
     slice, and ``factor`` returns the tile's factors, shape (points, words).
     Each point's factors are multiplied plainly along its own contiguous row
     within a tile and combined in log space across word tiles, so its value
-    does not depend on the batch it came in."""
+    does not depend on the batch it came in (see ``_combine``)."""
     out = np.empty(len(z), dtype=complex)
     words, step = table.shape[1], _LOG_SPACE_THRESHOLD
     for p0 in range(0, len(z), _POINT_TILE):
@@ -538,11 +531,16 @@ def _reduce(table: np.ndarray, z: np.ndarray, factor) -> np.ndarray:
     return out
 
 
-def _combine(blocks: list[np.ndarray]) -> np.ndarray:
-    """Product of block products: a single block as it is, several as
+def _combine(blocks: list[np.ndarray]):
+    """Product of block products: none as 1, one as it is, several as
     exp(sum(log ...)), which reproduces the product regardless of the branch
-    each principal log picks."""
-    if len(blocks) == 1:
-        return blocks[0]
+    each principal log picks.  The logs, like a ``RatioProduct``'s pairs,
+    are joined one at a time and out of place, so a lone point has the bits
+    it has in a batch: numpy 2.4.6 rounds a sum or product over a short
+    contiguous axis, and an in-place multiply of one element, its own way.
+    That still moves a lone point by an ulp in a tile of one word (the
+    disk's ball, a one-word half set), through a factor's in-place steps."""
+    if len(blocks) < 2:
+        return blocks[0] if blocks else 1.0
     with np.errstate(divide="ignore"):
-        return np.exp(np.sum(np.log(blocks), axis=0))
+        return np.exp(functools.reduce(np.add, [np.log(b) for b in blocks]))

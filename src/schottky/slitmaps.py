@@ -118,12 +118,13 @@ def eta_via_mobius_product(ev: PrimeEvaluator, z, p: complex):
 def eta_j_relation_residual(ev: PrimeEvaluator, v, j: int, z, p: complex) -> float:
     """Residual of the identity linking the two slit-map families:
     exp(-2 pi i v_j(z)) eta(z, p) = k(p) eta_j(z, p) for a z-independent
-    constant k.  The constant is measured at the evaluator's reference point
-    z0 (0.9 where the domain holds it) and the residual is reported at the
-    probe z.  Vacuous (0) for g = 0."""
+    constant k, measured at the evaluator's reference point z0 (0.9 where
+    the domain holds it), with the residual reported at the probe z.  Both
+    come from one pass per slit map over [z0, z] and the normalization
+    point 1.  Vacuous (0) for g = 0."""
     if ev.domain.g == 0:
         return 0.0
-    z0 = ev._reference_point()
-    k = np.exp(-2j * np.pi * v.eval_v(j, z0)) * eta(ev, z0, p) / eta_l(ev, j, z0, p)
-    lhs = np.exp(-2j * np.pi * v.eval_v(j, complex(z))) * eta(ev, z, p)
-    return float(abs(lhs - k * eta_l(ev, j, z, p)))
+    pts = np.array([ev._reference_point(), complex(z)])
+    lhs = np.exp(-2j * np.pi * v.eval_v(j, pts)) * eta(ev, pts, p)
+    rhs = eta_l(ev, j, pts, p)
+    return float(abs(lhs[1] - lhs[0] / rhs[0] * rhs[1]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from schottky import prime
 from schottky.domain import Circle, CircularDomain
 from schottky.harmonic import integrals_first_kind, solve_harmonic_measures
 from schottky.prime import PrimeEvaluator
@@ -46,3 +47,17 @@ def interior_points(domain, count, seed, margin=0.05):
         if domain.contains(z, margin=margin):
             out.append(z)
     return np.array(out)
+
+
+def counting_reduce(monkeypatch):
+    """The point counts of the ``prime._reduce`` passes, the direct passes
+    over the word ball, made from here on in the test."""
+    calls = []
+    original = prime._reduce
+
+    def counted(table, z, factor):
+        calls.append(len(z))
+        return original(table, z, factor)
+
+    monkeypatch.setattr(prime, "_reduce", counted)
+    return calls

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import Tools, interior_points
+from conftest import Tools, counting_reduce, interior_points
 from schottky.distance import wang_yin_eval
 from schottky.domain import INFINITY, UNIT_CIRCLE, Circle, CircularDomain
 from schottky.errors import (
@@ -321,11 +321,11 @@ def test_fused_product_matches_per_zero_route(case, annulus_tools, triply_tools,
 
 
 def test_fused_product_does_not_depend_on_batch(g3_tools):
-    # every product over the word ball, over many point tiles, in batches of
-    # 1000, 64, 7 and 1: the fused product of the map's zeros off the
-    # origin, the same with the origin's limit pair (0, infinity), omega and
-    # eta(., 0) (three half-set word tiles), and the Blaschke product over
-    # the whole ball (five word tiles)
+    # every product over the word ball has the same bits in batches of 1000,
+    # 64, 7 and 1, over many point tiles: the fused product of the map's
+    # zeros off the origin, the same with the origin's limit pair (0,
+    # infinity), omega and eta(., 0) (three half-set word tiles), and the
+    # Blaschke product over the whole ball (five word tiles)
     f = _g3_map(g3_tools)
     ev = g3_tools.ev
     moved = [p for p in f.zeros if p != 0]
@@ -339,12 +339,12 @@ def test_fused_product_does_not_depend_on_batch(g3_tools):
         full = route(pts)
         for size in (64, 7):
             parts = np.concatenate([route(pts[i:i + size]) for i in range(0, 1000, size)])
-            assert np.max(np.abs(parts - full)) < 1e-15
+            assert np.array_equal(parts, full)
         for i in range(0, 1000, 37):
-            assert abs(route(pts[i:i + 1])[0] - full[i]) < 1e-15
+            assert route(pts[i:i + 1])[0] == full[i]
     # the map as a whole adds the first-kind integrals, contracted per point
     whole = f(pts)
-    assert max(abs(f(complex(pts[i])) - whole[i]) for i in range(0, 1000, 37)) < 1e-15
+    assert all(f(complex(pts[i])) == whole[i] for i in range(0, 1000, 37))
 
 
 @pytest.mark.parametrize("case", ["triply", "g3"])
@@ -442,18 +442,6 @@ def _map_product(ev, zeros):
     return RatioProduct(ev, zeros, [INFINITY if p == 0 else 1 / np.conj(p) for p in zeros])
 
 
-def _counting_reduce(monkeypatch):
-    calls = []
-    original = prime._reduce
-
-    def counted(table, z, factor):
-        calls.append(len(z))
-        return original(table, z, factor)
-
-    monkeypatch.setattr(prime, "_reduce", counted)
-    return calls
-
-
 @pytest.mark.parametrize("case", ["disk", "annulus", "triply", "g3"])
 def test_boundary_route_matches_direct_pass(case, disk_tools, annulus_tools, triply_tools,
                                             g3_tools):
@@ -481,7 +469,7 @@ def test_boundary_route_matches_direct_pass(case, disk_tools, annulus_tools, tri
 
 def test_boundary_checks_make_no_direct_pass(triply_tools, monkeypatch):
     f = _triply_map(triply_tools)  # its 64-sample check builds the series
-    calls = _counting_reduce(monkeypatch)
+    calls = counting_reduce(monkeypatch)
     assert [boundary_degree(f, l) for l in range(3)] == [1, 1, 1]
     assert boundary_modulus_deviation(f) < 1e-5
     assert calls == []
@@ -513,7 +501,7 @@ def test_boundary_route_falls_back_near_a_zero(triply_tools, monkeypatch):
     zeros = fixed + complete_zeros(t.model, fixed, (1, 1, 1), [0.2 - 0.85j, 0.5 + 0.13j])
     f = build_proper_map(t.ev, t.v, make_zero_config(t.model, zeros, (1, 1, 1)))
     w = t.domain.circle(1).samples(64)
-    calls = _counting_reduce(monkeypatch)
+    calls = counting_reduce(monkeypatch)
     f(w)
     assert sum(calls) == 64
     ratios = _map_product(t.ev, zeros)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import interior_points
+from conftest import counting_reduce, interior_points
 from schottky.domain import Circle, CircularDomain
 from schottky.errors import DomainError, TruncationQualityError
 from schottky.prime import PrimeEvaluator
@@ -157,6 +157,30 @@ def test_eta_j_relation(annulus_tools, triply_tools, disk_tools):
         for j in (1, 2):
             assert eta_j_relation_residual(triply_tools.ev, triply_tools.v, j,
                                            complex(z), -0.15 + 0.1j) < 1e-7
+
+
+def _four_pass_residual(ev, v, j, z, p):
+    # the residual with k and the probe each from their own passes
+    z0 = ev._reference_point()
+    k = np.exp(-2j * np.pi * v.eval_v(j, z0)) * eta(ev, z0, p) / eta_l(ev, j, z0, p)
+    lhs = np.exp(-2j * np.pi * v.eval_v(j, z)) * eta(ev, z, p)
+    return abs(lhs - k * eta_l(ev, j, z, p))
+
+
+@pytest.mark.parametrize("case, js", [("annulus", (1,)), ("triply", (1, 2))])
+def test_eta_j_relation_matches_four_passes(case, js, request):
+    tools = request.getfixturevalue(f"{case}_tools")
+    pts = interior_points(tools.domain, 8, seed=43)
+    for z, p in zip(pts[:4], pts[4:]):
+        for j in js:
+            args = (tools.ev, tools.v, j, complex(z), complex(p))
+            assert abs(eta_j_relation_residual(*args) - _four_pass_residual(*args)) < 1e-15
+
+
+def test_eta_j_relation_makes_one_pass_per_slit_map(triply_tools, monkeypatch):
+    calls = counting_reduce(monkeypatch)
+    eta_j_relation_residual(triply_tools.ev, triply_tools.v, 2, 0.1 + 0.3j, -0.15 + 0.1j)
+    assert calls == [3, 3]  # eta and eta_2, each at z0, the probe and 1
 
 
 def test_eta_j_relation_constant_modulus(annulus_tools):
