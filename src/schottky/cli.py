@@ -54,10 +54,34 @@ def _fmt_c(z: complex) -> str:
 
 def _parse_complex(text: str) -> complex:
     """Accept 're,im' or Python-style '1+2j' literals."""
-    if "," in text:
-        re, im = text.split(",")
-        return complex(float(re), float(im))
-    return complex(text.replace("i", "j"))
+    try:
+        if "," in text:
+            re, im = text.split(",")
+            return complex(float(re), float(im))
+        return complex(text.replace("i", "j"))
+    except ValueError:
+        raise DomainError(f"not a complex number: {text!r}") from None
+
+
+def _parse_list(text: str, convert, size: int | None = None) -> tuple:
+    """The comma-separated values of a flag, each through ``convert``; a
+    malformed value, or a count other than ``size``, is a DomainError."""
+    try:
+        values = tuple(convert(x) for x in text.split(","))
+    except ValueError:
+        raise DomainError(f"not a comma-separated list of {convert.__name__}: {text!r}") from None
+    if size is not None and len(values) != size:
+        raise DomainError(f"expected {size} comma-separated values, got {text!r}")
+    return values
+
+
+def _parse_point(text: str) -> tuple[int, complex]:
+    """A boundary point 'circle:z'."""
+    try:
+        circle, z = text.split(":")
+        return int(circle), _parse_complex(z)
+    except ValueError:
+        raise DomainError(f"not a boundary point 'circle:z': {text!r}") from None
 
 
 def _parse_zeros(text: str) -> list[complex]:
@@ -213,8 +237,9 @@ def _dispatch(args) -> int:
 
     if cmd == "omega":
         domain = _load_domain(args.domain)
+        z, y = _parse_complex(args.z), _parse_complex(args.y)
         ev = PrimeEvaluator(domain, max_word_length=args.length)
-        val = ev.omega(_parse_complex(args.z), _parse_complex(args.y))
+        val = ev.omega(z, y)
         print(f"omega = {_fmt_c(val)}")
         print(f"word_length = {ev.max_word_length}")
         return EXIT_OK
@@ -223,15 +248,14 @@ def _dispatch(args) -> int:
         from .slitmaps import eta_l
 
         domain = _load_domain(args.domain)
-        ev = PrimeEvaluator(domain, max_word_length=args.length)
         z, p = _parse_complex(args.z), _parse_complex(args.p)
+        ev = PrimeEvaluator(domain, max_word_length=args.length)
         val = eta(ev, z, p) if args.circle == 0 else eta_l(ev, args.circle, z, p)
         print(f"eta_{args.circle} = {_fmt_c(complex(val))}")
         return EXIT_OK
 
     if cmd in ("proper-build", "proper-eval"):
         domain = _load_domain(args.domain)
-        v, ev = _toolchain(domain, args)
         if args.config:
             from .propermaps import ZeroConfig
 
@@ -242,9 +266,10 @@ def _dispatch(args) -> int:
                 raise DomainError(f"cannot read config file: {exc}") from exc
         elif args.zeros and args.nu:
             zeros = _parse_zeros(args.zeros)
-            nu = tuple(int(x) for x in args.nu.split(","))
+            nu = _parse_list(args.nu, int)
         else:
             raise DomainError("provide either --config or both --zeros and --nu")
+        v, ev = _toolchain(domain, args)
         config = make_zero_config(v.model, zeros, nu)
         f = build_proper_map(ev, v, config)
         dev = boundary_modulus_deviation(f, args.samples)
@@ -272,15 +297,11 @@ def _dispatch(args) -> int:
 
     if cmd == "from-boundary":
         domain = _load_domain(args.domain)
+        interior = _parse_complex(args.interior)
+        points = [_parse_point(tok) for tok in args.points.split()]
+        lambdas = _parse_list(args.lambdas, float) if args.lambdas else None
         v, ev = _toolchain(domain, args)
-        points = []
-        for tok in args.points.split():
-            circle, pt = tok.split(":")
-            points.append((int(circle), _parse_complex(pt)))
-        lambdas = None
-        if args.lambdas:
-            lambdas = [float(x) for x in args.lambdas.split(",")]
-        f = from_boundary_data(ev, v, _parse_complex(args.interior), points, lambdas)
+        f = from_boundary_data(ev, v, interior, points, lambdas)
         res = f.diagnostics["prescribed_point_residual"]
         print(f"prescribed-point residual = {_fmt(res)}")
         print(f"continuation t = {_fmt(f.diagnostics['t'])}")
@@ -296,8 +317,8 @@ def _dispatch(args) -> int:
     # no prime function or first-kind integrals
     if cmd == "cball-dist":
         domain = _load_domain(args.domain)
-        model = solve_harmonic_measures(domain, order=args.basis)
         base, target = _parse_complex(args.base), _parse_complex(args.target)
+        model = solve_harmonic_measures(domain, order=args.basis)
         res = mobius_distance(model, None, None, base, target, DistanceOptions(seed=args.seed))
         try:
             c = _atanh_checked(res)
@@ -318,10 +339,11 @@ def _dispatch(args) -> int:
 
     if cmd == "cball-raster":
         domain = _load_domain(args.domain)
+        center = _parse_complex(args.center)
+        bbox = _parse_list(args.bbox, float, 4)
         model = solve_harmonic_measures(domain, order=args.basis)
-        bbox = tuple(float(x) for x in args.bbox.split(","))
         opts = DistanceOptions(seed=args.seed, refine_cap=args.refine_cap)
-        raster = ball_raster(model, None, None, _parse_complex(args.center), args.r,
+        raster = ball_raster(model, None, None, center, args.r,
                              bbox=bbox, resolution=args.res, opts=opts)
         print(f"components: {raster.component_count()}")
         if raster.diagnostics:
@@ -337,8 +359,8 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "find-witness":
-        radii = tuple(float(x) for x in args.radii.split(","))
-        depths = tuple(float(x) for x in args.depths.split(","))
+        radii = _parse_list(args.radii, float)
+        depths = _parse_list(args.depths, float)
         witness = find_disconnected_ball(
             shrink_radii=radii, p_depths=depths, resolution=args.res,
             opts=DistanceOptions(seed=args.seed), order=args.basis,

@@ -334,9 +334,12 @@ def _atanh_checked(res: DistanceResult) -> float:
 
 def product_distance(c1: float, lam: complex) -> float:
     """Caratheodory distance on a product with a disk factor:
-    max of the first-factor distance and atanh|lambda|."""
+    max of the first-factor distance and atanh|lambda|, lambda in the open
+    unit disk."""
     if c1 < 0:
         raise DomainError("distances are nonnegative")
+    if not abs(lam) < 1:
+        raise DomainError(f"lambda = {lam} is not in the unit disk")
     return max(c1, math.atanh(abs(lam)))
 
 
@@ -375,8 +378,8 @@ class BallRaster:
 
     def pixel_of(self, z: complex) -> tuple[int, int]:
         x0, y0, x1, y1 = self.bbox
-        ix = int((z.real - x0) / (x1 - x0) * self.nx)
-        iy = int((z.imag - y0) / (y1 - y0) * self.ny)
+        ix = math.floor((z.real - x0) / (x1 - x0) * self.nx)
+        iy = math.floor((z.imag - y0) / (y1 - y0) * self.ny)
         if not (0 <= ix < self.nx and 0 <= iy < self.ny):
             raise ResolutionError(f"point {z} outside the raster bbox")
         return iy, ix
@@ -556,14 +559,13 @@ def ball_raster(
     idx = np.nonzero(inside)[0]
     vals = np.zeros(len(idx))
 
-    family: list = []
     argmax_member = np.zeros(len(idx), dtype=np.int32)
     if search.g == 0:
         pz = zs[idx]
         vals = np.abs((pz - search.p) / (1 - np.conj(search.p) * pz))
     else:
         coarse, fine = _build_family(search, _COARSE_ANGLES, _FINE_ANGLES)
-        family = coarse + fine
+        family = np.concatenate([coarse, fine])
         for lo in range(0, len(idx), _RASTER_CHUNK):
             zchunk = zs[idx[lo : lo + _RASTER_CHUNK]]
             # -log|f| = G(., p_tilde) + sum_k G(., p_k): the envelope is the
@@ -594,28 +596,29 @@ def ball_raster(
     return raster
 
 
-def _build_family(search: _ExtremalSearch, *n_angles: int) -> list[list]:
+def _build_family(search: _ExtremalSearch, *n_angles: int) -> list[np.ndarray]:
     """Solve the chart for deterministic grids of foot angles, n_angles^g
-    charts each, all in one batch; returns one list of zero tuples per grid
-    (failed chart points are skipped)."""
+    charts each, all in one batch; returns one (members, g) array of zeros
+    per grid (failed chart points are skipped)."""
     g = search.g
     combos = [np.stack([a.ravel() for a in np.meshgrid(
         *[np.arange(n) * (2 * np.pi / n)] * g, indexing="ij")], axis=1) for n in n_angles]
     pts, _, ok, _ = search.solve_depths(np.concatenate(combos))
     ends = np.cumsum([0] + [len(c) for c in combos])
-    return [[tuple(complex(z) for z in row) for row in pts[a:b][ok[a:b]]]
-            for a, b in zip(ends, ends[1:])]
+    return [pts[a:b][ok[a:b]] for a, b in zip(ends, ends[1:])]
 
 
-def _member_min(search: _ExtremalSearch, z: np.ndarray, members, base: np.ndarray):
-    """base + the smallest sum_k G(z, p_k) over the members' zero sets, with
-    the index of the member attaining it.  One fit serves the whole (pixels,
-    zeros) Green matrix: by G(z, p) = G(p, z) it fits the smaller side, the
-    pixels when they are fewer than the zeros (as ``GreenFunction.paired``
-    fits the polish's pixels), else the zeros."""
-    if not members:
+def _member_min(search: _ExtremalSearch, z: np.ndarray, members: np.ndarray,
+                base: np.ndarray):
+    """base + the smallest sum_k G(z, p_k) over the members' zero sets (the
+    rows of ``members``), with the index of the member attaining it.  One
+    fit serves the whole (pixels, zeros) Green matrix: by G(z, p) = G(p, z)
+    it fits the smaller side, the pixels when they are fewer than the zeros
+    (as ``GreenFunction.paired`` fits the polish's pixels), else the
+    zeros."""
+    if not len(members):
         return np.full(len(z), np.inf), np.zeros(len(z), dtype=np.int32)
-    zeros = np.asarray(members, dtype=complex).ravel()  # (members, g), flattened
+    zeros = members.ravel()
     green = search.green(zeros, z).T if len(z) < len(zeros) else search.green(z, zeros)
     sums = green.reshape(len(z), len(members), -1).sum(axis=2)
     best = np.argmin(sums, axis=1).astype(np.int32)
@@ -641,7 +644,7 @@ def _refine_band(raster, search, opts, idx, argmax_member, family, zs) -> dict:
     d = search.domain
     # a charted zero sits on the normal ray of its circle: the foot angle is
     # the argument of (zero - center), the depth its distance to the circle
-    offsets = np.asarray(family)[argmax_member[np.searchsorted(idx, order)]] - d.centers
+    offsets = family[argmax_member[np.searchsorted(idx, order)]] - d.centers
     for lo in range(0, len(order), _ASCENT_ROWS):
         part = slice(lo, lo + _ASCENT_ROWS)
         run = search.ascend(zs[order[part]], np.angle(offsets[part]), opts.refine_maxiter,

@@ -13,8 +13,9 @@ images of the domain under the words of length L become small.
 ``tail_estimate`` gives that size exactly: the image of the domain under a
 Moebius map is bounded by image circles, and each image circle's diameter
 is the distance between the images of two points of its circle
-(``_max_diameter``).  ``adaptive_ball`` grows the ball one level at a time
-until the estimate falls below a tolerance.
+(``_max_diameter``).  One builder, ``word_ball``, grows the ball and its
+Moebius table one level at a time: to a given length, or until the
+estimate falls below a tolerance.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ __all__ = [
     "generators",
     "enumerate_words",
     "realize",
-    "realize_all",
+    "word_ball",
     "tail_estimate",
-    "adaptive_ball",
     "word_inverse",
     "is_reduced",
     "ball_size",
@@ -64,23 +64,17 @@ def ball_size(g: int, max_length: int) -> int:
 
 @dataclass(frozen=True)
 class WordEnumeration:
-    """All reduced words up to ``max_length``, canonically ordered, with the
-    half-set mask over the non-identity words.
+    """The reduced words of a ball, canonically ordered, with the half-set
+    mask over the non-identity words."""
 
-    Row i of the ball also carries, as arrays, the index ``parent[i]`` of
-    the word without its last letter (-1 for the identity), that last letter
-    ``letter[i]`` (0 for the identity) and the word's ``length[i]``: the
-    level structure the realization runs over.  ``enumerate_words`` builds
-    them with the words.
-    """
-
-    g: int
-    max_length: int
     words: tuple[GroupWord, ...]
     half_set_mask: np.ndarray
-    parent: np.ndarray
-    letter: np.ndarray
-    length: np.ndarray
+
+    @property
+    def max_length(self) -> int:
+        """The length of the longest word: 0 on the disk, whose group is
+        trivial, whatever length the ball was asked for."""
+        return len(self.words[-1])
 
     def __len__(self) -> int:
         return len(self.words)
@@ -109,7 +103,7 @@ def enumerate_words(g: int, max_length: int) -> WordEnumeration:
     if g < 0 or max_length < 0:
         raise DomainError("g and max_length must be nonnegative")
     _check_cap(g, max_length)
-    return _assemble(g, max_length, islice(_levels(g), max_length))
+    return _assemble(g, islice(_levels(g), max_length))
 
 
 def _check_cap(g: int, max_length: int) -> None:
@@ -139,21 +133,15 @@ def _levels(g: int):
         yield parent, ranks, ranks[rows, first] < inverse[rows, first]
 
 
-def _assemble(g: int, max_length: int, levels) -> WordEnumeration:
+def _assemble(g: int, levels) -> WordEnumeration:
     """The enumeration of the identity followed by the given levels."""
     by_rank = np.array([j for k in range(1, g + 1) for j in (k, -k)], dtype=np.intp)
     words: list[GroupWord] = [()]
-    masks, parents, letters, lengths = [[False]], [[-1]], [[0]], [[0]]
-    start, size = 0, 1  # first row and size of the level before
-    for parent, ranks, half in levels:
+    masks = [[False]]
+    for _, ranks, half in levels:
         words.extend(map(tuple, by_rank[ranks].tolist()))
         masks.append(half)
-        parents.append(parent + start)
-        letters.append(by_rank[ranks[:, -1]])
-        lengths.append(np.full(len(ranks), ranks.shape[1]))
-        start, size = start + size, len(ranks)
-    return WordEnumeration(g, max_length, tuple(words), *(
-        np.concatenate(x) for x in (masks, parents, letters, lengths)))
+    return WordEnumeration(tuple(words), np.concatenate(masks))
 
 
 def generators(d: CircularDomain) -> list[MobiusMap]:
@@ -182,25 +170,6 @@ def realize(d: CircularDomain, w: GroupWord) -> MobiusMap:
             gen = gen.inverse().normalized()
         m = mobius_compose(m, gen)
     return m
-
-
-def realize_all(d: CircularDomain, enum: WordEnumeration) -> np.ndarray:
-    """Coefficients of every enumerated word's map, shape (4, len(enum)):
-    rows a, b, c, d of (a z + b) / (c z + d), the identity included.
-
-    One level per batch: each word is its parent's map composed with the
-    generator of its last letter (see ``_compose``), so the table equals
-    the scalar chain of ``mobius_compose`` calls bit for bit.
-    """
-    table = np.empty((4, len(enum)), dtype=complex)
-    table[:, enum.length == 0] = _IDENTITY
-    gens = _generator_table(d)
-    for k in range(1, enum.max_length + 1):
-        rows = np.flatnonzero(enum.length == k)
-        letter = enum.letter[rows]
-        table[:, rows] = _compose(table[:, enum.parent[rows]],
-                                  gens[:, 2 * (np.abs(letter) - 1) + (letter < 0)])
-    return table
 
 
 _IDENTITY = np.array([[1.0], [0.0], [0.0], [1.0]], dtype=complex)
@@ -245,12 +214,13 @@ def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def tail_estimate(d: CircularDomain, length: int) -> float:
     """Truncation control: the largest Euclidean diameter of w(closure of the
     domain) over the half-set words w of exactly the given length, in closed
-    form (``_max_diameter``).  For g = 0 or length 0 there are no such
-    words and the estimate is 0.
+    form (``_max_diameter``), read off the last level of ``word_ball``'s
+    table.  For g = 0 or length 0 there are no such words and the estimate
+    is 0.
     """
-    enum = enumerate_words(d.g, length)
-    table = realize_all(d, enum)
-    return _max_diameter(d, table[:, (enum.length == length) & enum.half_set_mask])
+    enum, table, _ = word_ball(d, length)
+    start = ball_size(d.g, length - 1)
+    return _max_diameter(d, table[:, start:][:, enum.half_set_mask[start:]])
 
 
 def _max_diameter(d: CircularDomain, maps: np.ndarray) -> float:
@@ -291,26 +261,43 @@ _TAIL_TOL = 1e-10  # the adaptive word length is the smallest whose tail is belo
 _MAX_LENGTH = 8  # ... and at most this
 
 
-def adaptive_ball(d: CircularDomain) -> tuple[int, float, WordEnumeration, np.ndarray]:
-    """The smallest word length whose tail estimate is below ``_TAIL_TOL``,
-    capped at ``_MAX_LENGTH`` and at the largest length whose word ball fits
-    ``word_cap()``: returns (length, achieved tail estimate, the word ball at
-    that length, its ``realize_all`` table).  The ball is grown one level
-    per length tried: each level is enumerated and realized once, and its
-    tail estimate read off its half-set columns."""
-    if d.g == 0:
-        return 0, 0.0, enumerate_words(0, 0), _IDENTITY.copy()
-    top = max((L for L in range(1, _MAX_LENGTH + 1)
-               if L == 1 or ball_size(d.g, L) <= word_cap()), default=0)
+def word_ball(d: CircularDomain, max_length: int | None = None
+              ) -> tuple[WordEnumeration, np.ndarray, float | None]:
+    """The word ball of the domain's group with its Moebius table, grown one
+    level at a time: returns (the words, their table, the tail estimate).
+
+    The table has shape (4, len(words)), rows a, b, c, d of
+    (a z + b) / (c z + d) over every word, the identity included.  Each
+    level is composed in one batch, every word's map being its parent's
+    composed with the generator of its last letter (``_compose``), so the
+    table equals the scalar chain of ``mobius_compose`` calls bit for bit.
+
+    With ``max_length`` the ball takes that many levels and computes no
+    tail (None).  Without it the length is adaptive: the ball stops at the
+    first level whose tail estimate, read off its half-set columns, is
+    below ``_TAIL_TOL``, or at ``_MAX_LENGTH``, or at the largest length
+    whose ball fits ``word_cap()``, and returns that level's tail.  On the
+    disk every level is empty, so the ball is the identity.
+
+    Raises ResourceLimitError, before allocating anything, when the ball
+    would exceed the cap.
+    """
+    if max_length is None:
+        top = max(L for L in range(1, _MAX_LENGTH + 1)
+                  if L == 1 or ball_size(d.g, L) <= word_cap())
+    elif max_length < 0:
+        raise DomainError("max_length must be nonnegative")
+    else:
+        top = max_length
     _check_cap(d.g, top)
     gens = _generator_table(d)
-    levels, tables = [], [_IDENTITY]
-    length, est = 0, np.inf
-    for length, level in zip(range(1, top + 1), _levels(d.g)):
+    levels, tables, tail = [], [_IDENTITY], None
+    for level in islice(_levels(d.g), top):
         parent, ranks, half = level
         tables.append(_compose(tables[-1][:, parent], gens[:, ranks[:, -1]]))
         levels.append(level)
-        est = _max_diameter(d, tables[-1][:, half])
-        if est < _TAIL_TOL:
-            break
-    return length, est, _assemble(d.g, length, levels), np.concatenate(tables, axis=1)
+        if max_length is None:
+            tail = _max_diameter(d, tables[-1][:, half])
+            if tail < _TAIL_TOL:
+                break
+    return _assemble(d.g, levels), np.concatenate(tables, axis=1), tail

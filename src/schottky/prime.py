@@ -46,14 +46,7 @@ import numpy as np
 
 from .domain import CircularDomain, _pointwise, validate_domain
 from .errors import DomainError, SingularEvaluationError
-from .group import (
-    _TAIL_TOL,
-    WordEnumeration,
-    adaptive_ball,
-    enumerate_words,
-    generators,
-    realize_all,
-)
+from .group import _TAIL_TOL, generators, word_ball
 
 __all__ = ["PrimeEvaluator", "RatioProduct"]
 
@@ -75,14 +68,14 @@ class PrimeEvaluator:
     """Holds the realized word ball of the Schottky group and evaluates the
     truncated prime-function product.
 
-    The ball is realized once, as ``mobius_table`` (the ``realize_all``
-    table: rows a, b, c, d over every enumerated word, identity included);
-    the prime-function products run over its half-set columns, and
+    The ball is realized once, by ``group.word_ball``, as ``mobius_table``
+    (rows a, b, c, d over every word of the ball, identity included); the
+    prime-function products run over its half-set columns, and
     ``ball_blaschke`` (behind ``lift_blaschke`` and the group-averaged
     Blaschke route of the slit maps) over all of it.
 
     The evaluator is immutable after construction, so one evaluator can
-    serve any number of threads.  For g = 0 it is trivial and
+    serve any number of threads.  For g = 0 the ball is the identity and
     omega(z, y) = z - y exactly.
 
     Parameters
@@ -93,44 +86,21 @@ class PrimeEvaluator:
         Truncation level L.  When omitted, the smallest L <= 8 whose tail
         estimate is below 1e-10 (``group._TAIL_TOL``) is chosen; a warning is
         issued if no L up to 8 whose word ball fits the word cap reaches it.
-    enumeration:
-        Optional explicit word enumeration (used e.g. to test independence
-        of the half-set choice).
     """
 
-    def __init__(
-        self,
-        domain: CircularDomain,
-        max_word_length: int | None = None,
-        enumeration: WordEnumeration | None = None,
-    ):
+    def __init__(self, domain: CircularDomain, max_word_length: int | None = None):
         report = validate_domain(domain)
         if not report.is_valid:
             raise DomainError("invalid domain: " + "; ".join(report.messages))
         self.domain = domain
-
-        table = None
-        if enumeration is not None:
-            if enumeration.g != domain.g:
-                raise DomainError(
-                    f"enumeration of {enumeration.g} generators for a domain with {domain.g}")
-            if max_word_length is not None and enumeration.max_length != max_word_length:
-                raise DomainError("enumeration length disagrees with max_word_length")
-        elif domain.g == 0:
-            enumeration = enumerate_words(0, 0)
-        elif max_word_length is None:
-            max_word_length, tail, enumeration, table = adaptive_ball(domain)
-            if tail >= _TAIL_TOL:
-                warnings.warn(
-                    f"tail estimate {tail:.2e} above {_TAIL_TOL:.1e} at L={max_word_length}",
-                    stacklevel=2,
-                )
-        else:
-            enumeration = enumerate_words(domain.g, max_word_length)
-        self.enumeration = enumeration
-        self.max_word_length = enumeration.max_length
-        self.mobius_table = realize_all(domain, enumeration) if table is None else table
-        self._half = self.mobius_table[:, enumeration.half_set_mask]
+        self.enumeration, self.mobius_table, tail = word_ball(domain, max_word_length)
+        self.max_word_length = self.enumeration.max_length
+        if tail is not None and tail >= _TAIL_TOL:  # only the adaptive length has a tail
+            warnings.warn(
+                f"tail estimate {tail:.2e} above {_TAIL_TOL:.1e} at L={self.max_word_length}",
+                stacklevel=2,
+            )
+        self._half = self.mobius_table[:, self.enumeration.half_set_mask]
         self._gens = generators(domain)
 
     @property

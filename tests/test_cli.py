@@ -100,6 +100,32 @@ def test_from_boundary_triply(tmp_path):
     assert payload["prescribed_point_residual"] < 1e-4
 
 
+_MALFORMED = {
+    "complex": ["cball-dist", "--base", "0.3x", "--target", "0.1,0"],
+    "complex-pair": ["omega", "--z", "0.5,0,1", "--y", "0.1,0"],
+    "bbox-count": ["cball-raster", "--center", "0.5,0", "--r", "0.4", "--bbox", "1,2"],
+    "bbox-value": ["cball-raster", "--center", "0.5,0", "--r", "0.4", "--bbox", "0,0,x,1"],
+    "nu": ["proper-build", "--zeros", "0.5,0 -0.5,0", "--nu", "1,a"],
+    "zeros": ["proper-eval", "--zeros", "0.5,0 -0.5;0", "--nu", "1,1", "--at", "0.5,0"],
+    "points": ["from-boundary", "--interior", "0,0.5", "--points", "0-1,0 1:0.25,0"],
+    "points-circle": ["from-boundary", "--interior", "0,0.5", "--points", "a:1,0"],
+    "lambdas": ["from-boundary", "--interior", "0,0.5", "--points", "0:1,0 1:0.25,0",
+                "--lambdas", "1;2"],
+    "radii": ["find-witness", "--radii", "0.1,x"],
+    "depths": ["find-witness", "--depths", ""],
+}
+
+
+@pytest.mark.parametrize("argv", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_values_are_domain_errors(annulus_file, capsys, argv):
+    # a value the CLI splits or converts itself exits 1 with a message, not
+    # with a traceback
+    if argv[0] != "find-witness":
+        argv = [argv[0], "--domain", annulus_file, *argv[1:]]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("domain error: ")
+
+
 def test_cball_dist(annulus_file, tmp_path):
     out_path = str(tmp_path / "dist.json")
     code = main(["cball-dist", "--domain", annulus_file, "--base", "0.5,0",

@@ -119,8 +119,6 @@ _UNSET_SETTINGS = {
         "witness geometry, kept for a sweep over geometries",
     "distance.find_disconnected_ball(zeta_gap)":
         "witness geometry, kept for a sweep over geometries",
-    "prime.PrimeEvaluator(enumeration)":
-        "lets test_prime substitute a mirrored half set",
     "distance.caratheodory_distance(opts)": "mirrors mobius_distance(opts)",
     "propermaps.boundary_degree(samples)":
         "a pinned map in test_propermaps needs 4096 samples",
@@ -234,8 +232,6 @@ _DISK_BRANCHES = {
     "harmonic.HarmonicModel.normal_derivative_matrix: g":
         "the condition number of an empty matrix",
     "group.enumerate_words: g < 0": "the input check",
-    "group.adaptive_ball: d.g == 0": "the disk's ball is the identity at L = 0",
-    "prime.PrimeEvaluator.__init__: domain.g == 0": "the disk's ball is the identity at L = 0",
     "prime.PrimeEvaluator.functional_equation_residual: self.domain.g == 0":
         "vacuous: there is no generator j",
     "slitmaps.eta_j_relation_residual: ev.domain.g == 0": "vacuous: there is no circle j",

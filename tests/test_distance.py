@@ -17,7 +17,12 @@ from schottky.distance import (
 )
 from schottky.distance import _FOUR_CONN, _label_components, _shifts
 from schottky.domain import Circle, CircularDomain
-from schottky.errors import AdmissibilityError, DomainError, TruncationQualityError
+from schottky.errors import (
+    AdmissibilityError,
+    DomainError,
+    ResolutionError,
+    TruncationQualityError,
+)
 from schottky.harmonic import GreenFunction, solve_harmonic_measures
 from schottky.propermaps import build_proper_map, make_zero_config
 
@@ -122,6 +127,21 @@ def test_product_distance():
     assert product_distance(0.1, 0.5) == pytest.approx(math.atanh(0.5))
     with pytest.raises(DomainError):
         product_distance(-0.1, 0.2)
+    # the disk factor's distance is finite only inside the unit disk
+    for lam in (1.0, 0.5 + 1j, -2.0):
+        with pytest.raises(DomainError):
+            product_distance(0.5, lam)
+
+
+def test_pixel_of_refuses_points_off_the_grid():
+    raster = BallRaster((-1.0, -1.0, 1.0, 1.0), 20, 20, 0j, 0.5, np.full((20, 20), np.nan))
+    assert raster.pixel_of(-1 - 1j) == (0, 0)
+    assert raster.pixel_of(0.999 + 0.999j) == (19, 19)
+    assert raster.pixel_of(-0.05 + 0.95j) == (19, 9)
+    # less than a pixel beyond the left or lower edge is off the grid too
+    for z in (-1.001 - 1.001j, -1.001 + 0j, -1.001j, 1.0 + 0j, 1j):
+        with pytest.raises(ResolutionError):
+            raster.pixel_of(z)
 
 
 def test_product_distance_ball_is_product_of_balls():

@@ -10,13 +10,12 @@ from schottky import group
 from schottky.domain import Circle, CircularDomain, MobiusMap, mobius_compose
 from schottky.errors import DomainError, ResourceLimitError
 from schottky.group import (
-    adaptive_ball,
     ball_size,
     enumerate_words,
     generators,
     realize,
-    realize_all,
     tail_estimate,
+    word_ball,
     word_inverse,
 )
 from schottky.prime import PrimeEvaluator
@@ -86,6 +85,13 @@ def test_word_cap():
         enumerate_words(3, 9)
 
 
+def test_negative_lengths_are_refused():
+    for build in (lambda: enumerate_words(2, -1), lambda: word_ball(TRIPLY, -1),
+                  lambda: PrimeEvaluator(TRIPLY, -1)):
+        with pytest.raises(DomainError):
+            build()
+
+
 def test_realize_identity_and_powers():
     m = realize(ANNULUS, (1, 1))
     assert m(1.0) == pytest.approx(0.25**4)
@@ -127,8 +133,7 @@ def test_realize_inverse_matches_mobius_inverse():
 
 
 def test_realize_all_matches_realize():
-    enum = enumerate_words(2, 3)
-    a, b, c, d = realize_all(TRIPLY, enum)
+    enum, (a, b, c, d), _ = word_ball(TRIPLY, 3)
     z = 0.3 + 0.2j
     for i in range(0, len(enum), 7):
         direct = realize(TRIPLY, enum.words[i])
@@ -154,13 +159,17 @@ def test_tail_estimate_monotone_on_triply():
 def test_adaptive_word_length(monkeypatch):
     # annulus tails decay like 2 r^(2L): the 1e-10 target needs L = 9, so
     # the adaptive search stops at the cap
-    L, est, _, _ = adaptive_ball(ANNULUS)
-    assert L == 8
+    enum, _, est = word_ball(ANNULUS)
+    assert enum.max_length == 8
     assert est == pytest.approx(2 * 0.25**16, rel=1e-14)
     monkeypatch.setattr(group, "_TAIL_TOL", 1e-8)
-    L, est, _, _ = adaptive_ball(ANNULUS)
-    assert L == 7 and est < 1e-8
-    assert adaptive_ball(CircularDomain())[:2] == (0, 0.0)
+    enum, _, est = word_ball(ANNULUS)
+    assert enum.max_length == 7 and est < 1e-8
+    # on the disk the first level is empty, and its tail is 0
+    enum, _, est = word_ball(CircularDomain())
+    assert (enum.max_length, est) == (0, 0.0)
+    # a fixed length computes no tail
+    assert word_ball(ANNULUS, 3)[2] is None
 
 
 def test_adaptive_word_length_stops_at_the_word_cap(monkeypatch):
@@ -169,8 +178,8 @@ def test_adaptive_word_length_stops_at_the_word_cap(monkeypatch):
     # that length's tail, so the evaluator warns instead of raising
     dom = FOUR
     monkeypatch.setenv("SCHOTTKY_MAX_WORDS", "200")
-    L, est, _, _ = adaptive_ball(dom)
-    assert L == 3
+    enum, _, est = word_ball(dom)
+    assert enum.max_length == 3
     assert est == tail_estimate(dom, 3) and est > 1e-10
     with pytest.warns(UserWarning, match="tail estimate"):
         ev = PrimeEvaluator(dom)
@@ -197,7 +206,7 @@ def _loop_enumeration(g, L):
 
 def _chain_maps(d, words):
     """Reference: every word's map by one scalar ``mobius_compose`` onto its
-    parent's, with the generators normalized as ``realize_all`` takes them."""
+    parent's, with the generators normalized as ``word_ball`` takes them."""
     gens = [g.normalized() for g in generators(d)]
     invs = [g.inverse().normalized() for g in gens]
     out = {(): MobiusMap.identity()}
@@ -278,18 +287,15 @@ def test_enumeration_matches_word_loop(g, L):
     words, mask = _loop_enumeration(g, L)
     assert enum.words == words
     assert np.array_equal(enum.half_set_mask, mask)
-    # the level arrays describe the same words
-    assert enum.length.tolist() == [len(w) for w in words]
-    assert enum.letter.tolist() == [w[-1] if w else 0 for w in words]
-    assert [words[p] if p >= 0 else None for p in enum.parent] == [
-        w[:-1] if w else None for w in words]
+    assert enum.max_length == (L if g else 0)
 
 
 @pytest.mark.parametrize("d", [ANNULUS, TRIPLY, FOUR], ids=["annulus", "triply", "four"])
 def test_realize_all_is_the_scalar_chain_bit_for_bit(d):
     for L in range(7):
-        enum = enumerate_words(d.g, L)
-        assert _same_bits(realize_all(d, enum), _chain_table(d, enum.words)), L
+        enum, table, _ = word_ball(d, L)
+        assert enum.words == enumerate_words(d.g, L).words
+        assert _same_bits(table, _chain_table(d, enum.words)), L
 
 
 def test_word_cap_raises_before_allocating(monkeypatch):
@@ -298,9 +304,13 @@ def test_word_cap_raises_before_allocating(monkeypatch):
     try:
         with pytest.raises(ResourceLimitError):
             enumerate_words(3, 12)
+        with pytest.raises(ResourceLimitError):
+            word_ball(FOUR, 12)
         monkeypatch.setenv("SCHOTTKY_MAX_WORDS", "100")
         with pytest.raises(ResourceLimitError):
             enumerate_words(2, 6)
+        with pytest.raises(ResourceLimitError):
+            word_ball(TRIPLY, 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -322,32 +332,29 @@ def test_tail_estimate_matches_word_loop(d):
 def test_tail_diameters_match_mpmath(d):
     # every word of length 1 to 3, its diameter against the exact
     # composition; the double word table costs about 1e-10 here
-    enum = enumerate_words(d.g, 3)
-    table = realize_all(d, enum)
+    enum, table, _ = word_ball(d, 3)
     words = range(1, len(enum))
     ours = [group._max_diameter(d, table[:, [i]]) for i in words]
     ref = _mp_diameters(d, [enum.words[i] for i in words])
     assert np.max(np.abs(np.array(ours) / ref - 1)) <= 1e-9
     for L in range(1, 4):
-        level = (enum.length == L) & enum.half_set_mask
-        assert tail_estimate(d, L) == max(x for x, i in zip(ours, words) if level[i])
+        assert tail_estimate(d, L) == max(x for x, i in zip(ours, words)
+                                          if len(enum.words[i]) == L and enum.half_set_mask[i])
 
 
 def test_adaptive_ball_is_the_enumerated_ball(monkeypatch):
-    # grown one level per length tried, with the tail of each level read off
-    # its table: the same length, tail, words and table as enumerating and
-    # realizing the ball at that length
+    # the adaptive length stops where a level's tail, read off its table, is
+    # small: the same tail as the word loop's, and the words and table of
+    # the scalar chain at that length
     for d, cap, length in ((ANNULUS, None, 8), (TRIPLY, None, 7), (FOUR, "1000", 4)):
         if cap:
             monkeypatch.setenv("SCHOTTKY_MAX_WORDS", cap)
-        L, est, enum, table = adaptive_ball(d)
-        ref = enumerate_words(d.g, L)
-        assert L == length
-        assert est == _loop_two_point_tail(d, L) == tail_estimate(d, L)
-        assert enum.max_length == L and enum.words == ref.words
-        for name in ("half_set_mask", "parent", "letter", "length"):
-            assert np.array_equal(getattr(enum, name), getattr(ref, name))
-        assert _same_bits(table, realize_all(d, ref))
+        enum, table, est = word_ball(d)
+        words, mask = _loop_enumeration(d.g, length)
+        assert enum.max_length == length
+        assert est == _loop_two_point_tail(d, length) == tail_estimate(d, length)
+        assert enum.words == words and np.array_equal(enum.half_set_mask, mask)
+        assert _same_bits(table, _chain_table(d, words))
 
 
 def test_evaluator_reads_one_table():

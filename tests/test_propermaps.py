@@ -230,7 +230,7 @@ def test_level_depths_match_bisection(case):
     solved, res, _ = _solve_chart(model, feet, dirs, search.targets, reference)
     ok = res < _CHART_TOL
     coarse, fine = _build_family(search, 6, 12)
-    family = np.array(coarse + fine)
+    family = np.concatenate([coarse, fine])
     assert len(family) == ok.sum()
     assert np.max(np.abs(family - (feet + solved * dirs)[ok])) < 1e-12
 
