@@ -9,7 +9,9 @@ member of P lives on a chart line normal to one inner circle: the search
 moves the g foot angles, and the g depths are re-solved from the zero
 condition at every step.  With log|f| = -sum_k G(., p_k) from the domain's
 Green's function, the objective and its gradient along the chart are closed
-form, and one batched BFGS ascent climbs many (point, start) rows at once.
+form, and one batched BFGS ascent climbs many (point, start) rows at once,
+each from the inverse of its seed chart's Hessian, forward differences of
+that gradient, where it is positive definite.
 
 Rasters of the distance over a pixel grid drive the connectivity analysis:
 a sweep over a deterministic family of charted zero sets gives a sharp
@@ -157,19 +159,46 @@ class _ExtremalSearch:
         grad = np.real(dg * turn) - np.einsum("bkj,bj->bk", j_phi, x)
         return val.sum(axis=1), grad
 
+    def _hessian(self, green, rows, phi, s, grad=None):
+        """Hessians (B, g, g) of F in the foot angles at the rows' solved
+        charts (angles phi, depths s), from differences of the closed-form
+        gradient at phi +- ``_FD_STEP`` e_i, symmetrized: forward against
+        the gradient ``grad`` at phi when given (g perturbed charts per
+        row), central otherwise (2g).  All perturbed charts are one chart
+        solve warm-started from s; ok per row where every one solved."""
+        b, g = phi.shape
+        signs = (1.0,) if grad is not None else (1.0, -1.0)
+        offsets = np.concatenate([sign * _FD_STEP * np.eye(g) for sign in signs])
+        m = len(offsets)
+        trial = (phi[:, None, :] + offsets).reshape(-1, g)
+        pts, s_t, ok, du = self.solve_depths(trial, np.repeat(s, m, axis=0))
+        turned = np.zeros((b * m, g))  # the gradients at the perturbed charts
+        if ok.any():
+            turned[ok] = self._objective(green, np.repeat(rows, m)[ok], pts[ok], trial[ok],
+                                         s_t[ok], du[ok])[1]
+        turned = turned.reshape(b, m, g)
+        if grad is None:
+            hess = (turned[:, :g] - turned[:, g:]) / (2 * _FD_STEP)
+        else:
+            hess = (turned - grad[:, None, :]) / _FD_STEP
+        return 0.5 * (hess + hess.transpose(0, 2, 1)), ok.reshape(b, m).all(axis=1)
+
     def ascend(self, zetas, seed_angles, maxiter: int, seed_depths=None) -> _Ascent:
         """Maximize |f(zeta)| over the chart, one row per (point, start):
         minimize F = sum_k G(zeta, p_k) over the g foot angles.
 
-        Each row takes BFGS steps with the closed-form gradient, starting
-        (and restarting after an uphill direction) from a first step of
-        ``_FIRST_TURN`` radians, never more than ``_MAX_TURN`` radians per
-        angle, and halves its step when the trial chart fails or F does not
-        fall by the Armijo amount.  Every trial is one warm chart solve over
-        all active rows.  A row stops when its last angle step (radians, max
-        norm) is below ``_XATOL`` and the change of |f| it made below
-        ``_FATOL``, or after ``maxiter`` trials.  Stopped rows are frozen,
-        so a batch gives its rows' one-at-a-time results."""
+        Each row takes BFGS steps with the closed-form gradient, never more
+        than ``_MAX_TURN`` radians per angle, and halves its step when the
+        trial chart fails or F does not fall by the Armijo amount.  A row
+        starts from the inverse of its seed chart's Hessian (``_hessian``,
+        forward differences: one more chart solve over the seeded rows)
+        where every perturbed chart solved and that Hessian is positive
+        definite, and otherwise, as after an uphill direction, from a first
+        step of ``_FIRST_TURN`` radians.  Every trial is one warm chart
+        solve over all active rows.  A row stops when its last angle step
+        (radians, max norm) is below ``_XATOL`` and the change of |f| it
+        made below ``_FATOL``, or after ``maxiter`` trials.  Stopped rows
+        are frozen, so a batch gives its rows' one-at-a-time results."""
         g = self.g
         zetas = np.atleast_1d(np.asarray(zetas, dtype=complex))
         n = len(zetas)
@@ -182,6 +211,12 @@ class _ExtremalSearch:
         fval[rows], grad[rows] = self._objective(green, rows, zeros[rows], phi[rows], s[rows],
                                                  du[rows])
         inv_hess = _first_turn(grad)
+        evaluations = 1 + g * active
+        solves = 1 + bool(len(rows))
+        if len(rows):
+            hess, ok = self._hessian(green, rows, phi[rows], s[rows], grad[rows])
+            ok[ok] = np.linalg.eigvalsh(hess[ok])[:, 0] > 0
+            inv_hess[rows[ok]] = np.linalg.inv(hess[ok])
         step_len = np.ones(n)
         trials = np.zeros(n, dtype=int)
         capped = np.zeros(n, dtype=bool)
@@ -215,8 +250,8 @@ class _ExtremalSearch:
             _bfgs_update(inv_hess, acc, step[accept], g_t[accept] - gr[accept])
             phi[acc], s[acc], zeros[acc] = trial[accept], s_t[accept], pts[accept]
             fval[acc], grad[acc] = f_t[accept], g_t[accept]
-        return _Ascent(np.exp(-(base + fval)), np.mod(phi, 2 * np.pi), zeros, trials + 1,
-                       capped, iterations)
+        return _Ascent(np.exp(-(base + fval)), np.mod(phi, 2 * np.pi), zeros,
+                       trials + evaluations, capped, iterations, solves + iterations)
 
     def optimize(self, zeta: complex, opts: DistanceOptions) -> DistanceResult:
         """The multi-start ascent at one point: the starts are the rows of
@@ -256,15 +291,17 @@ _TRIALS_PER_ANGLE = 100  # trial steps per foot angle a row of one distance may 
 _MAX_TURN = 0.5  # radians: the longest step of one foot angle in one trial
 _XATOL = 1e-4  # radians: a row stops once its angle step is below this
 _FATOL = 1e-10  # ... and the change of |f| that step made is below this
-_FIRST_TURN = 0.1  # radians: a row's first step, before any curvature is known
+_FIRST_TURN = 0.1  # radians: a row's first step where no curvature is known
+_FD_STEP = 1e-5  # radians: the angle step of the seed Hessian's differences
 
 
 @dataclass(frozen=True)
 class _Ascent:
     """Per row: |f(zeta)| (0 where the seed chart failed), the angles and
-    zeros of the last accepted chart, chart evaluations, and whether the row
-    stopped at the cap; per batch: loop iterations (each one chart solve,
-    after the seed solve)."""
+    zeros of the last accepted chart, chart evaluations (the seed's g
+    Hessian charts included), and whether the row stopped at the cap; per
+    batch: loop iterations (each one chart solve) and chart solves (the
+    iterations', the seed's and the seed Hessian's)."""
 
     values: np.ndarray
     angles: np.ndarray
@@ -272,6 +309,7 @@ class _Ascent:
     evaluations: np.ndarray
     capped: np.ndarray
     iterations: int
+    chart_solves: int
 
 
 def _first_turn(grad: np.ndarray) -> np.ndarray:
@@ -651,7 +689,7 @@ def _refine_band(raster, search, opts, idx, argmax_member, family, zs) -> dict:
                             np.abs(offsets[part]) - d.radii)
         flat[order[part]] = np.fmax(flat[order[part]], run.values)
         stats["ascent_iterations"] += run.iterations
-        stats["chart_solves"] += run.iterations + 1
+        stats["chart_solves"] += run.chart_solves
         stats["capped"] += int(run.capped.sum())
     raster.values = flat.reshape(raster.ny, raster.nx)
     return stats

@@ -113,13 +113,16 @@ def test_target_point_must_be_interior(triply_tools, zeta):
         mobius_distance(t.model, t.ev, t.v, 0.3j, zeta)
 
 
-def test_stagnation_sets_warning_flag(annulus_tools, monkeypatch):
-    # one row of at most 2 trials (g = 1)
+def test_stagnation_sets_warning_flag(triply_tools, monkeypatch):
+    # one row (g = 2) that needs 4 trials from its seeded start: capped at
+    # 2 it warns, at 4 it converges without a warning
     monkeypatch.setattr(distance, "_N_STARTS", 1)
+    monkeypatch.setattr(distance, "_TRIALS_PER_ANGLE", 1)
+    t = triply_tools
+    res = mobius_distance(t.model, t.ev, t.v, 0.3j, 0.1 + 0.6j)
+    assert res.warning == "optimizer stagnation: supremum may only be approached"
     monkeypatch.setattr(distance, "_TRIALS_PER_ANGLE", 2)
-    t = annulus_tools
-    res = mobius_distance(t.model, t.ev, t.v, 0.5, -0.4j)
-    assert res.warning is not None
+    assert mobius_distance(t.model, t.ev, t.v, 0.3j, 0.1 + 0.6j).warning is None
 
 
 def test_product_distance():
@@ -350,6 +353,49 @@ def test_ascent_gradient_matches_central_difference(triply_tools):
         assert np.max(np.abs(grad[0] - diff)) < 1e-6 * np.max(np.abs(grad[0]))
 
 
+def test_seed_hessian_matches_central_difference(triply_tools):
+    from schottky.distance import _ExtremalSearch
+
+    search = _ExtremalSearch(triply_tools.model, 0.3j)
+    green = search.green.paired(np.array([-0.2 - 0.4j]))
+    row = np.array([0])
+    rng = np.random.default_rng(7)
+    h = 1e-4  # ten times the seed's step
+    for angles in rng.uniform(0, 2 * np.pi, size=(3, 2)):
+        pts, s, ok, du = search.solve_depths(angles[None, :])
+        _, grad = search._objective(green, row, pts, angles[None, :], s, du)
+        ref = np.array([(_chart_objective(search, green, angles + h * e)[1]
+                         - _chart_objective(search, green, angles - h * e)[1])[0] / (2 * h)
+                        for e in np.eye(2)])
+        for hess_grad, tol in ((grad, 1e-4), (None, 1e-6)):  # forward, central
+            hess, solved = search._hessian(green, row, angles[None, :], s, hess_grad)
+            assert solved.all() and np.array_equal(hess, hess.transpose(0, 2, 1))
+            assert np.max(np.abs(hess[0] - ref)) < tol * np.max(np.abs(ref))
+
+
+def test_indefinite_seed_hessian_keeps_the_first_turn(monkeypatch):
+    # the lead (1 - c* = 1e-6): every seeded row's Hessian has a negative
+    # eigenvalue, so each row starts from the first turn and the value is
+    # the first-turn ascent's, pinned bit for bit; the 5 seeded rows' 2
+    # Hessian charts each are counted
+    dom = CircularDomain((Circle(-0.5 + 0j, 0.3), Circle(0.4 + 0j, 1e-6)))
+    model = solve_harmonic_measures(dom, order=24)
+    hessians = []
+    hessian = distance._ExtremalSearch._hessian
+
+    def record(self, *args):
+        hess, solved = hessian(self, *args)
+        hessians.append((hess, solved.copy()))  # ascend narrows its copy in place
+        return hess, solved
+
+    monkeypatch.setattr(distance._ExtremalSearch, "_hessian", record)
+    res = mobius_distance(model, None, None, -0.8001, 0.40108)
+    (hess, solved), = hessians
+    assert solved.all() and np.all(np.linalg.eigvalsh(hess)[:, 0] < 0)
+    assert res.value == float.fromhex("0x1.ffffde84f604fp-1")  # 0.9999990021997379
+    assert res.evaluations == 251 + 5 * 2
+
+
 def test_objective_reads_the_chart_solves_gradients(triply_tools):
     from schottky.distance import _ExtremalSearch
 
@@ -390,14 +436,32 @@ def test_raster_band_pixels_reach_mobius_distance(triply_tools):
     assert len(band) == raster.diagnostics["polished"] > 0
     # 6^2 + 12^2 family charts, all solved, from one batched seed that
     # needs fewer evaluations than the 40 of a bisection; the polish reads
-    # the gradients of each chart solve (this is the benchmark's raster-g2)
+    # the gradients of each chart solve and starts from the seed charts'
+    # Hessians, one chart solve more than the seed's and the 4 trials' (this
+    # is the benchmark's raster-g2)
     assert raster.diagnostics == {"family_charts": [180, 180], "seed_evaluations": 7,
-                                  "polished": 8, "ascent_iterations": 9, "chart_solves": 10,
+                                  "polished": 8, "ascent_iterations": 4, "chart_solves": 6,
                                   "capped": 0}
     centers = raster.pixel_centers()
     for iy, ix in band:
         exact = mobius_distance(t.model, t.ev, t.v, 0.3j, complex(centers[iy, ix])).value
-        assert abs(raster.values[iy, ix] - exact) < 1e-8
+        assert abs(raster.values[iy, ix] - exact) < 1e-12
+
+
+def test_witness_family_band_reaches_mobius_distance():
+    # the shrinking-hole family at radius 1e-6: from a first turn of 0.1 rad
+    # the polish stopped 7.6e-8 to 1.05e-7 short on these pixels, no row
+    # capped; from the seed Hessian it reaches the multi-start value
+    dom = CircularDomain((Circle(-0.5 + 0j, 0.15), Circle(0.4 + 0j, 1e-6)))
+    model = solve_harmonic_measures(dom, order=24)
+    raster = ball_raster(model, None, None, 0.420001, 0.9, resolution=40)
+    assert raster.diagnostics["capped"] == 0
+    for z in (-0.375 + 0.575j, -0.375 + 0.625j, -0.375 + 0.675j):
+        for pixel in (z, z.conjugate()):
+            iy, ix = raster.pixel_of(pixel)
+            assert raster.pixel_centers()[iy, ix] == pytest.approx(pixel, abs=1e-15)
+            exact = mobius_distance(model, None, None, 0.420001, pixel).value
+            assert abs(raster.values[iy, ix] - exact) < 1e-11
 
 
 def _fine_band(triply_tools, resolution):
