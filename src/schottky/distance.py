@@ -159,29 +159,21 @@ class _ExtremalSearch:
         grad = np.real(dg * turn) - np.einsum("bkj,bj->bk", j_phi, x)
         return val.sum(axis=1), grad
 
-    def _hessian(self, green, rows, phi, s, grad=None):
+    def _hessian(self, green, rows, phi, s, grad):
         """Hessians (B, g, g) of F in the foot angles at the rows' solved
-        charts (angles phi, depths s), from differences of the closed-form
-        gradient at phi +- ``_FD_STEP`` e_i, symmetrized: forward against
-        the gradient ``grad`` at phi when given (g perturbed charts per
-        row), central otherwise (2g).  All perturbed charts are one chart
-        solve warm-started from s; ok per row where every one solved."""
+        charts (angles phi, depths s, gradients grad): forward differences
+        of the closed-form gradient at phi + ``_FD_STEP`` e_i, symmetrized.
+        The g perturbed charts per row are one chart solve warm-started
+        from s; ok per row where every one solved."""
         b, g = phi.shape
-        signs = (1.0,) if grad is not None else (1.0, -1.0)
-        offsets = np.concatenate([sign * _FD_STEP * np.eye(g) for sign in signs])
-        m = len(offsets)
-        trial = (phi[:, None, :] + offsets).reshape(-1, g)
-        pts, s_t, ok, du = self.solve_depths(trial, np.repeat(s, m, axis=0))
-        turned = np.zeros((b * m, g))  # the gradients at the perturbed charts
+        trial = (phi[:, None, :] + _FD_STEP * np.eye(g)).reshape(-1, g)
+        pts, s_t, ok, du = self.solve_depths(trial, np.repeat(s, g, axis=0))
+        turned = np.zeros((b * g, g))  # the gradients at the perturbed charts
         if ok.any():
-            turned[ok] = self._objective(green, np.repeat(rows, m)[ok], pts[ok], trial[ok],
+            turned[ok] = self._objective(green, np.repeat(rows, g)[ok], pts[ok], trial[ok],
                                          s_t[ok], du[ok])[1]
-        turned = turned.reshape(b, m, g)
-        if grad is None:
-            hess = (turned[:, :g] - turned[:, g:]) / (2 * _FD_STEP)
-        else:
-            hess = (turned - grad[:, None, :]) / _FD_STEP
-        return 0.5 * (hess + hess.transpose(0, 2, 1)), ok.reshape(b, m).all(axis=1)
+        hess = (turned.reshape(b, g, g) - grad[:, None, :]) / _FD_STEP
+        return 0.5 * (hess + hess.transpose(0, 2, 1)), ok.reshape(b, g).all(axis=1)
 
     def ascend(self, zetas, seed_angles, maxiter: int, seed_depths=None) -> _Ascent:
         """Maximize |f(zeta)| over the chart, one row per (point, start):
