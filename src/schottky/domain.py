@@ -67,16 +67,13 @@ def _frozen_array(values, dtype) -> np.ndarray:
 
 
 def _pointwise(fn, z, kind=complex):
-    """``fn`` applied to ``z`` as a 1-d complex array.  A scalar ``z`` gets
-    a scalar back: ``kind`` of the first entry of the result, or of each
-    array of a tuple result."""
+    """``fn`` applied to ``z`` raveled to a 1-d complex array, its result
+    shaped as ``z`` followed by the result's own trailing axes.  A scalar
+    ``z`` gets ``kind`` of the result's first entry back."""
     scalar = np.isscalar(z) or isinstance(z, complex)
-    out = fn(np.atleast_1d(np.asarray(z, dtype=complex)))
-    if not scalar:
-        return out
-    if isinstance(out, tuple):
-        return tuple(kind(o[0]) for o in out)
-    return kind(out[0])
+    z = np.asarray(z, dtype=complex)
+    out = fn(z.ravel())
+    return kind(out[0]) if scalar else out.reshape(z.shape + out.shape[1:])
 
 
 @dataclass(frozen=True)

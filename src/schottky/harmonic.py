@@ -477,8 +477,10 @@ class IntegralsFirstKind:
         BLAS product), so its value does not depend on the batch it came in."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         d = self.domain
-        table = _power_table(d, self.model.order, z).reshape(-1, len(z))
-        logs = np.log((z[:, None] - d.centers) / d.radii)
+        table = _power_table(d, self.model.order, z).reshape(self._values.shape[1], -1)
+        x = (z[:, None] - d.centers) / d.radii
+        logs = np.empty(x.shape, dtype=complex)  # np.log's branch, without its slow loop
+        logs.real, logs.imag = np.log(np.abs(x)), np.arctan2(x.imag, x.real)
         completions = (np.einsum("bn,jb->nj", table, self._values)
                        + np.einsum("nl,jl->nj", logs, self.model.coeffs[:, 1 : 1 + self.g]))
         return np.einsum("nk,jk->nj", completions, self.combination) - self._offset

@@ -25,15 +25,16 @@ across word tiles.  No product forms a (words x points) array, and a
 point's value has the same bits alone as in any batch, but for the one
 exception ``_combine`` names.
 
-On a boundary circle a ``RatioProduct`` has a second route, ``routed``: the
-circle's Laurent series in w = (z - q) / r (``_CircleSeries``), whose
-coefficients are power sums of the image points of the pairs over the
-whole ball.  A circle's series is built on its first point, once, to the
-order where each image point's tail bound falls below 2^-53, and a circle
-that would need more than ``_SERIES_MAX_ORDER`` terms, or more terms than
-the direct pass forms factors per point, keeps the direct pass.  The proper
-maps evaluate through ``routed``; their normalizations at z = 1, the slit
-maps and the Blaschke lift take the direct pass.
+On a boundary circle a ``RatioProduct`` has a second route, ``routed``: one
+expansion of the product about the holes (``_HoleExpansion``), built once
+on its first boundary point, in which each image point of the pairs over
+the whole ball is expanded once, in the hole that holds it or outside the
+unit circle.  Each circle cuts each region's terms where every image
+point's tail bound there falls below 2^-53, and a circle that would need
+more than ``_SERIES_MAX_ORDER`` terms, or more than the direct pass forms
+factors per point, keeps the direct pass.  The proper maps evaluate
+through ``routed``; their normalizations at z = 1, the slit maps and the
+Blaschke lift take the direct pass.
 """
 
 from __future__ import annotations
@@ -225,14 +226,15 @@ class RatioProduct:
     with theta(inf) = a/c, the factors (y2 - theta(y2)) / (y2 - theta(z))
     tending to 1.  Such pairs are multiplied in after the finite ones.
 
-    ``routed`` evaluates points on a boundary circle from that circle's
-    Laurent series instead (``_CircleSeries``), built on first use.
+    ``routed`` evaluates points on a boundary circle from the product's one
+    expansion about the holes instead (``_HoleExpansion``), built on first
+    use.
     """
 
     def __init__(self, ev: PrimeEvaluator, y1, y2):
         self.ev = ev
-        self._series: dict[int, _CircleSeries | None] = {}
-        self._series_lock = threading.Lock()
+        self._expansion: list[_HoleExpansion | None] = []  # filled once
+        self._expansion_lock = threading.Lock()
         y1 = np.atleast_1d(np.asarray(y1, dtype=complex))
         y2 = np.atleast_1d(np.asarray(y2, dtype=complex))
         if y1.shape != y2.shape or y1.ndim != 1:
@@ -286,10 +288,10 @@ class RatioProduct:
 
     def routed(self, z: np.ndarray) -> np.ndarray:
         """Values at the 1-d points ``z``: a point on a boundary circle, to
-        rounding (``_ON_CIRCLE_TOL``), from that circle's series, every
-        other point, and every point of a circle without a series, by the
-        direct pass.  Which route a point takes depends only on the product
-        and the point."""
+        rounding (``_ON_CIRCLE_TOL``), from the expansion about the holes,
+        cut to that circle's orders; every other point, and every point of
+        a circle the expansion leaves to it, by the direct pass.  Which
+        route a point takes depends only on the product and the point."""
         d = self.ev.domain
         centers, radii = np.append(0j, d.centers), np.append(1.0, d.radii)
         gap = np.abs(np.abs(z[:, None] - centers) - radii)
@@ -297,55 +299,54 @@ class RatioProduct:
         circle = np.where(on.any(axis=1), on.argmax(axis=1), -1)
         out = np.empty(len(z), dtype=complex)
         direct = circle < 0
-        for l in range(len(radii)):
+        expansion = None if direct.all() else self._hole_expansion()
+        for l in set(circle[~direct].tolist()):
             on_l = circle == l
-            if not on_l.any():
-                continue
-            series = self._circle_series(l)
-            if series is None:
+            if expansion is None or expansion.circle_orders[l] is None:
                 direct |= on_l
             else:
-                out[on_l] = series(z[on_l])
+                out[on_l] = expansion(z[on_l], l)
         if direct.any():
             out[direct] = self(z[direct])
         return out
 
-    def _circle_series(self, l: int) -> _CircleSeries | None:
-        """The series of boundary circle l, built at most once; None when
-        the direct pass is the cheaper route there (``_CircleSeries.build``)."""
-        with self._series_lock:
-            if l not in self._series:
-                self._series[l] = _CircleSeries.build(self, l)
-            return self._series[l]
+    def _hole_expansion(self) -> _HoleExpansion | None:
+        """The expansion about the holes, built at most once; None when the
+        direct pass is the cheaper route on every circle."""
+        with self._expansion_lock:
+            if not self._expansion:
+                self._expansion.append(_HoleExpansion.build(self))
+            return self._expansion[0]
 
 
 # A point is on boundary circle (q, r) when | |z - q| - r | is at most this
 # times |q| + r: some hundred ulps of the circle's coordinates, above the
 # rounding of the samples q + r exp(i t).  Off the circle by delta r, the
-# series' tail bound grows by the factor (1 + delta)^N, below 1 + 1e-4 at
-# this tolerance and N <= 1024 for every circle with r >= 1e-6 |q|.
+# expansion's tail bound grows by the factor (1 + delta)^N, below 1 + 1e-4
+# at this tolerance and N <= 1024 for every circle with r >= 1e-6 |q|.
 _ON_CIRCLE_TOL = 2.0**-44
-# Each image point's Laurent terms are summed until its tail bound falls
-# below this: the unit roundoff of a double.
+# Each image point's terms are summed until its tail bound falls below
+# this: the unit roundoff of a double.
 _SERIES_TOL = 2.0**-53
-# The highest series order built.  A circle that needs more (a zero or pole
-# of the product within about 4e-2 r of it) keeps the direct pass.  At this
-# order a 64-point Horner evaluation takes about 3 ms where the L = 6
-# direct pass of a degree-3 map on the triply connected domain takes about
-# 3.9 ms (one BLAS thread), so beyond it a build would not pay for itself.
+# The most terms, over all regions, the expansion takes on a circle.  A
+# circle that needs more (a zero or pole of the product within about
+# 4e-2 r of it) keeps the direct pass.  At this order a 64-point Horner evaluation takes about 3 ms
+# where the L = 6 direct pass of a degree-3 map on the triply connected
+# domain takes about 3.9 ms (one BLAS thread), so beyond it a build would
+# not pay for itself.
 _SERIES_MAX_ORDER = 1024
-# Image points per tile of a series build: a tile's arrays stay near 256 KB
-# each, so a build needs no more memory than a ``_reduce`` tile, whatever
-# the ball and the number of pairs (one tile on the triply connected
-# domain at L = 6, three for a degree-4 map at L = 5 with g = 3).
+# Image points per tile of a build: a tile's arrays stay near 256 KB each,
+# so a build needs no more memory than a ``_reduce`` tile, whatever the
+# ball and the number of pairs (one tile on the triply connected domain at
+# L = 6, three for a degree-4 map at L = 5 with g = 3).
 _SERIES_TILE = 2**14
 
 
-class _CircleSeries:
-    """The product of a ``RatioProduct`` on one boundary circle (q, r), as
-    the Laurent series in w = (z - q) / r
+class _HoleExpansion:
+    """The product of a ``RatioProduct`` on the closed domain, expanded once
+    about its holes (q_m, r_m), with w_m = r_m / (z - q_m):
 
-        C w^k exp(sum_n alpha_n w^-n + beta_n w^n).
+        C prod_i (z - e_i)^k_i exp(sum_n beta_n z^n + sum_m sum_n alpha_(m,n) w_m^n).
 
     By y - theta(z) = (c y - a)(z - theta^-1(y)) / (c z + d), each half-set
     word's factor equals, up to a constant, the product over theta and
@@ -354,92 +355,108 @@ class _CircleSeries:
     (``mobius_table``, identity included) of (z - a_num) / (z - a_den), the
     a_num the images of the y1_k and the a_den those of the finite y2_k and,
     for each limit pair, theta(inf) = a/c of every word but the identity.
-    With every image point a in w-coordinates, a point inside the circle
-    contributes log(1 - a/w) = -sum_n a^n w^-n / n and one power of w, a
-    point outside it log(1 - w/a) = -sum_n a^-n w^n / n.  So alpha_n and
-    beta_n are -1/n times the signed power sums of the points inside and of
-    the reciprocals of those outside, and k counts inside numerator points
-    less inside denominator points.  C is set by the direct pass at z = q + r,
-    where w = 1 and the exponent is the sum of the coefficients.
+    Every image point but the identity's lies in one region: inside a hole
+    m, where z - a = (z - q_m)(1 - x w_m) with x = (a - q_m) / r_m, or
+    outside the unit circle, where z - a = -a (1 - x z) with x = 1/a.  So
+    alpha_(m,n) and beta_n are -1/n times the weighted power sums of each
+    region's x; the e_i are the hole centres, each with its points' weight
+    as power, and the points in no region (the identity's images of points
+    of the domain).  C is set by the direct pass at z = q + r of the first
+    circle the expansion serves.
 
-    A point with ratio rho = min(|a|, 1/|a|) leaves the sums after N terms
-    once its tail bound rho^(N+1) / (1 - rho) is below ``_SERIES_TOL``, and
-    the largest such N is the circle's order.
+    On boundary circle l a point of region m has the ratio
+    rho = |x| reach[m, l]: r_m over circle l's nearest approach to q_m (for
+    the outside, circle l's farthest reach from 0), 1 on the region's own
+    circle.  A point is summed to the order where rho^(N+1) / (1 - rho)
+    falls below ``_SERIES_TOL`` on its own circle, and on circle l a region
+    is cut to the order its largest |x| needs there (``circle_orders``).  A
+    circle whose orders add up to more than ``_SERIES_MAX_ORDER``, or than
+    the direct pass's word-pair factors per point (a small ball, like the
+    annulus's, is cheaper direct), keeps the direct pass; no point is
+    summed past that cap.
     """
 
-    def __init__(self, q: complex, r: float, k: int, scale: complex, coef: np.ndarray):
-        self.q, self.r, self.k, self.scale = q, r, k, scale
-        # (N, 2, 1): per order n, from the highest, alpha_n and beta_n
-        self._steps = coef[:, ::-1].T[:, :, None]
+    def __init__(self, centers, radii, factors, coef, circle_orders):
+        self.centers, self.radii, self.factors = centers, radii, factors
+        self.coef, self.circle_orders, self.scale = coef, circle_orders, 1.0
 
     @classmethod
-    def build(cls, product: RatioProduct, l: int) -> _CircleSeries | None:
-        """The series of boundary circle l, or None when an image point lies
-        on it or needs more terms than the cap: ``_SERIES_MAX_ORDER``, or
-        fewer where the direct pass forms fewer word-pair factors per point
-        (a Horner step costs less than one such factor; a small ball, like
-        the annulus's, is cheaper direct).  The image points are formed and
-        summed in tiles of the words, at most ``_SERIES_TILE`` points each."""
-        circle = product.ev.domain.circle(l)
-        a, b, c, d = product.ev.mobius_table
-        # every word followed by z -> (z - q) / r, so the images come out in w
-        table = np.stack([(a - circle.q * c) / circle.r, (b - circle.q * d) / circle.r, c, d])
+    def build(cls, product: RatioProduct) -> _HoleExpansion | None:
+        """The expansion of ``product``, or None when every circle keeps
+        the direct pass.  The image points are formed and summed in tiles
+        of the words, at most ``_SERIES_TILE`` points each."""
+        ev, d = product.ev, product.ev.domain
+        centers, radii = np.append(0j, d.centers), np.append(1.0, d.radii)
+        table = ev.mobius_table
         ys = np.concatenate([product._y1, product._y2])
         weights = np.repeat([1.0, -1.0], [len(product._y1), len(product._y2)])
         limits = len(product._y1) - product._finite
-        cap = min(_SERIES_MAX_ORDER, product.ev.half_set_size * len(product._y1))
-        sums = np.zeros((2, cap), dtype=complex)  # alpha, beta
-        order, k = 0, 0.0
+        cap = min(_SERIES_MAX_ORDER, ev.half_set_size * len(product._y1))
+        sums = np.zeros((d.g + 1, cap), dtype=complex)
+        top = np.zeros(d.g + 1)  # the largest |x| per region
+        powers, holes = {}, np.zeros(d.g + 2)  # weights by explicit point, by region + 1
         step = max(1, _SERIES_TILE // (len(ys) + 1))
         for w0 in range(0, table.shape[1], step):
             words = slice(w0, w0 + step)
-            w = _images(table, words, ys).ravel()
-            weight = np.repeat(weights, len(w) // len(ys))
+            pts = _images(table, words, ys).ravel()
+            weight = np.repeat(weights, len(pts) // len(ys))
             if limits:
                 ta, _, tc, _ = table[:, words]
                 finite = tc != 0  # theta(inf) of every word but the identity
-                w = np.append(w, ta[finite] / tc[finite])
+                pts = np.append(pts, ta[finite] / tc[finite])
                 weight = np.append(weight, np.full(finite.sum(), -float(limits)))
-            tile = _laurent_terms(w, weight, cap)
-            if tile is None:
-                return None
-            k += tile[0]
-            for row, coef in enumerate(tile[1:]):
-                sums[row, :len(coef)] += coef
-                order = max(order, len(coef))
-        coef = sums[:, :order]
-        scale = product(np.array([circle.q + circle.r]))[0] / np.exp(coef.sum())
-        return cls(circle.q, circle.r, round(k), scale, coef)
+            region = np.where(np.abs(pts) > 1.0, 0, -1)
+            for m in range(1, d.g + 1):
+                region[np.abs(pts - centers[m]) < radii[m]] = m
+            holes += np.bincount(region + 1, weight, d.g + 2)
+            for e, k in zip(pts[region < 0].tolist(), weight[region < 0].tolist()):
+                powers[e] = powers.get(e, 0.0) + k
+            for m in range(d.g + 1):
+                x, k = pts[region == m], weight[region == m]
+                x = 1.0 / x if m == 0 else (x - centers[m]) / radii[m]
+                top[m] = max(top[m], np.abs(x).max(initial=0.0))
+                coef = _power_sums(x, k, np.minimum(_orders(np.abs(x)), cap))
+                sums[m, :len(coef)] += coef
+        dist = np.abs(centers[:, None] - centers)
+        reach = np.vstack([dist[0] + radii, radii[1:, None] / np.abs(dist[1:] - radii)])
+        need = np.maximum(_orders(top[:, None] * reach), 0.0)
+        circle_orders = [n.astype(int) if n.sum() <= cap else None for n in need.T]
+        served = [l for l, n in enumerate(circle_orders) if n is not None]
+        if not served:
+            return None
+        powers.update(zip(centers[1:], holes[2:]))
+        factors = [(e, round(k)) for e, k in powers.items() if round(k)]
+        coef = [s[:int(min(n, cap))] for s, n in zip(sums, need.diagonal())]
+        out = cls(centers, radii, factors, coef, circle_orders)
+        z0 = np.array([centers[served[0]] + radii[served[0]]])
+        out.scale = product(z0)[0] / out(z0, served[0])[0]
+        return out
 
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        """Values at the 1-d points ``z``, by Horner's rule in 1/w and in w
-        at once.  Every step is an out-of-place elementwise operation, so a
-        point's value does not depend on the batch it came in."""
-        w = (z - self.q) / self.r
-        x = np.stack([1.0 / w, w])
-        acc = np.zeros(x.shape, dtype=complex)
-        for c in self._steps:
-            acc = (acc + c) * x
-        return self.scale * w**self.k * np.exp(acc[0] + acc[1])
+    def __call__(self, z: np.ndarray, l: int | None = None) -> np.ndarray:
+        """Values at the 1-d points ``z``, each region cut to the orders of
+        boundary circle l, or with ``l`` None summed in full, which holds on
+        the whole closed domain when every circle has its orders.  Horner's
+        rule per region, every step an out-of-place elementwise operation,
+        so a point's value does not depend on the batch it came in."""
+        orders = [len(c) for c in self.coef] if l is None else self.circle_orders[l]
+        exponent = np.zeros(len(z), dtype=complex)
+        for m, (coef, n) in enumerate(zip(self.coef, orders)):
+            x = z if m == 0 else self.radii[m] / (z - self.centers[m])
+            acc = np.zeros(len(z), dtype=complex)
+            for c in coef[:n][::-1]:
+                acc = (acc + c) * x
+            exponent = exponent + acc
+        value = functools.reduce(np.multiply, [(z - e) ** k for e, k in self.factors], self.scale)
+        return value * np.exp(exponent)
 
 
-def _laurent_terms(w: np.ndarray, weight: np.ndarray, cap: int):
-    """(k, alpha, beta) of the image points ``w`` with their weights (+1 a
-    numerator point, -m a denominator point of m pairs), or None when a
-    point lies on the circle or needs more than ``cap`` terms."""
-    size = np.abs(w)
-    inside = size < 1.0
-    rho = np.where(inside, size, 1.0 / np.maximum(size, 1.0))
-    if not rho.max() < 1.0:
-        return None
-    with np.errstate(divide="ignore"):  # an image point at the circle's centre
+def _orders(rho: np.ndarray) -> np.ndarray:
+    """The terms N a point of ratio ``rho`` needs: the least with
+    rho^(N+1) / (1 - rho) below ``_SERIES_TOL`` (-1 at rho = 0, infinite
+    from rho = 1 on)."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # rho = 0 or rho >= 1
         terms = np.ceil(np.log(_SERIES_TOL * (1.0 - rho)) / np.log(rho)) - 1.0
-    if terms.max() > cap:
-        return None
-    inner, outer = inside & (terms >= 1), ~inside & (terms >= 1)
-    return (weight[inside].sum(),
-            _power_sums(w[inner], weight[inner], terms[inner]),
-            _power_sums(1.0 / w[outer], weight[outer], terms[outer]))
+    return np.where(rho < 1.0, terms, np.inf)
 
 
 def _power_sums(x: np.ndarray, weight: np.ndarray, terms: np.ndarray) -> np.ndarray:

@@ -293,12 +293,13 @@ def complete_zeros(model: HarmonicModel, fixed, nu, guess) -> list[complex]:
 class ProperMap:
     """Evaluator for a constructed proper map.
 
-    ``base`` is the raw analytic product (value 1 at z = 1 up to rounding is
-    not assumed); the stored rotation fixes f(1) = 1, and an optional disk
-    automorphism is post-composed for maps renormalized via the boundary-data
-    route.  Thread-safe after construction: a product-built map fills its
-    boundary circles' series on first use, each once, under a lock, and a
-    value never depends on the calls before it.
+    ``base`` is the raw analytic product; the stored rotation fixes
+    f(1) = 1 (``build_proper_map`` normalizes its product at z = 1 and
+    needs none), and an optional disk automorphism is post-composed for
+    maps renormalized via the boundary-data route.  Thread-safe after
+    construction: a product-built map builds its product's expansion about
+    the holes on first use, once, under a lock, and a value never depends
+    on the calls before it.
     """
 
     def __init__(self, domain, zeros, nu, base, rotation=1.0 + 0j, post=None,
@@ -349,8 +350,7 @@ def build_proper_map(
     check_boundary: bool = True,
 ) -> ProperMap:
     """Construct the proper map with the zeros and boundary degree of an
-    admissible configuration (product-of-slit-maps form, rotation fixing
-    f(1) = 1).
+    admissible configuration (product-of-slit-maps form, f(1) = 1).
 
     On the disk (g = 0) ``v`` is empty, the exponential factor is 1 and the
     map is the normalized Blaschke product.  With ``check_boundary`` a
@@ -358,8 +358,10 @@ def build_proper_map(
     boundary circle raises TruncationQualityError.
 
     The map evaluates its product through ``RatioProduct.routed``: points on
-    a boundary circle from that circle's Laurent series, interior points and
-    the normalization at z = 1 by the direct pass.
+    a boundary circle from the product's expansion about the holes, interior
+    points and the normalization at z = 1 by the direct pass.  That
+    normalization and v(1) = 0 make the map 1 at z = 1, to an ulp of the
+    division, with no rotation.
     """
     if not config.admissible():
         raise AdmissibilityError(
@@ -379,12 +381,11 @@ def build_proper_map(
     ratios = RatioProduct(ev, zeros, [INFINITY if p == 0 else 1 / p.conjugate() for p in zeros])
     norm = ratios(np.array([1.0 + 0j]))[0]
 
-    def base(z: np.ndarray, product=ratios.routed) -> np.ndarray:
-        return product(z) / norm * np.exp(-2j * np.pi * (v.eval_v_all(z) @ nvec))
+    def base(z: np.ndarray) -> np.ndarray:
+        return ratios.routed(z) / norm * np.exp(-2j * np.pi * (v.eval_v_all(z) @ nvec))
 
-    rotation = 1.0 / base(np.array([1.0 + 0j]), ratios)[0]
     f = ProperMap(
-        d, zeros, nu, base, rotation,
+        d, zeros, nu, base,
         diagnostics={"form": "first_kind_product", "max_word_length": ev.max_word_length,
                      "condition_residual": config.max_residual},
     )

@@ -2,7 +2,9 @@
 runtime tracer, which wraps every layer's public callables and
 ``distance.minimize`` by name and removes the wrappers again.  raster-g2
 exercises the distance layer, verify-triply the proper maps' boundary
-route and the full ``verify triply`` suite as its correctness gate."""
+route and the full ``verify triply`` suite as its correctness gate, and
+mapeval-g3 the log-space direct pass and a g = 3 map's expansion about
+the holes."""
 
 import json
 import subprocess
@@ -30,3 +32,7 @@ def test_benchmark_round_under_the_tracer():
 
 def test_verify_triply_round_under_the_tracer():
     _traced_round("verify-triply")
+
+
+def test_mapeval_g3_round_under_the_tracer():
+    _traced_round("mapeval-g3")

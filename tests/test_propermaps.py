@@ -434,7 +434,7 @@ def test_condition3_disk_vacuous(disk_tools):
     assert condition3_residual(disk_tools.ev, [(0, 0.2), (0, -0.3)]) == 0.0
 
 
-# -- the boundary route: a Laurent series per circle ----------------------------
+# -- the boundary route: one expansion about the holes -------------------------
 
 
 def _map_product(ev, zeros):
@@ -445,9 +445,9 @@ def _map_product(ev, zeros):
 @pytest.mark.parametrize("case", ["disk", "annulus", "triply", "g3"])
 def test_boundary_route_matches_direct_pass(case, disk_tools, annulus_tools, triply_tools,
                                             g3_tools):
-    # triply and g3 take the series on every circle (g3's map has a zero at
-    # the origin, a limit pair); the disk's and the annulus's balls are so
-    # small that the direct pass is the cheaper route there
+    # triply and g3 take the expansion on every circle (g3's map has a zero
+    # at the origin, a limit pair); the disk's and the annulus's balls are
+    # so small that the direct pass is the cheaper route there
     if case == "disk":
         tools, f = disk_tools, build_proper_map(
             disk_tools.ev, disk_tools.v, make_zero_config(disk_tools.model, [0.3, -0.2 + 0.4j], (2,)))
@@ -462,13 +462,43 @@ def test_boundary_route_matches_direct_pass(case, disk_tools, annulus_tools, tri
     ratios = _map_product(tools.ev, f.zeros)
     for l in range(tools.domain.g + 1):
         w = tools.domain.circle(l).samples(1024)
-        assert np.max(np.abs(ratios.routed(w) / ratios(w) - 1)) < 1e-11
-        assert (ratios._circle_series(l) is None) == (case in ("disk", "annulus"))
+        assert np.max(np.abs(ratios.routed(w) / ratios(w) - 1)) < 1e-12
         assert boundary_degree(f, l) == f.nu[l]
+    expansion = ratios._hole_expansion()
+    if case in ("disk", "annulus"):
+        assert expansion is None
+    else:
+        assert all(orders is not None for orders in expansion.circle_orders)
+
+
+@pytest.mark.parametrize("case", ["triply", "g3"])
+def test_hole_expansion_holds_inside_the_domain(case, triply_tools, g3_tools):
+    # summed in full, the expansion is the product on the whole closed
+    # domain, up to a thousandth of a radius from the circles
+    tools = triply_tools if case == "triply" else g3_tools
+    f = _triply_map(tools) if case == "triply" else _g3_map(tools)
+    ratios = _map_product(tools.ev, f.zeros)
+    z = interior_points(tools.domain, 200, seed=8, margin=1e-3)
+    assert np.max(np.abs(ratios._hole_expansion()(z) / ratios(z) - 1)) < 1e-12
+
+
+@pytest.mark.parametrize("case", ["triply", "g3"])
+def test_map_build_makes_two_one_point_direct_passes(case, triply_tools, g3_tools, monkeypatch):
+    # the normalization at z = 1 and the expansion's constant; the boundary
+    # check's 64 samples per circle all take the expansion
+    calls = counting_reduce(monkeypatch)
+    tools = triply_tools if case == "triply" else g3_tools
+    f = _triply_map(tools) if case == "triply" else _g3_map(tools)
+    assert calls == [1, 1]
+    # the product divided by its own direct pass at z = 1, times
+    # exp(-2 pi i v(1) . n) with v(1) = 0 exactly, needs no rotation
+    assert f.rotation == 1.0
+    assert np.all(tools.v.eval_v_all(1.0) == 0.0)
+    assert abs(f(1.0) - 1.0) < 1e-15
 
 
 def test_boundary_checks_make_no_direct_pass(triply_tools, monkeypatch):
-    f = _triply_map(triply_tools)  # its 64-sample check builds the series
+    f = _triply_map(triply_tools)  # its 64-sample check builds the expansion
     calls = counting_reduce(monkeypatch)
     assert [boundary_degree(f, l) for l in range(3)] == [1, 1, 1]
     assert boundary_modulus_deviation(f) < 1e-5
@@ -479,12 +509,12 @@ def test_boundary_checks_make_no_direct_pass(triply_tools, monkeypatch):
 
 def test_boundary_route_does_not_depend_on_batch_or_history(triply_tools):
     f = _triply_map(triply_tools)
-    fresh = _triply_map(triply_tools, check_boundary=False)  # no series yet
+    fresh = _triply_map(triply_tools, check_boundary=False)  # no expansion yet
     for l in range(3):
         w = triply_tools.domain.circle(l).samples(1024)
         if l == 1:
             fresh(interior_points(triply_tools.domain, 10, seed=4))
-        first = fresh(w[7:8])  # builds this circle's series
+        first = fresh(w[7:8])  # on circle 0 this builds the expansion
         whole = f(w)
         assert np.array_equal(first, whole[7:8])
         for size in (7, 64):
@@ -495,7 +525,7 @@ def test_boundary_route_does_not_depend_on_batch_or_history(triply_tools):
 
 
 def test_boundary_route_falls_back_near_a_zero(triply_tools, monkeypatch):
-    # a zero 1e-6 from circle 1 would need a series order of about 1e6
+    # a zero 1e-6 from circle 1 would need about 1e6 terms there
     t = triply_tools
     fixed = [-0.5 + 0.100001j]
     zeros = fixed + complete_zeros(t.model, fixed, (1, 1, 1), [0.2 - 0.85j, 0.5 + 0.13j])
@@ -505,24 +535,29 @@ def test_boundary_route_falls_back_near_a_zero(triply_tools, monkeypatch):
     f(w)
     assert sum(calls) == 64
     ratios = _map_product(t.ev, zeros)
-    assert ratios._circle_series(1) is None
     assert np.array_equal(ratios.routed(w), ratios(w))
-    # the same zero among others far from circles 0 and 2 leaves their series
+    # the completed zeros lie within 1e-5 of circles 0 and 2: no circle
+    # keeps the expansion
+    assert ratios._hole_expansion() is None
+    # the same zero among others far from circles 0 and 2 leaves them theirs
     ratios = _map_product(t.ev, [fixed[0], 0.1 + 0.3j])
-    assert ratios._circle_series(1) is None
-    assert ratios._circle_series(0) is not None and ratios._circle_series(2) is not None
+    expansion = ratios._hole_expansion()
+    assert [orders is None for orders in expansion.circle_orders] == [False, True, False]
+    for l in (0, 2):
+        w = t.domain.circle(l).samples(256)
+        assert np.max(np.abs(ratios.routed(w) / ratios(w) - 1)) < 1e-12
 
 
 def test_boundary_series_is_built_once_under_threads(triply_tools, monkeypatch):
     f = _triply_map(triply_tools, check_boundary=False)
     built = []
-    build = prime._CircleSeries.build.__func__
+    build = prime._HoleExpansion.build.__func__
 
-    def counted(cls, product, l):
-        built.append(l)
-        return build(cls, product, l)
+    def counted(cls, product):
+        built.append(product)
+        return build(cls, product)
 
-    monkeypatch.setattr(prime._CircleSeries, "build", classmethod(counted))
+    monkeypatch.setattr(prime._HoleExpansion, "build", classmethod(counted))
     w = np.concatenate([triply_tools.domain.circle(l).samples(64) for l in range(3)])
     results = [None] * 8
 
@@ -540,8 +575,23 @@ def test_boundary_series_is_built_once_under_threads(triply_tools, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert sorted(built) == [0, 1, 2]
+    assert len(built) == 1
     assert all(np.array_equal(r, results[0]) for r in results)
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (3,), (2, 2)])
+def test_pointwise_calls_keep_the_shape_of_z(shape, triply_tools):
+    t = triply_tools
+    f = _triply_map(t)
+    pts = np.append(interior_points(t.domain, 2, seed=6), t.domain.circle(1).samples(2))
+    z = pts[:math.prod(shape)].reshape(shape)
+    calls = [f, lambda z: eta(t.ev, z, 0.3j), lambda z: eta_l(t.ev, 1, z, 0.3j),
+             lambda z: t.ev.omega(z, 0.3j), lambda z: t.model.eval_u(1, z),
+             lambda z: t.v.eval_v(1, z), lambda z: t.ev.ball_blaschke([0.3j], z)]
+    for call in calls:
+        out = call(z)
+        assert out.shape == shape
+        assert np.array_equal(out.ravel(), call(z.ravel()))
 
 
 # -- boundary data ---------------------------------------------------------------
