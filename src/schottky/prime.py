@@ -25,22 +25,22 @@ across word tiles.  No product forms a (words x points) array, and a
 point's value has the same bits alone as in any batch, but for the one
 exception ``_combine`` names.
 
-On a boundary circle a ``RatioProduct`` has a second route, ``routed``: one
-expansion of the product about the holes (``_HoleExpansion``), built once
-on its first boundary point, in which each image point of the pairs over
-the whole ball is expanded once, in the hole that holds it or outside the
-unit circle.  Each circle cuts each region's terms where every image
-point's tail bound there falls below 2^-53, and a circle that would need
-more than ``_SERIES_MAX_ORDER`` terms, or more than the direct pass forms
-factors per point, keeps the direct pass.  The proper maps evaluate
-through ``routed``; their normalizations at z = 1, the slit maps and the
-Blaschke lift take the direct pass.
+A ``RatioProduct`` is this direct pass alone.  A proper map also expands
+its product once about the holes (``_HoleExpansion``), when the map is
+built: each image point of the pairs over the whole ball is expanded once,
+in the hole that holds it or outside the unit circle.  Each circle cuts
+each region's terms where every image point's tail bound there falls below
+2^-53, and a circle that would need more than ``_SERIES_MAX_ORDER`` terms,
+or more than the direct pass forms factors per point, keeps the direct
+pass.  The map evaluates through the expansion's ``routed``: points on a
+circle it serves from the expansion, every other point by the direct pass;
+the maps' normalizations at z = 1, the slit maps and the Blaschke lift take
+the direct pass.
 """
 
 from __future__ import annotations
 
 import functools
-import threading
 import warnings
 
 import numpy as np
@@ -225,16 +225,10 @@ class RatioProduct:
 
     with theta(inf) = a/c, the factors (y2 - theta(y2)) / (y2 - theta(z))
     tending to 1.  Such pairs are multiplied in after the finite ones.
-
-    ``routed`` evaluates points on a boundary circle from the product's one
-    expansion about the holes instead (``_HoleExpansion``), built on first
-    use.
     """
 
     def __init__(self, ev: PrimeEvaluator, y1, y2):
         self.ev = ev
-        self._expansion: list[_HoleExpansion | None] = []  # filled once
-        self._expansion_lock = threading.Lock()
         y1 = np.atleast_1d(np.asarray(y1, dtype=complex))
         y2 = np.atleast_1d(np.asarray(y2, dtype=complex))
         if y1.shape != y2.shape or y1.ndim != 1:
@@ -285,38 +279,6 @@ class RatioProduct:
             return num
 
         return out * _reduce(self.ev._half, z, factor)
-
-    def routed(self, z: np.ndarray) -> np.ndarray:
-        """Values at the 1-d points ``z``: a point on a boundary circle, to
-        rounding (``_ON_CIRCLE_TOL``), from the expansion about the holes,
-        cut to that circle's orders; every other point, and every point of
-        a circle the expansion leaves to it, by the direct pass.  Which
-        route a point takes depends only on the product and the point."""
-        d = self.ev.domain
-        centers, radii = np.append(0j, d.centers), np.append(1.0, d.radii)
-        gap = np.abs(np.abs(z[:, None] - centers) - radii)
-        on = gap <= _ON_CIRCLE_TOL * (np.abs(centers) + radii)
-        circle = np.where(on.any(axis=1), on.argmax(axis=1), -1)
-        out = np.empty(len(z), dtype=complex)
-        direct = circle < 0
-        expansion = None if direct.all() else self._hole_expansion()
-        for l in set(circle[~direct].tolist()):
-            on_l = circle == l
-            if expansion is None or expansion.circle_orders[l] is None:
-                direct |= on_l
-            else:
-                out[on_l] = expansion(z[on_l], l)
-        if direct.any():
-            out[direct] = self(z[direct])
-        return out
-
-    def _hole_expansion(self) -> _HoleExpansion | None:
-        """The expansion about the holes, built at most once; None when the
-        direct pass is the cheaper route on every circle."""
-        with self._expansion_lock:
-            if not self._expansion:
-                self._expansion.append(_HoleExpansion.build(self))
-            return self._expansion[0]
 
 
 # A point is on boundary circle (q, r) when | |z - q| - r | is at most this
@@ -374,10 +336,13 @@ class _HoleExpansion:
     the direct pass's word-pair factors per point (a small ball, like the
     annulus's, is cheaper direct), keeps the direct pass; no point is
     summed past that cap.
+
+    The expansion holds its product, which ``routed`` takes for the points
+    the expansion does not serve.  It is immutable after ``build``.
     """
 
-    def __init__(self, centers, radii, factors, coef, circle_orders):
-        self.centers, self.radii, self.factors = centers, radii, factors
+    def __init__(self, product, centers, radii, factors, coef, circle_orders):
+        self.product, self.centers, self.radii, self.factors = product, centers, radii, factors
         self.coef, self.circle_orders, self.scale = coef, circle_orders, 1.0
 
     @classmethod
@@ -398,8 +363,9 @@ class _HoleExpansion:
         step = max(1, _SERIES_TILE // (len(ys) + 1))
         for w0 in range(0, table.shape[1], step):
             words = slice(w0, w0 + step)
-            pts = _images(table, words, ys).ravel()
-            weight = np.repeat(weights, len(pts) // len(ys))
+            pts = _images(table, words, ys)
+            weight = np.repeat(weights, pts.shape[1])
+            pts = pts.ravel()
             if limits:
                 ta, _, tc, _ = table[:, words]
                 finite = tc != 0  # theta(inf) of every word but the identity
@@ -427,7 +393,7 @@ class _HoleExpansion:
         powers.update(zip(centers[1:], holes[2:]))
         factors = [(e, round(k)) for e, k in powers.items() if round(k)]
         coef = [s[:int(min(n, cap))] for s, n in zip(sums, need.diagonal())]
-        out = cls(centers, radii, factors, coef, circle_orders)
+        out = cls(product, centers, radii, factors, coef, circle_orders)
         z0 = np.array([centers[served[0]] + radii[served[0]]])
         out.scale = product(z0)[0] / out(z0, served[0])[0]
         return out
@@ -448,6 +414,28 @@ class _HoleExpansion:
             exponent = exponent + acc
         value = functools.reduce(np.multiply, [(z - e) ** k for e, k in self.factors], self.scale)
         return value * np.exp(exponent)
+
+    def routed(self, z: np.ndarray) -> np.ndarray:
+        """Values at the 1-d points ``z``: a point on a boundary circle, to
+        rounding (``_ON_CIRCLE_TOL``), from the expansion cut to that
+        circle's orders; every other point, and every point of a circle the
+        expansion leaves to the product, by the product's direct pass.
+        Which route a point takes depends only on the point."""
+        centers, radii = self.centers, self.radii
+        gap = np.abs(np.abs(z[:, None] - centers) - radii)
+        on = gap <= _ON_CIRCLE_TOL * (np.abs(centers) + radii)
+        circle = np.where(on.any(axis=1), on.argmax(axis=1), -1)
+        out = np.empty(len(z), dtype=complex)
+        direct = circle < 0
+        for l in set(circle[~direct].tolist()):
+            on_l = circle == l
+            if self.circle_orders[l] is None:
+                direct |= on_l
+            else:
+                out[on_l] = self(z[on_l], l)
+        if direct.any():
+            out[direct] = self.product(z[direct])
+        return out
 
 
 def _orders(rho: np.ndarray) -> np.ndarray:

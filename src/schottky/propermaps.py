@@ -36,7 +36,7 @@ from .errors import (
     TruncationQualityError,
 )
 from .harmonic import HarmonicModel, IntegralsFirstKind
-from .prime import PrimeEvaluator, RatioProduct, blaschke_eval
+from .prime import PrimeEvaluator, RatioProduct, _HoleExpansion, blaschke_eval
 from .slitmaps import slit_radius
 
 __all__ = [
@@ -290,16 +290,26 @@ def complete_zeros(model: HarmonicModel, fixed, nu, guess) -> list[complex]:
 # -- the maps -----------------------------------------------------------------
 
 
+def _product_route(ev: PrimeEvaluator, y1, y2):
+    """A map's fused ratio product and the evaluator the map takes for it:
+    the product's expansion about the holes, built here once, routing each
+    point (``_HoleExpansion.routed``), or the product itself when the build
+    returns None (the disk, the annulus, a zero near every circle)."""
+    ratios = RatioProduct(ev, y1, y2)
+    expansion = _HoleExpansion.build(ratios)
+    return ratios, ratios if expansion is None else expansion.routed
+
+
 class ProperMap:
     """Evaluator for a constructed proper map.
 
     ``base`` is the raw analytic product; the stored rotation fixes
     f(1) = 1 (``build_proper_map`` normalizes its product at z = 1 and
     needs none), and an optional disk automorphism is post-composed for
-    maps renormalized via the boundary-data route.  Thread-safe after
-    construction: a product-built map builds its product's expansion about
-    the holes on first use, once, under a lock, and a value never depends
-    on the calls before it.
+    maps renormalized via the boundary-data route.  Immutable after
+    construction, so one map can serve any number of threads: a
+    product-built map's expansion about the holes is built with the map
+    (``_product_route``), and a value never depends on the calls before it.
     """
 
     def __init__(self, domain, zeros, nu, base, rotation=1.0 + 0j, post=None,
@@ -357,11 +367,11 @@ def build_proper_map(
     deviation of |f| from 1 above ``_BOUNDARY_TOL`` on 64 samples per
     boundary circle raises TruncationQualityError.
 
-    The map evaluates its product through ``RatioProduct.routed``: points on
-    a boundary circle from the product's expansion about the holes, interior
-    points and the normalization at z = 1 by the direct pass.  That
-    normalization and v(1) = 0 make the map 1 at z = 1, to an ulp of the
-    division, with no rotation.
+    The map evaluates its product through ``_product_route``: points on a
+    boundary circle from the product's expansion about the holes, built
+    with the map, interior points and the normalization at z = 1 by the
+    direct pass.  That normalization and v(1) = 0 make the map 1 at z = 1,
+    to an ulp of the division, with no rotation.
     """
     if not config.admissible():
         raise AdmissibilityError(
@@ -378,11 +388,12 @@ def build_proper_map(
     # the eta factors of all zeros as one fused ratio product, normalized at
     # z = 1 by the direct pass; a zero at the origin pairs with the point at
     # infinity
-    ratios = RatioProduct(ev, zeros, [INFINITY if p == 0 else 1 / p.conjugate() for p in zeros])
+    ratios, route = _product_route(
+        ev, zeros, [INFINITY if p == 0 else 1 / p.conjugate() for p in zeros])
     norm = ratios(np.array([1.0 + 0j]))[0]
 
     def base(z: np.ndarray) -> np.ndarray:
-        return ratios.routed(z) / norm * np.exp(-2j * np.pi * (v.eval_v_all(z) @ nvec))
+        return route(z) / norm * np.exp(-2j * np.pi * (v.eval_v_all(z) @ nvec))
 
     f = ProperMap(
         d, zeros, nu, base,
@@ -443,7 +454,7 @@ def build_proper_map_alt(
     and each eta_l's prefactor and rotation are constants, which the
     rotation at z = 1 cancels.  Agrees with the first-kind-product
     construction up to a unimodular constant, and exactly after both are
-    normalized at z = 1.  Evaluates through ``RatioProduct.routed``, as
+    normalized at z = 1.  Evaluates through ``_product_route``, as
     ``build_proper_map`` does.
     """
     d = ev.domain
@@ -461,11 +472,11 @@ def build_proper_map_alt(
 
     pairs = [(l, p) for l in sorted(groups) for p in groups[l]]
     zeros = tuple(p for _, p in pairs)
-    ratios = RatioProduct(ev, zeros, [INFINITY if (l, p) == (0, 0) else reflect(d, l, p)
-                                      for l, p in pairs])
+    ratios, route = _product_route(
+        ev, zeros, [INFINITY if (l, p) == (0, 0) else reflect(d, l, p) for l, p in pairs])
     rotation = 1.0 / ratios(np.array([1.0 + 0j]))[0]
     return ProperMap(
-        d, zeros, nu, ratios.routed, rotation,
+        d, zeros, nu, route, rotation,
         diagnostics={"form": "slit_product", "max_word_length": ev.max_word_length},
     )
 

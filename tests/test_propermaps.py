@@ -460,15 +460,15 @@ def test_boundary_route_matches_direct_pass(case, disk_tools, annulus_tools, tri
     else:
         tools, f = g3_tools, _g3_map(g3_tools)
     ratios = _map_product(tools.ev, f.zeros)
-    for l in range(tools.domain.g + 1):
-        w = tools.domain.circle(l).samples(1024)
-        assert np.max(np.abs(ratios.routed(w) / ratios(w) - 1)) < 1e-12
-        assert boundary_degree(f, l) == f.nu[l]
-    expansion = ratios._hole_expansion()
+    expansion = prime._HoleExpansion.build(ratios)
     if case in ("disk", "annulus"):
         assert expansion is None
-    else:
-        assert all(orders is not None for orders in expansion.circle_orders)
+        return
+    assert all(orders is not None for orders in expansion.circle_orders)
+    for l in range(tools.domain.g + 1):
+        w = tools.domain.circle(l).samples(1024)
+        assert np.max(np.abs(expansion.routed(w) / ratios(w) - 1)) < 1e-12
+        assert boundary_degree(f, l) == f.nu[l]
 
 
 @pytest.mark.parametrize("case", ["triply", "g3"])
@@ -479,12 +479,12 @@ def test_hole_expansion_holds_inside_the_domain(case, triply_tools, g3_tools):
     f = _triply_map(tools) if case == "triply" else _g3_map(tools)
     ratios = _map_product(tools.ev, f.zeros)
     z = interior_points(tools.domain, 200, seed=8, margin=1e-3)
-    assert np.max(np.abs(ratios._hole_expansion()(z) / ratios(z) - 1)) < 1e-12
+    assert np.max(np.abs(prime._HoleExpansion.build(ratios)(z) / ratios(z) - 1)) < 1e-12
 
 
 @pytest.mark.parametrize("case", ["triply", "g3"])
 def test_map_build_makes_two_one_point_direct_passes(case, triply_tools, g3_tools, monkeypatch):
-    # the normalization at z = 1 and the expansion's constant; the boundary
+    # the expansion's constant and the normalization at z = 1; the boundary
     # check's 64 samples per circle all take the expansion
     calls = counting_reduce(monkeypatch)
     tools = triply_tools if case == "triply" else g3_tools
@@ -498,7 +498,7 @@ def test_map_build_makes_two_one_point_direct_passes(case, triply_tools, g3_tool
 
 
 def test_boundary_checks_make_no_direct_pass(triply_tools, monkeypatch):
-    f = _triply_map(triply_tools)  # its 64-sample check builds the expansion
+    f = _triply_map(triply_tools)
     calls = counting_reduce(monkeypatch)
     assert [boundary_degree(f, l) for l in range(3)] == [1, 1, 1]
     assert boundary_modulus_deviation(f) < 1e-5
@@ -509,12 +509,12 @@ def test_boundary_checks_make_no_direct_pass(triply_tools, monkeypatch):
 
 def test_boundary_route_does_not_depend_on_batch_or_history(triply_tools):
     f = _triply_map(triply_tools)
-    fresh = _triply_map(triply_tools, check_boundary=False)  # no expansion yet
+    fresh = _triply_map(triply_tools, check_boundary=False)  # never evaluated yet
     for l in range(3):
         w = triply_tools.domain.circle(l).samples(1024)
         if l == 1:
             fresh(interior_points(triply_tools.domain, 10, seed=4))
-        first = fresh(w[7:8])  # on circle 0 this builds the expansion
+        first = fresh(w[7:8])
         whole = f(w)
         assert np.array_equal(first, whole[7:8])
         for size in (7, 64):
@@ -534,22 +534,23 @@ def test_boundary_route_falls_back_near_a_zero(triply_tools, monkeypatch):
     calls = counting_reduce(monkeypatch)
     f(w)
     assert sum(calls) == 64
-    ratios = _map_product(t.ev, zeros)
-    assert np.array_equal(ratios.routed(w), ratios(w))
     # the completed zeros lie within 1e-5 of circles 0 and 2: no circle
     # keeps the expansion
-    assert ratios._hole_expansion() is None
+    assert prime._HoleExpansion.build(_map_product(t.ev, zeros)) is None
     # the same zero among others far from circles 0 and 2 leaves them theirs
     ratios = _map_product(t.ev, [fixed[0], 0.1 + 0.3j])
-    expansion = ratios._hole_expansion()
+    expansion = prime._HoleExpansion.build(ratios)
     assert [orders is None for orders in expansion.circle_orders] == [False, True, False]
+    w = t.domain.circle(1).samples(64)
+    assert np.array_equal(expansion.routed(w), ratios(w))
     for l in (0, 2):
         w = t.domain.circle(l).samples(256)
-        assert np.max(np.abs(ratios.routed(w) / ratios(w) - 1)) < 1e-12
+        assert np.max(np.abs(expansion.routed(w) / ratios(w) - 1)) < 1e-12
 
 
-def test_boundary_series_is_built_once_under_threads(triply_tools, monkeypatch):
-    f = _triply_map(triply_tools, check_boundary=False)
+def _counting_builds(monkeypatch):
+    """The products ``prime._HoleExpansion.build`` expands from here on in
+    the test."""
     built = []
     build = prime._HoleExpansion.build.__func__
 
@@ -558,6 +559,29 @@ def test_boundary_series_is_built_once_under_threads(triply_tools, monkeypatch):
         return build(cls, product)
 
     monkeypatch.setattr(prime._HoleExpansion, "build", classmethod(counted))
+    return built
+
+
+@pytest.mark.parametrize("form", ["first_kind_product", "slit_product"])
+def test_map_build_makes_one_expansion(form, triply_tools, monkeypatch):
+    # the build expands the product once; evaluating the map, on its
+    # boundary circles or inside, builds nothing more
+    t = triply_tools
+    zeros = _triply_map(t, check_boundary=False).zeros
+    built = _counting_builds(monkeypatch)
+    if form == "first_kind_product":
+        f = build_proper_map(t.ev, t.v, make_zero_config(t.model, zeros, (1, 1, 1)),
+                             check_boundary=False)
+    else:
+        f = build_proper_map_alt(t.ev, list(zip(_assign_circles(t.domain, zeros), zeros)))
+    assert len(built) == 1
+    assert boundary_modulus_deviation(f) < 1e-5
+    f(interior_points(t.domain, 10, seed=4))
+    assert len(built) == 1
+
+
+def test_boundary_series_is_built_once_under_threads(triply_tools):
+    f = _triply_map(triply_tools, check_boundary=False)
     w = np.concatenate([triply_tools.domain.circle(l).samples(64) for l in range(3)])
     results = [None] * 8
 
@@ -575,7 +599,6 @@ def test_boundary_series_is_built_once_under_threads(triply_tools, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert len(built) == 1
     assert all(np.array_equal(r, results[0]) for r in results)
 
 
