@@ -140,18 +140,22 @@ _CHART_TOL = 1e-11  # max-norm residual of a solved chart
 
 
 def _chart_box(d: CircularDomain, feet: np.ndarray, dirs: np.ndarray):
-    """Bounds (lo, hi) of the depths of the rays: just off the foot, just
-    short of the exit, the nearest root s > 1e-12 of |foot - q + s dir| = r
-    over the boundary circles (|dir| = 1; the roots on the foot's own circle
-    lie at depth <= 0).  One pass over rays x circles."""
+    """Bounds (lo, hi) of the depths of the rays, each of the feet's shape:
+    just off the foot, 1024 ulps of |foot|, and just short of the exit, the
+    nearest root s > lo of |foot - q + s dir| = r over the boundary circles
+    (|dir| = 1; the roots on the foot's own circle lie at depth <= 0, up to
+    rounding).  The floor scales with the foot, so a zero may sit closer to
+    a tiny hole than any fixed depth: on D(0.4, 1e-6) the level depths lie
+    near 1e-13.  One pass over rays x circles."""
+    lo = 1024 * np.spacing(np.abs(feet))
     w = feet[..., None] - np.append(0j, d.centers)
     u = dirs[..., None]
     b = w.real * u.real + w.imag * u.imag
     disc = b * b - (np.hypot(w.real, w.imag) ** 2 - np.append(1.0, d.radii) ** 2)
     root = np.sqrt(np.maximum(disc, 0.0))
     s = np.stack([-b - root, -b + root])
-    s = np.where((disc >= 0) & (s > 1e-12), s, np.inf)
-    return 1e-12, s.min(axis=(0, -1)) * (1 - 1e-12)
+    s = np.where((disc >= 0) & (s > lo[..., None]), s, np.inf)
+    return lo, s.min(axis=(0, -1)) * (1 - 1e-12)
 
 
 def _level_depths(model: HarmonicModel, circles, feet: np.ndarray, dirs: np.ndarray,
@@ -177,8 +181,7 @@ def _level_depths(model: HarmonicModel, circles, feet: np.ndarray, dirs: np.ndar
     which lies inside its bracket.
     """
     lo, hi = _chart_box(model.domain, feet, dirs) if box is None else box
-    hi = hi.flatten()
-    lo = np.full(hi.shape, lo)
+    lo, hi = lo.flatten(), hi.flatten()
     tol = _SEED_TOL * hi
     level = np.broadcast_to(levels, feet.shape).ravel()
     cols = np.broadcast_to(np.asarray(circles) - 1, feet.shape).ravel()

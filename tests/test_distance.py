@@ -372,27 +372,57 @@ def test_seed_hessian_matches_central_difference(triply_tools):
         assert np.max(np.abs(hess[0] - ref)) < 1e-4 * np.max(np.abs(ref))
 
 
-def test_indefinite_seed_hessian_keeps_the_first_turn(monkeypatch):
-    # the lead (1 - c* = 1e-6): every seeded row's Hessian has a negative
-    # eigenvalue, so each row starts from the first turn and the value is
-    # the first-turn ascent's, pinned bit for bit; the 5 seeded rows' 2
-    # Hessian charts each are counted
+def _lead_model(order):
+    """The lead's domain: the disk minus D(-0.5, 0.3) and a tiny hole
+    D(0.4, 1e-6), with p_tilde = -0.8001 and zeta = 0.40108 beyond it."""
     dom = CircularDomain((Circle(-0.5 + 0j, 0.3), Circle(0.4 + 0j, 1e-6)))
-    model = solve_harmonic_measures(dom, order=24)
-    hessians = []
+    return solve_harmonic_measures(dom, order=order)
+
+
+def test_charts_reach_the_tiny_hole_of_the_lead():
+    # the hole's zero sits at a depth of about 1.35e-13, below any fixed
+    # depth floor of 1e-12, where the hole's measure is still 7e-8 above
+    # its target; (0, pi) puts the anchor's zero across the domain and
+    # has no solution
+    from schottky.distance import _ExtremalSearch
+
+    search = _ExtremalSearch(_lead_model(40), -0.8001)
+    _, s, ok, _ = search.solve_depths(np.pi * np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]))
+    assert ok.tolist() == [True, True, False]
+    assert np.all(s[:2, 1] < 2e-13)
+
+
+def test_indefinite_seed_hessian_keeps_the_first_turn(monkeypatch):
+    # the lead (1 - c* = 1.3e-7): all 8 seeded rows solve; the 5 whose
+    # Hessian has a negative eigenvalue take a first step of _FIRST_TURN
+    # radians, the 3 positive definite ones their Newton step; the value
+    # is pinned bit for bit, and the 8 rows' 2 Hessian charts each are
+    # counted
+    hessians, trials = [], []
     hessian = distance._ExtremalSearch._hessian
+    solve = distance._ExtremalSearch.solve_depths
 
     def record(self, *args):
         hess, solved = hessian(self, *args)
         hessians.append((hess, solved.copy()))  # ascend narrows its copy in place
         return hess, solved
 
+    def record_trials(self, angles, seed_depths=None):
+        trials.append(np.array(angles))
+        return solve(self, angles, seed_depths)
+
     monkeypatch.setattr(distance._ExtremalSearch, "_hessian", record)
-    res = mobius_distance(model, None, None, -0.8001, 0.40108)
+    monkeypatch.setattr(distance._ExtremalSearch, "solve_depths", record_trials)
+    res = mobius_distance(_lead_model(24), None, None, -0.8001, 0.40108)
     (hess, solved), = hessians
-    assert solved.all() and np.all(np.linalg.eigvalsh(hess)[:, 0] < 0)
-    assert res.value == float.fromhex("0x1.ffffde84f604fp-1")  # 0.9999990021997379
-    assert res.evaluations == 251 + 5 * 2
+    definite = np.linalg.eigvalsh(hess)[:, 0] > 0
+    assert solved.all() and definite.sum() == 3
+    seeds, first = trials[0], trials[2]  # the seed charts, the Hessian's, the first trial
+    turn = np.abs(first - seeds).max(axis=1)
+    assert np.allclose(turn[~definite], distance._FIRST_TURN, rtol=1e-12)
+    assert not np.isclose(turn[definite], distance._FIRST_TURN).any()
+    assert res.value == float.fromhex("0x1.fffffb80193c5p-1")  # 0.9999998659010251
+    assert res.evaluations == 89 + 8 * 2
 
 
 def test_objective_reads_the_chart_solves_gradients(triply_tools):

@@ -103,8 +103,8 @@ def _random_charts(domain, count, seed):
 
 def _ray_exit(d, foot: complex, direction: complex) -> float:
     """Reference scalar loop: distance along the inward ray from a boundary
-    foot to the next boundary circle it meets."""
-    best = math.inf
+    foot to the next boundary circle it meets, beyond 1024 ulps of |foot|."""
+    best, floor = math.inf, 1024 * np.spacing(abs(foot))
     for c in (UNIT_CIRCLE, *d.inner_circles):
         # |foot - q + s u|^2 = r^2 with |u| = 1
         w = foot - c.q
@@ -114,7 +114,7 @@ def _ray_exit(d, foot: complex, direction: complex) -> float:
             continue
         root = math.sqrt(disc)
         for s in (-b - root, -b + root):
-            if s > 1e-12:
+            if s > floor:
                 best = min(best, s)
     return best
 
@@ -135,7 +135,7 @@ def test_chart_box_equals_the_scalar_loop(inward):
         feet = dirs.copy()
         dirs = -dirs * np.exp(0.3j * np.random.default_rng(31).uniform(-1, 1, dirs.shape))
     lo, hi = _chart_box(d, feet, dirs)
-    assert lo == 1e-12
+    assert np.array_equal(lo, 1024 * np.spacing(np.abs(feet)))
     # the loop squares |w| with libm's pow, which is not always correctly
     # rounded, the batch with one multiply: an ulp apart on a few rays
     ref = _exits(d, feet, dirs) * (1 - 1e-12)
@@ -615,6 +615,12 @@ def test_pointwise_calls_keep_the_shape_of_z(shape, triply_tools):
         out = call(z)
         assert out.shape == shape
         assert np.array_equal(out.ravel(), call(z.ravel()))
+    # the batch calls add an axis of the g functions, and take a 0-d z as
+    # a batch of one
+    for call in (t.model.eval_u_all, t.v.eval_v_all, t.v.v_prime_all):
+        out = call(z)
+        assert out.shape == (shape or (1,)) + (t.domain.g,)
+        assert np.array_equal(out.reshape(-1, t.domain.g), call(z.ravel()))
 
 
 # -- boundary data ---------------------------------------------------------------
