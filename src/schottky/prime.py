@@ -72,8 +72,7 @@ class PrimeEvaluator:
     The ball is realized once, by ``group.word_ball``, as ``mobius_table``
     (rows a, b, c, d over every word of the ball, identity included); the
     prime-function products run over its half-set columns, and
-    ``ball_blaschke`` (behind ``lift_blaschke`` and the group-averaged
-    Blaschke route of the slit maps) over all of it.
+    ``ball_blaschke`` (behind ``lift_blaschke``) over all of it.
 
     The evaluator is immutable after construction, so one evaluator can
     serve any number of threads.  For g = 0 the ball is the identity and

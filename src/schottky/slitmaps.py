@@ -25,7 +25,6 @@ __all__ = [
     "eta",
     "eta_l",
     "slit_radius",
-    "eta_via_mobius_product",
     "eta_j_relation_residual",
 ]
 
@@ -101,18 +100,6 @@ def slit_radius(ev: PrimeEvaluator, l: int, i: int, p: complex) -> float:
             "increase the word length"
         )
     return mean
-
-
-def eta_via_mobius_product(ev: PrimeEvaluator, z, p: complex):
-    """The same truncated product as ``eta``, written over the whole ball:
-    normalized disk Blaschke factors m(theta(z), p)/m(theta(1), p) over the
-    evaluator's ball, identity included (``ev.ball_blaschke``).  Each
-    half-set word's omega-ratio factor is, up to a constant, the product of
-    the factors of theta and theta^-1, so the two agree to rounding at any
-    truncation (3.6e-14 on the triply connected domain at L = 6, where L = 3
-    and L = 6 differ by 8.9e-7): the comparison guards the algebra, not the
-    truncation."""
-    return ev.ball_blaschke([p], z)
 
 
 def eta_j_relation_residual(ev: PrimeEvaluator, v, j: int, z, p: complex) -> float:

@@ -35,7 +35,7 @@ from schottky.propermaps import (
     ZeroConfig,
 )
 from schottky.propermaps import _CHART_TOL, _chart_box, _level_depths, _solve_chart
-from schottky.slitmaps import eta, eta_l, eta_via_mobius_product
+from schottky.slitmaps import eta, eta_l
 from schottky.verify import _assign_circles
 
 
@@ -756,7 +756,7 @@ def test_blaschke_routes_are_the_same_truncated_product(case, triply_tools, g3_t
     f = _triply_map(tools) if case == "triply" else _g3_map(tools)
     z = interior_points(tools.domain, 30, seed=12)
     p = 0.2 - 0.3j
-    assert np.max(np.abs(eta(tools.ev, z, p) - eta_via_mobius_product(tools.ev, z, p))) < 1e-12
+    assert np.max(np.abs(eta(tools.ev, z, p) - tools.ev.ball_blaschke([p], z))) < 1e-12
     assert np.max(np.abs(lift_blaschke(tools.ev, tools.v, f.zeros)(z) - f(z))) < 1e-12
     coarse = PrimeEvaluator(tools.domain, max_word_length=3)
     assert np.max(np.abs(eta(coarse, z, p) - eta(tools.ev, z, p))) > 1e-8

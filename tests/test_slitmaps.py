@@ -9,7 +9,6 @@ from schottky.slitmaps import (
     eta,
     eta_j_relation_residual,
     eta_l,
-    eta_via_mobius_product,
     slit_radius,
 )
 
@@ -127,14 +126,20 @@ def test_slit_radius_errors(annulus_tools, disk_tools, monkeypatch):
         slit_radius(coarse, 0, 1, 0.5)
 
 
+# eta via the Moebius product: the same truncated product as eta, written
+# over the whole ball as normalized disk Blaschke factors m(theta(z), p) /
+# m(theta(1), p) (``ball_blaschke``); each half-set word's omega-ratio factor
+# is, up to a constant, the product of the factors of theta and theta^-1
+
+
 def test_eta_via_mobius_product_disk(disk_tools):
-    val = eta_via_mobius_product(disk_tools.ev, 0.5, 0.2)
+    val = disk_tools.ev.ball_blaschke([0.2], 0.5)
     assert val == pytest.approx(1 / 3)
 
 
 def test_eta_via_mobius_product_annulus(annulus_tools):
     z, p = 0.7j, 0.4
-    lhs = eta_via_mobius_product(annulus_tools.ev, z, p)
+    lhs = annulus_tools.ev.ball_blaschke([p], z)
     assert abs(lhs - eta(annulus_tools.ev, z, p)) < 1e-8
 
 
@@ -142,7 +147,7 @@ def test_eta_via_mobius_product_triply(triply_tools):
     ev5 = PrimeEvaluator(triply_tools.domain, max_word_length=5)
     pts = interior_points(triply_tools.domain, 20, seed=31)
     for z, p in zip(pts[:10], pts[10:]):
-        lhs = eta_via_mobius_product(ev5, complex(z), complex(p))
+        lhs = ev5.ball_blaschke([complex(p)], complex(z))
         assert abs(lhs - eta(ev5, complex(z), complex(p))) < 1e-6
 
 
