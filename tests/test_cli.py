@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -54,7 +55,7 @@ def test_proper_build(annulus_file, tmp_path, capsys):
                  "--zeros", "0.5,0 -0.5,0", "--nu", "1,1",
                  "--length", "8", "--output", out_path])
     assert code == 0
-    payload = json.loads(open(out_path).read())
+    payload = json.loads(Path(out_path).read_text())
     assert payload["boundary_deviation"] < 1e-7
     assert payload["boundary_degrees"] == [1, 1]
     out = capsys.readouterr().out
@@ -131,7 +132,7 @@ def test_cball_dist(annulus_file, tmp_path):
     code = main(["cball-dist", "--domain", annulus_file, "--base", "0.5,0",
                  "--target=-0.5,0", "--output", out_path])
     assert code == 0
-    payload = json.loads(open(out_path).read())
+    payload = json.loads(Path(out_path).read_text())
     assert 0.99 < payload["c_star"] < 1.0
 
 
@@ -160,8 +161,8 @@ def test_cball_raster_deterministic(annulus_file, tmp_path):
             "--seed", "1"]
     assert main(args + ["--output", a]) == 0
     assert main(args + ["--output", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
-    header = open(a).read().splitlines()[:4]
+    assert Path(a).read_bytes() == Path(b).read_bytes()
+    header = Path(a).read_text().splitlines()[:4]
     assert header[0].startswith("# bbox ")
     assert header[1] == "# resolution 36 36"
     assert header[2].startswith("# center ")
@@ -179,10 +180,10 @@ def test_proper_build_from_config_file(annulus_file, tmp_path):
 def test_domain_round_trip_through_validate(annulus_file, tmp_path):
     out_path = str(tmp_path / "report.json")
     assert main(["validate", "--domain", annulus_file, "--output", out_path]) == 0
-    payload = json.loads(open(out_path).read())
+    payload = json.loads(Path(out_path).read_text())
     from schottky.domain import CircularDomain
 
-    original = CircularDomain.from_json(open(annulus_file).read())
+    original = CircularDomain.from_json(Path(annulus_file).read_text())
     assert CircularDomain.from_dict(payload["domain"]) == original
 
 
