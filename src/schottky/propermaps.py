@@ -294,13 +294,15 @@ def complete_zeros(model: HarmonicModel, fixed, nu, guess) -> list[complex]:
 
 
 def _product_route(ev: PrimeEvaluator, y1, y2):
-    """A map's fused ratio product and the evaluator the map takes for it:
-    the product's expansion about the holes, built here once, routing each
-    point (``_HoleExpansion.routed``), or the product itself when the build
+    """The evaluator a map takes for its fused ratio product, and the
+    product's direct pass at z = 1.  The evaluator is the product's
+    expansion about the holes, built here once, routing each point
+    (``_HoleExpansion.routed``), or the product itself when the build
     returns None (the disk, the annulus, a zero near every circle)."""
     ratios = RatioProduct(ev, y1, y2)
     expansion = _HoleExpansion.build(ratios)
-    return ratios, ratios if expansion is None else expansion.routed
+    route = ratios if expansion is None else expansion.routed
+    return route, ratios(np.array([1.0 + 0j]))[0]
 
 
 class ProperMap:
@@ -391,9 +393,8 @@ def build_proper_map(
     # the eta factors of all zeros as one fused ratio product, normalized at
     # z = 1 by the direct pass; a zero at the origin pairs with the point at
     # infinity
-    ratios, route = _product_route(
+    route, norm = _product_route(
         ev, zeros, [INFINITY if p == 0 else 1 / p.conjugate() for p in zeros])
-    norm = ratios(np.array([1.0 + 0j]))[0]
 
     def base(z: np.ndarray) -> np.ndarray:
         return route(z) / norm * np.exp(-2j * np.pi * (v.eval_v_all(z) @ nvec))
@@ -475,11 +476,10 @@ def build_proper_map_alt(
 
     pairs = [(l, p) for l in sorted(groups) for p in groups[l]]
     zeros = tuple(p for _, p in pairs)
-    ratios, route = _product_route(
+    route, at_one = _product_route(
         ev, zeros, [INFINITY if (l, p) == (0, 0) else reflect(d, l, p) for l, p in pairs])
-    rotation = 1.0 / ratios(np.array([1.0 + 0j]))[0]
     return ProperMap(
-        d, zeros, nu, route, rotation,
+        d, zeros, nu, route, 1.0 / at_one,
         diagnostics={"form": "slit_product", "max_word_length": ev.max_word_length},
     )
 

@@ -548,9 +548,12 @@ def test_boundary_route_falls_back_near_a_zero(triply_tools, monkeypatch):
         assert np.max(np.abs(expansion.routed(w) / ratios(w) - 1)) < 1e-12
 
 
-def _counting_builds(monkeypatch):
-    """The products ``prime._HoleExpansion.build`` expands from here on in
-    the test."""
+@pytest.mark.parametrize("form", ["first_kind_product", "slit_product"])
+def test_map_build_makes_one_expansion(form, triply_tools, monkeypatch):
+    # the build expands the product once; evaluating the map, on its
+    # boundary circles or inside, builds nothing more
+    t = triply_tools
+    zeros = _triply_map(t, check_boundary=False).zeros
     built = []
     build = prime._HoleExpansion.build.__func__
 
@@ -559,16 +562,6 @@ def _counting_builds(monkeypatch):
         return build(cls, product)
 
     monkeypatch.setattr(prime._HoleExpansion, "build", classmethod(counted))
-    return built
-
-
-@pytest.mark.parametrize("form", ["first_kind_product", "slit_product"])
-def test_map_build_makes_one_expansion(form, triply_tools, monkeypatch):
-    # the build expands the product once; evaluating the map, on its
-    # boundary circles or inside, builds nothing more
-    t = triply_tools
-    zeros = _triply_map(t, check_boundary=False).zeros
-    built = _counting_builds(monkeypatch)
     if form == "first_kind_product":
         f = build_proper_map(t.ev, t.v, make_zero_config(t.model, zeros, (1, 1, 1)),
                              check_boundary=False)
@@ -580,7 +573,17 @@ def test_map_build_makes_one_expansion(form, triply_tools, monkeypatch):
     assert len(built) == 1
 
 
+def test_degree_zero_map_is_one(triply_tools):
+    # no pairs: the expansion has no terms and serves every circle
+    t = triply_tools
+    f = build_proper_map(t.ev, t.v, make_zero_config(t.model, [], (0, 0, 0)))
+    z = np.append(interior_points(t.domain, 5, seed=2), t.domain.circle(1).samples(8))
+    assert np.all(f(z) == 1.0)
+
+
 def test_boundary_series_is_built_once_under_threads(triply_tools):
+    # the map's one expansion is built with it; eight threads evaluating
+    # its boundary points at once agree bit for bit
     f = _triply_map(triply_tools, check_boundary=False)
     w = np.concatenate([triply_tools.domain.circle(l).samples(64) for l in range(3)])
     results = [None] * 8
