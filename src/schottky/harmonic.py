@@ -93,9 +93,9 @@ class HarmonicModel:
     # -- real evaluation ---------------------------------------------------
 
     def eval_u_all(self, z) -> np.ndarray:
-        """Values of (u_1, ..., u_g) at z; shape z.shape + (g,), (1, g) for
-        a scalar (``_batch``)."""
-        return self.eval_u_grad(z)[0]
+        """Values of (u_1, ..., u_g) at z, shape z.shape + (g,) (``_batch``)."""
+        z, shape = _batch(z)
+        return self.eval_u_grad(z)[0].reshape(shape + (self.g,))
 
     def eval_u(self, j: int, z):
         """Harmonic measure u_j; j = 0 returns 1 - sum of the others."""
@@ -108,18 +108,18 @@ class HarmonicModel:
     def eval_u_grad(self, z) -> tuple[np.ndarray, np.ndarray]:
         """The values of (u_1, ..., u_g) at z (``eval_u_all``) and their
         gradients, encoded as du/dx - i du/dy (the complex derivative of
-        each completion); shapes z.shape + (g,) each.  One product of the power
+        each completion); shapes (len(z), g) each.  One product of the power
         table with the value and derivative rows of every circle, then one
         multiply by r_l/(z - q_l) per inner circle.  Every value and
         derivative of the measures comes from here."""
-        z, shape = _batch(z)
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
         g = self.g
         table = _power_table(self.domain, self.order, z)
         sums = self._table_rows @ table  # (g+1, 2g, n)
         w = table[:g, 1]  # r_l / (z - q_l)
         u = sums[:, :g].real.sum(axis=0) - self.coeffs[:, 1 : 1 + g] @ np.log(np.abs(w))
         du = (sums[:g, g:] * w[:, None]).sum(axis=0) + sums[g, g:]
-        return u.T.reshape(shape + (g,)), du.T.reshape(shape + (g,))
+        return u.T, du.T
 
     def eval_normal_derivative(self, j: int, l: int, z):
         """Normal derivative of u_j on boundary circle l, in the direction
@@ -352,11 +352,11 @@ def _log_part(z: np.ndarray, p: np.ndarray, star: np.ndarray | None) -> np.ndarr
 
 
 def _batch(z) -> tuple[np.ndarray, tuple[int, ...]]:
-    """``z`` raveled to a 1-d complex batch, and the shape, at least 1-d,
-    that the batch calls' results take ahead of their axis of g functions:
-    z's own, or (1,) for a scalar."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    return z.ravel(), z.shape
+    """``z`` raveled to a 1-d complex batch, and the shape that the batch
+    calls' results take ahead of their axis of g functions: z's own, or
+    (1,) for a scalar."""
+    z = np.asarray(z, dtype=complex)
+    return z.ravel(), z.shape or (1,)
 
 
 def _power_table(d: CircularDomain, order: int, z: np.ndarray) -> np.ndarray:
@@ -481,10 +481,9 @@ class IntegralsFirstKind:
         return self.model.g
 
     def eval_v_all(self, z) -> np.ndarray:
-        """All v_j at z, shape z.shape + (g,), (1, g) for a scalar
-        (``_batch``); principal branches.  Each point is contracted with its
-        own column of the power table (einsum, not a BLAS product), so its
-        value does not depend on the batch it came in."""
+        """All v_j at z, shape z.shape + (g,) (``_batch``); principal branches.
+        Each point is contracted with its own column of the power table (einsum,
+        not a BLAS product), so its value does not depend on its batch."""
         z, shape = _batch(z)
         d = self.domain
         table = _power_table(d, self.model.order, z).reshape(self._values.shape[1], -1)
@@ -500,9 +499,10 @@ class IntegralsFirstKind:
         return _pointwise(lambda z: self.eval_v_all(z)[..., j - 1], z)
 
     def v_prime_all(self, z) -> np.ndarray:
-        """All v_j' at z, shape z.shape + (g,): the combination of the
-        completions' derivatives (``HarmonicModel.eval_u_grad``)."""
-        return self.model.eval_u_grad(z)[1] @ self.combination.T
+        """All v_j' at z, shape z.shape + (g,) (``_batch``): the combination
+        of the completions' derivatives (``HarmonicModel.eval_u_grad``)."""
+        z, shape = _batch(z)
+        return (self.model.eval_u_grad(z)[1] @ self.combination.T).reshape(shape + (self.g,))
 
     def circle_periods(self) -> np.ndarray:
         """Quadrature check of the defining normalization, on

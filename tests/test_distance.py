@@ -380,10 +380,9 @@ def _lead_model(order):
 
 
 def test_charts_reach_the_tiny_hole_of_the_lead():
-    # the hole's zero sits at a depth of about 1.35e-13, below any fixed
-    # depth floor of 1e-12, where the hole's measure is still 7e-8 above
-    # its target; (0, pi) puts the anchor's zero across the domain and
-    # has no solution
+    # the hole's zero sits at a depth of about 1.35e-13: at a depth of
+    # 1e-12 the hole's measure is still 7e-8 above its target, so a fixed
+    # floor there leaves these charts unsolved; (0, pi) has no solution
     from schottky.distance import _ExtremalSearch
 
     search = _ExtremalSearch(_lead_model(40), -0.8001)
