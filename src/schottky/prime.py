@@ -336,8 +336,7 @@ class _HoleExpansion:
     annulus's, is cheaper direct), keeps the direct pass; no point is
     summed past that cap.
 
-    The expansion holds its product, which ``routed`` takes for the points
-    the expansion does not serve.  It is immutable after ``build``.
+    It holds its product, for the points ``routed`` leaves to the direct pass.
     """
 
     def __init__(self, product, centers, radii, factors, coef, circle_orders):

@@ -103,9 +103,11 @@ def _random_charts(domain, count, seed):
 
 def _ray_exit(d, foot: complex, direction: complex) -> float:
     """Reference scalar loop: distance along the inward ray from a boundary
-    foot to the next boundary circle it meets, beyond 1024 ulps of |foot|."""
-    best, floor = math.inf, 1024 * np.spacing(abs(foot))
+    foot to the next boundary circle it meets, beyond the rounding of the
+    foot's own circle, 1024 ulps of |foot| + |q| + r."""
+    best = math.inf
     for c in (UNIT_CIRCLE, *d.inner_circles):
+        floor = 1024 * np.spacing(abs(foot) + abs(c.q) + c.r)
         # |foot - q + s u|^2 = r^2 with |u| = 1
         w = foot - c.q
         b = (w.conjugate() * direction).real
@@ -140,6 +142,19 @@ def test_chart_box_equals_the_scalar_loop(inward):
     # rounded, the batch with one multiply: an ulp apart on a few rays
     ref = _exits(d, feet, dirs) * (1 - 1e-12)
     assert np.all(np.isfinite(hi)) and np.max(np.abs(hi - ref) / ref) < 4.5e-16
+
+
+def test_chart_box_skips_the_own_circle_near_the_origin():
+    # feet within 1e-16 of the origin on a circle through it: the own
+    # circle's root at depth 0 rounds to about 1e-17, which a floor of
+    # 1024 ulps of |foot| alone would take for the exit
+    d = CircularDomain((Circle(0.3 + 0j, 0.3), Circle(-0.5 + 0j, 0.1)))
+    dirs = np.exp(1j * (np.pi + np.linspace(-1e-6, 1e-6, 201)))[:, None]
+    feet = 0.3 + 0.3 * dirs
+    assert np.abs(feet).min() < 1e-16
+    _, hi = _chart_box(d, feet, dirs)
+    assert np.allclose(hi, _exits(d, feet, dirs) * (1 - 1e-12), rtol=1e-15)
+    assert hi.min() > 0.3
 
 
 def test_chart_batch_equals_rows(triply_tools):
