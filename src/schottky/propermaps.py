@@ -141,21 +141,20 @@ _CHART_TOL = 1e-11  # max-norm residual of a solved chart
 
 def _chart_box(d: CircularDomain, feet: np.ndarray, dirs: np.ndarray):
     """Bounds (lo, hi) of the depths of the rays, each of the feet's shape:
-    lo is 1024 ulps of |foot| and hi just short of the exit, the nearest
-    root of |foot - q + s dir| = r (|dir| = 1) over the boundary circles
-    above 1024 ulps of |foot| + |q| + r, the rounding of the foot's own
-    circle's root at 0.  The floor scales with the foot, so a zero may sit
-    closer to a tiny hole than any fixed depth: on D(0.4, 1e-6) the level
-    depths lie near 1e-13.  One pass over rays x circles."""
-    centers, radii = np.append(0j, d.centers), np.append(1.0, d.radii)
-    w = feet[..., None] - centers
+    just off the foot, 1024 ulps of |foot|, and just short of the exit, the
+    nearest root s > 1e-12 of |foot - q + s dir| = r over the boundary
+    circles (|dir| = 1; the roots on the foot's own circle lie at depth <= 0,
+    up to a rounding far below 1e-12, whatever |foot|).  The depth floor
+    scales with the foot, so a zero may sit closer to a tiny hole than any
+    fixed depth: on D(0.4, 1e-6) the level depths lie near 1e-13.  One pass
+    over rays x circles."""
+    w = feet[..., None] - np.append(0j, d.centers)
     u = dirs[..., None]
     b = w.real * u.real + w.imag * u.imag
-    disc = b * b - (np.hypot(w.real, w.imag) ** 2 - radii**2)
+    disc = b * b - (np.hypot(w.real, w.imag) ** 2 - np.append(1.0, d.radii) ** 2)
     root = np.sqrt(np.maximum(disc, 0.0))
     s = np.stack([-b - root, -b + root])
-    rounding = 1024 * np.spacing(np.abs(feet)[..., None] + np.abs(centers) + radii)
-    s = np.where((disc >= 0) & (s > rounding), s, np.inf)
+    s = np.where((disc >= 0) & (s > 1e-12), s, np.inf)
     return 1024 * np.spacing(np.abs(feet)), s.min(axis=(0, -1)) * (1 - 1e-12)
 
 

@@ -103,11 +103,9 @@ def _random_charts(domain, count, seed):
 
 def _ray_exit(d, foot: complex, direction: complex) -> float:
     """Reference scalar loop: distance along the inward ray from a boundary
-    foot to the next boundary circle it meets, beyond the rounding of the
-    foot's own circle, 1024 ulps of |foot| + |q| + r."""
+    foot to the next boundary circle it meets."""
     best = math.inf
     for c in (UNIT_CIRCLE, *d.inner_circles):
-        floor = 1024 * np.spacing(abs(foot) + abs(c.q) + c.r)
         # |foot - q + s u|^2 = r^2 with |u| = 1
         w = foot - c.q
         b = (w.conjugate() * direction).real
@@ -116,7 +114,7 @@ def _ray_exit(d, foot: complex, direction: complex) -> float:
             continue
         root = math.sqrt(disc)
         for s in (-b - root, -b + root):
-            if s > floor:
+            if s > 1e-12:
                 best = min(best, s)
     return best
 
@@ -146,8 +144,8 @@ def test_chart_box_equals_the_scalar_loop(inward):
 
 def test_chart_box_skips_the_own_circle_near_the_origin():
     # feet within 1e-16 of the origin on a circle through it: the own
-    # circle's root at depth 0 rounds to about 1e-17, which a floor of
-    # 1024 ulps of |foot| alone would take for the exit
+    # circle's root at depth 0 rounds to about 1e-17, far above 1024 ulps
+    # of |foot|, so the roots are filtered at 1e-12, not at the depth floor
     d = CircularDomain((Circle(0.3 + 0j, 0.3), Circle(-0.5 + 0j, 0.1)))
     dirs = np.exp(1j * (np.pi + np.linspace(-1e-6, 1e-6, 201)))[:, None]
     feet = 0.3 + 0.3 * dirs
