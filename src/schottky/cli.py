@@ -7,8 +7,8 @@ verification suites.  Exit codes: 0 success, 1 domain/validation error,
 2 numerical failure, 3 witness not found.
 
 All floating-point output is printed with 17 significant digits so that
-artifacts round-trip bit-faithfully; the only randomness is the seeded
-optimizer multi-start, so identical invocations produce identical bytes.
+artifacts round-trip bit-faithfully; no command draws a random number, so
+identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -125,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         "basis": dict(type=int, default=24, help="harmonic basis order per circle"),
         "samples": dict(type=int, default=256,
                         help="boundary samples per circle for diagnostics"),
-        "seed": dict(type=int, default=0, help="seed for optimizer multi-starts"),
         "output": dict(default=None, help="artifact output path"),
     }
 
@@ -174,12 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated rates for the extra points")
 
     p = sub.add_parser("cball-dist", help="Moebius/Caratheodory distance")
-    common(p, "basis", "seed", "output")
+    common(p, "basis", "output")
     p.add_argument("--base", required=True)
     p.add_argument("--target", required=True)
 
     p = sub.add_parser("cball-raster", help="distance raster with labels")
-    common(p, "basis", "seed", "output")
+    common(p, "basis", "output")
     p.add_argument("--center", required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--res", type=int, default=300)
@@ -191,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", default="0.1,0.05,0.02")
     p.add_argument("--depths", default="0.05,0.02")
     p.add_argument("--basis", type=int, default=24)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None)
     p.add_argument("--raster-output", default=None)
 
@@ -319,7 +317,7 @@ def _dispatch(args) -> int:
         domain = _load_domain(args.domain)
         base, target = _parse_complex(args.base), _parse_complex(args.target)
         model = solve_harmonic_measures(domain, order=args.basis)
-        res = mobius_distance(model, None, None, base, target, DistanceOptions(seed=args.seed))
+        res = mobius_distance(model, None, None, base, target)
         try:
             c = _atanh_checked(res)
         except TruncationQualityError as exc:
@@ -342,7 +340,7 @@ def _dispatch(args) -> int:
         center = _parse_complex(args.center)
         bbox = _parse_list(args.bbox, float, 4)
         model = solve_harmonic_measures(domain, order=args.basis)
-        opts = DistanceOptions(seed=args.seed, refine_cap=args.refine_cap)
+        opts = DistanceOptions(refine_cap=args.refine_cap)
         raster = ball_raster(model, None, None, center, args.r,
                              bbox=bbox, resolution=args.res, opts=opts)
         print(f"components: {raster.component_count()}")
@@ -362,8 +360,7 @@ def _dispatch(args) -> int:
         radii = _parse_list(args.radii, float)
         depths = _parse_list(args.depths, float)
         witness = find_disconnected_ball(
-            shrink_radii=radii, p_depths=depths, resolution=args.res,
-            opts=DistanceOptions(seed=args.seed), order=args.basis,
+            shrink_radii=radii, p_depths=depths, resolution=args.res, order=args.basis,
         )
         print(f"witness found: {witness.found}")
         for attempt in witness.diagnostics.get("attempts", []):

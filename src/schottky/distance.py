@@ -11,7 +11,8 @@ condition at every step.  With log|f| = -sum_k G(., p_k) from the domain's
 Green's function, the objective and its gradient along the chart are closed
 form, and one batched BFGS ascent climbs many (point, start) rows at once,
 each from the inverse of its seed chart's Hessian, forward differences of
-that gradient, where it is positive definite.
+that gradient, where it is positive definite; a lone distance starts from
+the best charts of the raster's coarse family, so no search draws at random.
 
 Rasters of the distance over a pixel grid drive the connectivity analysis:
 a sweep over a deterministic family of charted zero sets gives a sharp
@@ -74,15 +75,11 @@ _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 @dataclass(frozen=True)
 class DistanceOptions:
-    """The extremal search's settings that callers choose.  The seed fixes
-    every multi-start draw, so identical inputs give identical outputs.  The
-    band polish of a raster takes at most ``refine_cap`` pixels, those
-    within ``refine_margin`` of the threshold (a constant), and caps each
-    row at ``refine_maxiter`` trial steps.  One distance is an ascent of
-    ``_N_STARTS`` rows capped at ``_TRIALS_PER_ANGLE`` g trial steps each.
-    """
+    """The raster's settings that callers choose: its band polish takes at
+    most ``refine_cap`` pixels, those within ``refine_margin`` of the
+    threshold (a constant), and caps each row at ``refine_maxiter`` trial
+    steps.  One distance takes no settings (``_ExtremalSearch.optimize``)."""
 
-    seed: int = 0
     refine_cap: int = 4000
     refine_maxiter: int = 40
     refine_margin: ClassVar[float] = 0.025
@@ -245,29 +242,25 @@ class _ExtremalSearch:
         return _Ascent(np.exp(-(base + fval)), np.mod(phi, 2 * np.pi), zeros,
                        trials + evaluations, capped, iterations, solves + iterations)
 
-    def optimize(self, zeta: complex, opts: DistanceOptions) -> DistanceResult:
-        """The multi-start ascent at one point: the starts are the rows of
-        one batch, and the best row's last accepted chart is the argmax."""
+    def optimize(self, zeta: complex) -> DistanceResult:
+        """The ascent at one point from the ``_N_STARTS`` members of the coarse
+        family (``_build_family``) with the smallest sum_k G(zeta, p_k), the
+        rows of one batch, capped at ``_TRIALS_PER_ANGLE`` g trials each; the
+        best row's last accepted chart is the argmax.  Raises
+        ConvergenceError when no member solves."""
         zeta = complex(zeta)
         g = self.g
         if g == 0:
             val = abs((zeta - self.p) / (1 - self.p.conjugate() * zeta))
             return DistanceResult(val, (), ())
-        rng = np.random.default_rng(opts.seed)
-        seeds = [np.array([
-            math.atan2((zeta - c.q).imag, (zeta - c.q).real) + np.pi
-            for c in self.domain.inner_circles
-        ]), np.array([
-            math.atan2((self.p - c.q).imag, (self.p - c.q).real)
-            for c in self.domain.inner_circles
-        ])]
-        while len(seeds) < _N_STARTS:
-            seeds.append(rng.uniform(0.0, 2 * np.pi, size=g))
-        seeds = np.array(seeds[:_N_STARTS])
-        run = self.ascend(np.full(len(seeds), zeta), seeds, _TRIALS_PER_ANGLE * g)
+        (members,), _ = _build_family(self, _COARSE_ANGLES)
+        if not len(members):
+            raise ConvergenceError("extremal search failed: no chart of the coarse family solves")
+        sums = _member_sums(self, np.array([zeta]), members)[0]
+        angles, depths = _chart_coordinates(
+            self.domain, members[np.argsort(sums, kind="stable")[:_N_STARTS]])
+        run = self.ascend(np.full(len(angles), zeta), angles, _TRIALS_PER_ANGLE * g, depths)
         best = int(np.argmax(run.values))
-        if not run.values[best] > 0:
-            raise ConvergenceError("extremal search failed at every seed")
         value = float(run.values[best])  # as computed: a value above 1 is flagged, not clamped
         warnings = [f"1 - c* = {1 - value:.3e} is not positive: the order-{self.model.order} "
                     "basis cannot resolve c* this close to 1"] if value >= 1 else []
@@ -327,7 +320,6 @@ def mobius_distance(
     v: IntegralsFirstKind | None,
     p_tilde: complex,
     zeta: complex,
-    opts: DistanceOptions | None = None,
 ) -> DistanceResult:
     """Moebius distance c*(p_tilde, zeta): the maximum of |f(zeta)| over
     degree-(g+1) proper maps vanishing at the base point, together with the
@@ -339,7 +331,7 @@ def mobius_distance(
     search = _ExtremalSearch(model, p_tilde)
     if not model.domain.contains(complex(zeta)):
         raise DomainError("target point is not in the domain")
-    return search.optimize(zeta, opts or DistanceOptions())
+    return search.optimize(zeta)
 
 
 def caratheodory_distance(
@@ -348,11 +340,10 @@ def caratheodory_distance(
     v: IntegralsFirstKind | None,
     p_tilde: complex,
     zeta: complex,
-    opts: DistanceOptions | None = None,
 ) -> float:
     """atanh of the Moebius distance (the two metrics share sublevel sets).
     Raises TruncationQualityError where the computed c* is not below 1."""
-    return _atanh_checked(mobius_distance(model, ev, v, p_tilde, zeta, opts))
+    return _atanh_checked(mobius_distance(model, ev, v, p_tilde, zeta))
 
 
 def _atanh_checked(res: DistanceResult) -> float:
@@ -556,14 +547,15 @@ def ball_raster(
     The values are computed as the upper envelope of a deterministic family
     of charted extremal maps (a coarse family everywhere, a fine family
     where the coarse value lies within ``_BAND_MARGIN`` of the threshold;
-    both solved in one batch, and swept ``_RASTER_CHUNK`` pixels at a time),
+    both solved in one batch, the fine one without the coarse charts it
+    contains, and swept ``_RASTER_CHUNK`` pixels at a time),
     then the pixels within ``refine_margin`` of the threshold (at most
     ``refine_cap``) are polished by one batched ascent, each row seeded
     from its pixel's family argmax and capped at ``refine_maxiter`` trial
     steps; a polished value only replaces a lower one.  Every |f| comes
     from the domain's Green's function on the harmonic series basis of
     ``model``: a family sweep is one (pixels, zeros) Green matrix from one
-    fit of its smaller side, by G(z, p) = G(p, z) (``_member_min``).
+    fit of its smaller side, by G(z, p) = G(p, z) (``_member_sums``).
     ``raster.diagnostics`` counts the families' charts (solved, ok) and
     the batched evaluations of their seeds, and the polish: pixels
     polished, ascent iterations, batched chart solves and rows stopped at
@@ -594,7 +586,7 @@ def ball_raster(
         pz = zs[idx]
         vals = np.abs((pz - search.p) / (1 - np.conj(search.p) * pz))
     else:
-        coarse, fine = _build_family(search, _COARSE_ANGLES, _FINE_ANGLES)
+        (coarse, fine), charts = _build_family(search, _COARSE_ANGLES, _FINE_ANGLES)
         family = np.concatenate([coarse, fine])
         for lo in range(0, len(idx), _RASTER_CHUNK):
             zchunk = zs[idx[lo : lo + _RASTER_CHUNK]]
@@ -617,7 +609,6 @@ def ball_raster(
     raster.values = flat.reshape(ny, nx)
 
     if search.g:  # the disk's values are exact: nothing to polish
-        charts = _COARSE_ANGLES**search.g + _FINE_ANGLES**search.g
         raster.diagnostics = {"family_charts": [charts, len(family)],
                               "seed_evaluations": search.seed_evaluations,
                               **_refine_band(raster, search, opts, idx, argmax_member,
@@ -626,31 +617,47 @@ def ball_raster(
     return raster
 
 
-def _build_family(search: _ExtremalSearch, *n_angles: int) -> list[np.ndarray]:
-    """Solve the chart for deterministic grids of foot angles, n_angles^g
-    charts each, all in one batch; returns one (members, g) array of zeros
-    per grid (failed chart points are skipped)."""
-    g = search.g
-    combos = [np.stack([a.ravel() for a in np.meshgrid(
-        *[np.arange(n) * (2 * np.pi / n)] * g, indexing="ij")], axis=1) for n in n_angles]
+def _build_family(search: _ExtremalSearch, *n_angles: int) -> tuple[list[np.ndarray], int]:
+    """Solve the chart for deterministic grids of foot angles, all in one
+    batch: the n^g charts of a grid of n angles per circle, less those of
+    the grids before it (angle k 2 pi / n lies on the grid of m angles where
+    k m = 0 mod n).  Returns one (members, g) array of zeros per grid
+    (failed chart points are skipped) and the number of charts in the batch."""
+    combos = []
+    for i, n in enumerate(n_angles):
+        k = np.indices((n,) * search.g).reshape(search.g, -1).T  # angles in units of 2 pi / n
+        for m in n_angles[:i]:
+            k = k[np.any(k * m % n, axis=1)]
+        combos.append(k * (2 * np.pi / n))
     pts, _, ok, _ = search.solve_depths(np.concatenate(combos))
     ends = np.cumsum([0] + [len(c) for c in combos])
-    return [pts[a:b][ok[a:b]] for a, b in zip(ends, ends[1:])]
+    return [pts[a:b][ok[a:b]] for a, b in zip(ends, ends[1:])], len(pts)
+
+
+def _chart_coordinates(domain: CircularDomain, zeros: np.ndarray):
+    """The foot angles and depths of charted zero sets (rows of ``zeros``),
+    each zero on the normal ray of its circle."""
+    offsets = zeros - domain.centers
+    return np.angle(offsets), np.abs(offsets) - domain.radii
+
+
+def _member_sums(search: _ExtremalSearch, z: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """sum_k G(z, p_k), shape (points, members), for each point and each
+    member's zero set (the rows of ``members``), from one fit: by
+    G(z, p) = G(p, z) it fits the points when they are fewer than the zeros
+    (as ``GreenFunction.paired`` fits the polish's pixels), else the zeros."""
+    zeros = members.ravel()
+    green = search.green(zeros, z).T if len(z) < len(zeros) else search.green(z, zeros)
+    return green.reshape(len(z), len(members), -1).sum(axis=2)
 
 
 def _member_min(search: _ExtremalSearch, z: np.ndarray, members: np.ndarray,
                 base: np.ndarray):
-    """base + the smallest sum_k G(z, p_k) over the members' zero sets (the
-    rows of ``members``), with the index of the member attaining it.  One
-    fit serves the whole (pixels, zeros) Green matrix: by G(z, p) = G(p, z)
-    it fits the smaller side, the pixels when they are fewer than the zeros
-    (as ``GreenFunction.paired`` fits the polish's pixels), else the
-    zeros."""
+    """base + the smallest sum_k G(z, p_k) over the members' zero sets
+    (``_member_sums``), with the index of the member attaining it."""
     if not len(members):
         return np.full(len(z), np.inf), np.zeros(len(z), dtype=np.int32)
-    zeros = members.ravel()
-    green = search.green(zeros, z).T if len(z) < len(zeros) else search.green(z, zeros)
-    sums = green.reshape(len(z), len(members), -1).sum(axis=2)
+    sums = _member_sums(search, z, members)
     best = np.argmin(sums, axis=1).astype(np.int32)
     return base + sums[np.arange(len(z)), best], best
 
@@ -671,14 +678,11 @@ def _refine_band(raster, search, opts, idx, argmax_member, family, zs) -> dict:
              "capped": 0}
     if not len(order):
         return stats
-    d = search.domain
-    # a charted zero sits on the normal ray of its circle: the foot angle is
-    # the argument of (zero - center), the depth its distance to the circle
-    offsets = family[argmax_member[np.searchsorted(idx, order)]] - d.centers
+    angles, depths = _chart_coordinates(search.domain,
+                                        family[argmax_member[np.searchsorted(idx, order)]])
     for lo in range(0, len(order), _ASCENT_ROWS):
         part = slice(lo, lo + _ASCENT_ROWS)
-        run = search.ascend(zs[order[part]], np.angle(offsets[part]), opts.refine_maxiter,
-                            np.abs(offsets[part]) - d.radii)
+        run = search.ascend(zs[order[part]], angles[part], opts.refine_maxiter, depths[part])
         flat[order[part]] = np.fmax(flat[order[part]], run.values)
         stats["ascent_iterations"] += run.iterations
         stats["chart_solves"] += run.chart_solves
@@ -796,8 +800,6 @@ def find_disconnected_ball(
     can be extended.  Everything, the proxies included, comes from the
     harmonic model of each domain (basis ``order``).
     """
-    opts = opts or DistanceOptions()
-
     attempts = []
     for radius in shrink_radii:
         circles = tuple(Circle(complex(q), float(r)) for q, r in base_circles)
@@ -816,11 +818,11 @@ def find_disconnected_ball(
 
         for depth in p_depths:
             p_tilde = anchor.q + (anchor.r + depth) * away
-            base = mobius_distance(model, None, None, p_tilde, zeta, opts)
+            base = mobius_distance(model, None, None, p_tilde, zeta)
             # thresholds strictly above c*(p_tilde, zeta) and at most 1, inside
             # the polished band around the raster threshold
-            lo = base.value + max(1e-5, 0.05 * opts.refine_margin)
-            hi = min(base.value + 0.95 * opts.refine_margin, 1.0)
+            lo = base.value + max(1e-5, 0.05 * DistanceOptions.refine_margin)
+            hi = min(base.value + 0.95 * DistanceOptions.refine_margin, 1.0)
             attempt = {
                 "shrink_radius": radius,
                 "p_depth": depth,
@@ -845,7 +847,7 @@ def find_disconnected_ball(
             far_vals = np.where(far_mask, raster.values, np.inf)
             iy, ix = np.unravel_index(np.argmin(far_vals), far_vals.shape)
             xi = complex(raster.pixel_centers()[iy, ix])
-            r2 = mobius_distance(model, None, None, p_tilde, xi, opts).value
+            r2 = mobius_distance(model, None, None, p_tilde, xi).value
 
             px, py = raster.pixel_size
             diag = math.hypot(px, py)

@@ -136,6 +136,18 @@ def test_cball_dist(annulus_file, tmp_path):
     assert 0.99 < payload["c_star"] < 1.0
 
 
+def test_cball_dist_deterministic(tmp_path):
+    # the triply connected domain, where the search has 8 starts
+    path = tmp_path / "triply.json"
+    path.write_text('{"inner_circles":[{"q":[-0.5,0.0],"r":0.1},{"q":[0.5,0.0],"r":0.1}]}')
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    args = ["cball-dist", "--domain", str(path), "--base", "0,0.3", "--target", "0.1,0.6"]
+    assert main(args + ["--output", str(a)]) == 0
+    assert main(args + ["--output", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert len(json.loads(a.read_text())["argmax"]) == 2
+
+
 def test_cball_dist_above_one_is_a_numerical_failure(tmp_path, capsys):
     path = tmp_path / "near.json"
     path.write_text('{"inner_circles":[{"q":[-0.5,0.0],"r":0.3},{"q":[0.7,0.0],"r":0.01}]}')
@@ -157,8 +169,7 @@ def test_cball_dist_target_in_a_hole_is_a_domain_error(tmp_path, capsys):
 def test_cball_raster_deterministic(annulus_file, tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     args = ["cball-raster", "--domain", annulus_file, "--center", "0.5,0",
-            "--r", "0.4", "--res", "36", "--refine-cap", "60",
-            "--seed", "1"]
+            "--r", "0.4", "--res", "36", "--refine-cap", "60"]
     assert main(args + ["--output", a]) == 0
     assert main(args + ["--output", b]) == 0
     assert Path(a).read_bytes() == Path(b).read_bytes()
@@ -207,6 +218,12 @@ def test_unknown_flag_rejected(annulus_file):
     with pytest.raises(SystemExit):
         main(["from-boundary", "--domain", annulus_file, "--interior", "0,0.5",
               "--points", "0:1,0 1:0.25,0", "--horizon", "0.05"])
+    # no search draws a random number, so there is no seed to set
+    for argv in (["cball-dist", "--domain", annulus_file, "--base", "0.5,0", "--target", "0,0.5"],
+                 ["cball-raster", "--domain", annulus_file, "--center", "0.5,0", "--r", "0.4"],
+                 ["find-witness"]):
+        with pytest.raises(SystemExit):
+            main(argv + ["--seed", "1"])
 
 
 def test_find_witness_at_a_tiny_hole(capsys):

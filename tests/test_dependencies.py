@@ -1,7 +1,8 @@
 """The library runs on numpy alone; scipy is only the tests' oracle.  Its
 modules import nothing they do not use, define nothing no one calls, assign
-no local they do not read, offer no setting that no caller sets and branch
-on the disk only where the general code cannot serve it."""
+no local they do not read, offer no setting that no caller sets, draw no
+random number outside the verification suites and branch on the disk only
+where the general code cannot serve it."""
 
 import ast
 import os
@@ -119,7 +120,6 @@ _UNSET_SETTINGS = {
         "witness geometry, kept for a sweep over geometries",
     "distance.find_disconnected_ball(zeta_gap)":
         "witness geometry, kept for a sweep over geometries",
-    "distance.caratheodory_distance(opts)": "mirrors mobius_distance(opts)",
     "propermaps.boundary_degree(samples)":
         "a pinned map in test_propermaps needs 4096 samples",
     "env SCHOTTKY_MAX_WORDS": "the word-ball resource limit, set by the environment",
@@ -187,6 +187,37 @@ def test_every_setting_has_a_caller():
     unset |= {f"env {call.args[0].value}" for call in calls
               if ast.unparse(call.func) in ("os.environ.get", "os.getenv")}
     assert unset == set(_UNSET_SETTINGS), sorted(unset ^ set(_UNSET_SETTINGS))
+
+
+# Modules that draw random numbers, each with the reason.  Everything else
+# is deterministic by construction: no setting fixes a draw.
+_RANDOM_DRAWS = {
+    "verify": "its suites draw seeded probe points and seeded admissible zero sets",
+}
+
+
+def _draws_random_numbers(tree) -> bool:
+    """Whether the module reads ``np.random`` (or ``numpy.random``),
+    imports from ``numpy.random`` or names ``default_rng``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "random"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            return True
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.random"):
+            return True
+        if (isinstance(node, ast.Name) and node.id == "default_rng") or (
+                isinstance(node, ast.Attribute) and node.attr == "default_rng"):
+            return True
+    return False
+
+
+def test_library_draws_no_random_numbers():
+    # a new random draw needs a reason here; a listed module that no longer
+    # draws leaves the list
+    package = Path(__file__).resolve().parent.parent / "src" / "schottky"
+    drawing = {path.stem for path in sorted(package.glob("*.py"))
+               if _draws_random_numbers(ast.parse(path.read_text()))}
+    assert drawing == set(_RANDOM_DRAWS), sorted(drawing ^ set(_RANDOM_DRAWS))
 
 
 def _own_nodes(fn):

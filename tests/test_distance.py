@@ -114,14 +114,14 @@ def test_target_point_must_be_interior(triply_tools, zeta):
 
 
 def test_stagnation_sets_warning_flag(triply_tools, monkeypatch):
-    # one row (g = 2) that needs 4 trials from its seeded start: capped at
-    # 2 it warns, at 4 it converges without a warning
+    # one row (g = 2), from the coarse family's best chart, that needs 5
+    # trials: capped at 4 it warns, at 6 it converges without a warning
     monkeypatch.setattr(distance, "_N_STARTS", 1)
-    monkeypatch.setattr(distance, "_TRIALS_PER_ANGLE", 1)
+    monkeypatch.setattr(distance, "_TRIALS_PER_ANGLE", 2)
     t = triply_tools
     res = mobius_distance(t.model, t.ev, t.v, 0.3j, 0.1 + 0.6j)
     assert res.warning == "optimizer stagnation: supremum may only be approached"
-    monkeypatch.setattr(distance, "_TRIALS_PER_ANGLE", 2)
+    monkeypatch.setattr(distance, "_TRIALS_PER_ANGLE", 3)
     assert mobius_distance(t.model, t.ev, t.v, 0.3j, 0.1 + 0.6j).warning is None
 
 
@@ -201,7 +201,7 @@ def test_family_equals_per_row_solves(triply_tools):
     from schottky.distance import _ExtremalSearch, _build_family
 
     search = _ExtremalSearch(triply_tools.model, 0.3j)
-    family, = _build_family(search, 6)
+    (family,), charts = _build_family(search, 6)
     grid = np.arange(6) * (2 * np.pi / 6)
     rows = []
     for a1 in grid:
@@ -209,7 +209,7 @@ def test_family_equals_per_row_solves(triply_tools):
             pts, _, ok, _ = search.solve_depths(np.array([a1, a2]))
             if ok:
                 rows.append(pts)
-    assert len(family) == len(rows) == 36
+    assert len(family) == len(rows) == charts == 36
     assert np.max(np.abs(np.array(family) - np.array(rows))) < 1e-12
 
 
@@ -392,9 +392,9 @@ def test_charts_reach_the_tiny_hole_of_the_lead():
 
 
 def test_indefinite_seed_hessian_keeps_the_first_turn(monkeypatch):
-    # the lead (1 - c* = 1.3e-7): all 8 seeded rows solve; the 5 whose
-    # Hessian has a negative eigenvalue take a first step of _FIRST_TURN
-    # radians, the 3 positive definite ones their Newton step; the value
+    # the lead (1 - c* = 1.3e-7): all 8 seeded rows solve; the one whose
+    # Hessian has a negative eigenvalue takes a first step of _FIRST_TURN
+    # radians, the 7 positive definite ones their Newton step; the value
     # is pinned bit for bit, and the 8 rows' 2 Hessian charts each are
     # counted
     hessians, trials = [], []
@@ -415,13 +415,32 @@ def test_indefinite_seed_hessian_keeps_the_first_turn(monkeypatch):
     res = mobius_distance(_lead_model(24), None, None, -0.8001, 0.40108)
     (hess, solved), = hessians
     definite = np.linalg.eigvalsh(hess)[:, 0] > 0
-    assert solved.all() and definite.sum() == 3
-    seeds, first = trials[0], trials[2]  # the seed charts, the Hessian's, the first trial
+    assert solved.all() and definite.sum() == 7
+    # the coarse family, the seed charts, the Hessian's, the first trial
+    seeds, first = trials[1], trials[3]
     turn = np.abs(first - seeds).max(axis=1)
     assert np.allclose(turn[~definite], distance._FIRST_TURN, rtol=1e-12)
     assert not np.isclose(turn[definite], distance._FIRST_TURN).any()
-    assert res.value == float.fromhex("0x1.fffffb80193c5p-1")  # 0.9999998659010251
-    assert res.evaluations == 89 + 8 * 2
+    assert res.value == float.fromhex("0x1.fffffb804af79p-1")  # 0.9999998659236403
+    assert res.evaluations == 116 + 8 * 2
+
+
+def test_lead_starts_are_distinct_charts(monkeypatch):
+    # p_tilde, zeta and the centres are real: the starts are distinct
+    # charts, and hold the symmetric (pi, pi) once
+    starts = []
+    ascend = distance._ExtremalSearch.ascend
+
+    def record(self, zetas, seed_angles, *args):
+        starts.append(np.mod(seed_angles, 2 * np.pi))
+        return ascend(self, zetas, seed_angles, *args)
+
+    monkeypatch.setattr(distance._ExtremalSearch, "ascend", record)
+    mobius_distance(_lead_model(24), None, None, -0.8001, 0.40108)
+    (angles,) = starts
+    assert angles.shape == (distance._N_STARTS, 2)
+    assert len({tuple(row) for row in np.round(angles, 9)}) == len(angles)
+    assert np.all(angles == np.pi, axis=1).sum() == 1
 
 
 def test_objective_reads_the_chart_solves_gradients(triply_tools):
@@ -462,12 +481,12 @@ def test_raster_band_pixels_reach_mobius_distance(triply_tools):
     raster = ball_raster(t.model, t.ev, t.v, 0.3j, 0.6, resolution=20, opts=opts)
     band = np.argwhere(np.abs(raster.values - 0.6) < opts.refine_margin)
     assert len(band) == raster.diagnostics["polished"] > 0
-    # 6^2 + 12^2 family charts, all solved, from one batched seed that
-    # needs fewer evaluations than the 40 of a bisection; the polish reads
-    # the gradients of each chart solve and starts from the seed charts'
-    # Hessians, one chart solve more than the seed's and the 4 trials' (this
-    # is the benchmark's raster-g2)
-    assert raster.diagnostics == {"family_charts": [180, 180], "seed_evaluations": 7,
+    # 12^2 family charts, the 6^2 coarse ones among them built once, all
+    # solved, from one batched seed that needs fewer evaluations than the 40
+    # of a bisection; the polish reads the gradients of each chart solve and
+    # starts from the seed charts' Hessians, one chart solve more than the
+    # seed's and the 4 trials' (this is the benchmark's raster-g2)
+    assert raster.diagnostics == {"family_charts": [144, 144], "seed_evaluations": 7,
                                   "polished": 8, "ascent_iterations": 4, "chart_solves": 6,
                                   "capped": 0}
     centers = raster.pixel_centers()
@@ -497,8 +516,8 @@ def _fine_band(triply_tools, resolution):
     pixels the fine family sweeps at this resolution, as ``ball_raster``
     picks them from the coarse envelope."""
     search = distance._ExtremalSearch(triply_tools.model, 0.3j)
-    coarse, fine = distance._build_family(search, distance._COARSE_ANGLES,
-                                          distance._FINE_ANGLES)
+    (coarse, fine), _ = distance._build_family(search, distance._COARSE_ANGLES,
+                                               distance._FINE_ANGLES)
     raster = BallRaster((-1.0, -1.0, 1.0, 1.0), resolution, resolution, 0.3j, 0.6, None)
     zs = raster.pixel_centers().ravel()
     zs = zs[triply_tools.domain.contains(zs)]
@@ -508,11 +527,12 @@ def _fine_band(triply_tools, resolution):
 
 @pytest.mark.parametrize("resolution, count", [(20, 22), (100, 590)])
 def test_member_min_is_the_same_from_either_side(triply_tools, resolution, count):
-    # 22 band pixels fit the pixels, 590 fit the 288 zeros: either way gives
-    # the envelope and argmin of both orientations
+    # 22 band pixels fit the pixels, 590 fit the 216 zeros (the fine family
+    # less its 36 coarse charts): either way gives the envelope and argmin of
+    # both orientations
     search, fine, z = _fine_band(triply_tools, resolution)
     zeros = np.asarray(fine).ravel()
-    assert (len(z), len(zeros)) == (count, 288)
+    assert (len(z), len(zeros)) == (count, 216)
     base = search.green(z, search.p)[:, 0]
     total, best = distance._member_min(search, z, fine, base)
     for green in (search.green(z, zeros), search.green(zeros, z).T):
@@ -533,12 +553,12 @@ def test_raster_fits_the_smaller_side(triply_tools, monkeypatch):
     t = triply_tools
     ball_raster(t.model, t.ev, t.v, 0.3j, 0.6, resolution=20)
     # the center's pole, the coarse family's 36 x 2 zeros, the fine sweep's
-    # 22 band pixels (not the fine family's 144 x 2 zeros), the 8 polished
+    # 22 band pixels (not the fine family's 108 x 2 zeros), the 8 polished
     assert fits == [1, 72, 22, 8]
     fits.clear()
     ball_raster(t.model, t.ev, t.v, 0.3j, 0.6, resolution=100)
     # more band pixels than zeros: the fine sweep fits the zeros
-    assert fits[:3] == [1, 72, 288]
+    assert fits[:3] == [1, 72, 216]
 
 
 def test_component_count_without_inside_pixels(tmp_path):

@@ -242,10 +242,14 @@ def test_level_depths_match_bisection(case):
     # the same family members as the reference-seeded chart solves
     solved, res, _ = _solve_chart(model, feet, dirs, search.targets, reference)
     ok = res < _CHART_TOL
-    coarse, fine = _build_family(search, 6, 12)
+    # the family builds each chart once: the 12 x 12 grid's charts with an
+    # odd multiple of pi / 6 among their angles
+    rest = np.any(np.indices((12, 12)).reshape(2, -1) % 2, axis=0)
+    built = ok & np.concatenate([np.ones(36, dtype=bool), rest])
+    (coarse, fine), charts = _build_family(search, 6, 12)
     family = np.concatenate([coarse, fine])
-    assert len(family) == ok.sum()
-    assert np.max(np.abs(family - (feet + solved * dirs)[ok])) < 1e-12
+    assert charts == 36 + rest.sum() == 144 and len(family) == built.sum()
+    assert np.max(np.abs(family - (feet + solved * dirs)[built])) < 1e-12
 
 
 # -- construction ---------------------------------------------------------------
